@@ -239,10 +239,14 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model, _ = load_model(args.model)
-    theory = bell.theory_correlations(DetectorAngles())
+    angles = DetectorAngles()
     data_report = None
     if args.data:
-        data_report = empirical_correlations(load_dataset(args.data))
+        dataset = load_dataset(args.data)
+        # the theory column is the prediction at the angles the data was taken at
+        angles = dataset.angles
+        data_report = empirical_correlations(dataset)
+    theory = bell.theory_correlations(angles)
     model_report = bell.model_correlations_exact(model)
     print(bell.comparison_table(theory, data_report, model_report), end="")
     print(_bell_verdict(model_report.s))

@@ -12,6 +12,7 @@ marginals at both stations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import CorrelationReport
+
+# Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_trial).
+N_VISIBLE = 4
 
 # Human-readable names of the four setting pairs, by (alpha, beta) bits.
 SETTING_PAIR_LABELS = {
@@ -115,8 +119,9 @@ class EprDataset:
             raw = np.asarray(getattr(self, name))
             if raw.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d column, got {raw.shape}")
-            # check integrality before the cast truncates fractions away
-            if raw.size and not np.all(raw == np.floor(raw)):
+            # check integrality before the cast truncates fractions away;
+            # integer and bool columns hold no fractions
+            if raw.dtype.kind not in "biu" and not np.all(raw == np.floor(raw)):
                 raise ValueError(f"{name} entries must be integers")
             cols[name] = raw.astype(np.int64)
         n = cols["alpha"].size
@@ -126,7 +131,7 @@ class EprDataset:
             if not np.all((cols[name] == 0) | (cols[name] == 1)):
                 raise ValueError(f"{name} entries must be 0 or 1")
         for name in ("x_alpha", "x_beta"):
-            if not np.all(np.abs(cols[name]) == 1):
+            if not np.all((cols[name] == 1) | (cols[name] == -1)):
                 raise ValueError(f"{name} entries must be +1 or -1")
         for name, arr in cols.items():
             arr.setflags(write=False)
@@ -192,11 +197,12 @@ def generate_dataset(
     x_alpha = 2 * rng.integers(0, 2, size=n_trials) - 1
     agree_u = rng.random(n_trials)
 
-    theta_a = np.where(alpha == 1, angles.a_prime, angles.a)
-    theta_b = np.where(beta == 1, angles.b_prime, angles.b)
-    # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta)
+    # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta), as a
+    # 2x2 table over the setting pair (alpha, beta)
+    theta_a = np.array([[angles.station_a(0)], [angles.station_a(1)]])
+    theta_b = np.array([angles.station_b(0), angles.station_b(1)])
     p_same = (1.0 - np.cos(theta_a - theta_b)) / 2.0
-    same = agree_u < p_same
+    same = agree_u < p_same[alpha, beta]
     x_beta = np.where(same, x_alpha, -x_alpha)
     return EprDataset(
         alpha=alpha,
@@ -263,16 +269,31 @@ def decode_visible(visible) -> EprTrial:
     )
 
 
+def _visible_columns(dataset: EprDataset) -> list[np.ndarray]:
+    """v1..v4 of every trial as integer columns, encoded as in encode_trial."""
+    return [
+        dataset.alpha,
+        dataset.beta,
+        (dataset.x_alpha + 1) // 2,
+        (dataset.x_beta + 1) // 2,
+    ]
+
+
 def encode_dataset(dataset: EprDataset) -> np.ndarray:
     """All trials encoded as an (n_trials, 4) float matrix of visible vectors."""
-    return np.column_stack(
-        [
-            dataset.alpha,
-            dataset.beta,
-            (dataset.x_alpha + 1) // 2,
-            (dataset.x_beta + 1) // 2,
-        ]
-    ).astype(np.float64)
+    return np.column_stack(_visible_columns(dataset)).astype(np.float64)
+
+
+def pattern_index(dataset: EprDataset) -> np.ndarray:
+    """Index of each trial's visible vector among the 16 possible patterns.
+
+    v1 is the most significant bit, the order of exact.bit_patterns(4), so
+    entry i is the row of bit_patterns(4) equal to encode_dataset(dataset)[i].
+    """
+    index = np.zeros(dataset.n_trials, dtype=np.int64)
+    for column in _visible_columns(dataset):
+        index = 2 * index + column
+    return index
 
 
 def sidecar_path(csv_path) -> str:
@@ -287,13 +308,16 @@ def save_dataset(dataset: EprDataset, path) -> None:
     per trial. The sidecar records everything needed to regenerate or audit
     the file.
     """
+    # a row is one of 16 lines, looked up by the trial's visible pattern
+    every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
+    lines = np.empty(len(every), dtype=object)
+    table = EprDataset(*zip(*every), seed=None, angles=dataset.angles)
+    lines[pattern_index(table)] = [
+        f"{alpha},{beta},{x_alpha},{x_beta}\n" for alpha, beta, x_alpha, x_beta in every
+    ]
     with open(path, "w", newline="") as fh:
         fh.write("alpha,beta,x_alpha,x_beta\n")
-        for i in range(dataset.n_trials):
-            fh.write(
-                f"{dataset.alpha[i]},{dataset.beta[i]},"
-                f"{dataset.x_alpha[i]},{dataset.x_beta[i]}\n"
-            )
+        fh.write("".join(lines[pattern_index(dataset)]))
     meta = {
         "seed": dataset.seed,
         "n_trials": dataset.n_trials,
@@ -309,7 +333,8 @@ def load_dataset(path) -> EprDataset:
 
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
-        ValueError: on malformed rows or values.
+        ValueError: on malformed rows or values, or a row count that differs
+            from the sidecar's n_trials.
     """
     with open(sidecar_path(path)) as fh:
         meta = json.load(fh)
@@ -324,6 +349,11 @@ def load_dataset(path) -> EprDataset:
         raise ValueError(
             f"dataset rows must have 4 columns alpha,beta,x_alpha,x_beta, "
             f"got {rows.shape[1]}"
+        )
+    if rows.shape[0] != meta["n_trials"]:
+        raise ValueError(
+            f"dataset has {rows.shape[0]} rows but its sidecar records "
+            f"n_trials = {meta['n_trials']}; the file may be truncated"
         )
     return EprDataset(
         alpha=rows[:, 0],

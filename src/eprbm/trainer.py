@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import bell
-from .epr import EprDataset, encode_dataset
+from .epr import N_VISIBLE, EprDataset, pattern_index
 from .exact import bit_patterns, enumerate_distribution, require_enumerable
 from .rbm import RbmModel, hidden_activation_probs
 
@@ -31,6 +31,11 @@ ENCODING_DOC = {
     "v3": "x_alpha(+1↔1)",
     "v4": "x_beta(+1↔1)",
 }
+
+
+def _is_int(value) -> bool:
+    """True for Python integers other than bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class TrainerConfig:
     weight_init_scale: float = 0.01
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
@@ -66,9 +71,9 @@ class TrainerConfig:
             )
         for name in ("batch_size", "n_persistent_chains", "gibbs_steps_per_update"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.n_epochs, int) or self.n_epochs < 0:
+        if not _is_int(self.n_epochs) or self.n_epochs < 0:
             raise ValueError(f"n_epochs must be >= 0, got {self.n_epochs!r}")
         if not np.isfinite(self.weight_init_scale) or self.weight_init_scale < 0:
             raise ValueError(
@@ -192,38 +197,72 @@ def _pattern_index(rows: np.ndarray) -> np.ndarray:
     return (rows @ powers).astype(np.int64)
 
 
-def _pcd_advance(c, act, v_pat, h_pat, chains, k, rng) -> np.ndarray:
+def _augmented_patterns(k: int) -> np.ndarray:
+    """bit_patterns(k) with a trailing column of ones, shape (2^k, k + 1)."""
+    pat = bit_patterns(k)
+    return np.hstack([pat, np.ones((pat.shape[0], 1))])
+
+
+def _pack(model: RbmModel) -> np.ndarray:
+    """The (m+1, n+1) augmented parameter matrix [[W, c], [d, 0]].
+
+    With visible and hidden patterns augmented by a unit column, v_aug @ theta
+    holds the hidden pre-activations d + v W followed by v . c, and
+    (v_aug @ theta) @ h_aug.T is the table of log P(v, h) + log Z.
+    """
+    return np.block(
+        [
+            [model.weights, model.visible_bias[:, None]],
+            [model.hidden_bias[None, :], np.zeros((1, 1))],
+        ]
+    )
+
+
+def _unpack(theta: np.ndarray) -> RbmModel:
+    return RbmModel(
+        visible_bias=theta[:-1, -1], hidden_bias=theta[-1, :-1], weights=theta[:-1, :-1]
+    )
+
+
+def _tables(theta, v_aug, h_aug) -> tuple[np.ndarray, np.ndarray]:
+    """Log-joint table and the rows [P(h | v), 1], one per visible pattern.
+
+    Weighting the second table's rows by pattern frequencies w and forming
+    v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
+    augmented matrix laid out like theta.
+    """
+    act = v_aug @ theta
+    ph = expit(act)
+    ph[:, -1] = 1.0
+    return act @ h_aug.T, ph
+
+
+def _cumulative_columns(n_patterns: int) -> np.ndarray:
+    """Upper-triangular ones without the last column: T @ it is T.cumsum(1)[:, :-1].
+
+    The last column is left out so that rounding in the row sums can never
+    push a draw past the last pattern.
+    """
+    return np.triu(np.ones((n_patterns, n_patterns)))[:, :-1]
+
+
+def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
     """Advance pattern-index chains by k block-Gibbs sweeps, one draw per chain.
 
-    With the visible layer confined to the 2^m rows of v_pat, a block-Gibbs
-    sweep is a Markov chain over those patterns with transition matrix
+    With the visible layer confined to its 2^m patterns, a block-Gibbs sweep
+    is a Markov chain over those patterns with transition matrix
     T = P(h | v) @ P(v | h); both conditionals come from the one
-    (2^m, 2^n) table of unnormalized log-probabilities log P(v, h) + log Z.
-    Each chain then takes a single categorical draw from its row of T^k,
-    which has exactly the law of k sweeps.
-
-    act is the (2^m, n) table d + v W of hidden pre-activations, one row per
-    visible pattern; chains holds pattern indices.
+    (2^m, 2^n) table log_joint of unnormalized log-probabilities. Each chain
+    then takes a single categorical draw from its row of T^k, which has
+    exactly the law of k sweeps: u holds one uniform per chain, shape
+    (n_chains, 1), and cumulative is _cumulative_columns(2^m).
     """
-    log_joint = (v_pat @ c)[:, None] + act @ h_pat.T
     h_given_v = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
     h_given_v /= h_given_v.sum(axis=1, keepdims=True)
     v_given_h = np.exp(log_joint - log_joint.max(axis=0))
     v_given_h /= v_given_h.sum(axis=0)
-    step = np.linalg.matrix_power(h_given_v @ v_given_h.T, k)
-    # the last column is left out so that rounding in the row sums can never
-    # push a draw past the last pattern
-    cum = step.cumsum(axis=1)[:, :-1]
-    return (cum[chains] < rng.random(chains.size)[:, None]).sum(axis=1)
-
-
-def _table_moments(v_pat, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Moments <v_i h_j>, <v_i>, <h_j> of visible patterns weighted by weights.
-
-    ph is P(h_j = 1 | v) for each row of v_pat, so the hidden units are
-    summed out analytically, as in data_expectation.
-    """
-    return v_pat.T @ (weights[:, None] * ph), weights @ v_pat, weights @ ph
+    cum = np.linalg.matrix_power(h_given_v @ v_given_h.T, k) @ cumulative
+    return (cum.take(chains, axis=0) < u).sum(axis=1)
 
 
 def model_expectation_pcd(
@@ -249,16 +288,16 @@ def model_expectation_pcd(
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("chain states must be 0 or 1")
     require_enumerable(model.n_visible, model.n_hidden)
-    v_pat = bit_patterns(model.n_visible)
-    act = v_pat @ model.weights + model.hidden_bias
+    v_aug = _augmented_patterns(model.n_visible)
+    log_joint, ph = _tables(_pack(model), v_aug, _augmented_patterns(model.n_hidden))
+    n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
     idx = _pcd_advance(
-        model.visible_bias, act, v_pat, bit_patterns(model.n_hidden),
-        _pattern_index(arr), k, rng,
+        log_joint, _pattern_index(arr), k, rng.random(n_chains)[:, None],
+        _cumulative_columns(n_patterns),
     )
-    counts = np.bincount(idx, minlength=v_pat.shape[0])
-    vh, v_mean, h_mean = _table_moments(v_pat, expit(act), counts)
-    n_chains = arr.shape[0]
-    return vh / n_chains, v_mean / n_chains, h_mean / n_chains, v_pat[idx]
+    occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
+    moments = v_aug.T @ (occupancy[:, None] * ph)
+    return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1], v_aug[idx, :-1]
 
 
 def average_log_likelihood(model: RbmModel, data) -> float:
@@ -329,12 +368,16 @@ def train(
 
     with eps decayed per epoch. The model term comes from persistent
     contrastive divergence by default; model_term="exact" substitutes the
-    enumeration oracle (slow, test use). After every epoch the exact average
-    log-likelihood and CHSH S are recorded.
+    exact moments of the enumerated distribution (test use). After every
+    epoch the exact average log-likelihood and CHSH S are recorded.
 
     Data, chains and moments are all kept over the 2^m visible patterns:
     each minibatch is a vector of pattern counts, and the persistent chains
-    are pattern indices advanced as in model_expectation_pcd.
+    are pattern indices advanced as in model_expectation_pcd. W, c and d
+    live in one augmented matrix theta = [[W, c], [d, 0]], so both moment
+    sets of an update, and the step itself, are one product over the
+    patterns weighted by data frequency minus model frequency: the chains'
+    occupancy, or the exact P(v).
 
     Raises:
         TrainingDivergedError: if any parameter goes non-finite, or the
@@ -345,11 +388,9 @@ def train(
         raise ValueError("dataset must be non-empty")
     if model_term not in ("pcd", "exact"):
         raise ValueError(f"model_term must be 'pcd' or 'exact', got {model_term!r}")
-    encoded = encode_dataset(dataset)
-    n_rows, m = encoded.shape
-    # only the visible pattern of each trial is needed from here on
-    data_idx = _pattern_index(encoded)
-    del encoded
+    # only the visible pattern of each trial is needed
+    data_idx = pattern_index(dataset)
+    n_rows, m = data_idx.size, N_VISIBLE
 
     init_ss, shuffle_ss, chain_ss = np.random.SeedSequence(config.seed).spawn(3)
     init_rng = np.random.default_rng(init_ss)
@@ -363,79 +404,69 @@ def train(
                 f"data has {m}"
             )
         n_hidden = initial_model.n_hidden
-        w = initial_model.weights.copy()
-        c = initial_model.visible_bias.copy()
-        d = initial_model.hidden_bias.copy()
+        theta = _pack(initial_model)
     else:
         if n_hidden < 1:
             raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
-        w = init_rng.standard_normal((m, n_hidden)) * config.weight_init_scale
-        c = np.zeros(m)
-        d = np.zeros(n_hidden)
+        theta = np.zeros((m + 1, n_hidden + 1))
+        theta[:-1, :-1] = init_rng.standard_normal((m, n_hidden))
+        theta *= config.weight_init_scale
 
     # the pattern-space kernel and the per-epoch diagnostics both tabulate
     # all 2^(m+n) joint states
     require_enumerable(m, n_hidden)
-    v_pat = bit_patterns(m)
-    h_pat = bit_patterns(n_hidden)
-    n_patterns = v_pat.shape[0]
+    v_aug = _augmented_patterns(m)
+    h_aug = _augmented_patterns(n_hidden)
+    n_patterns = v_aug.shape[0]
+    cumulative = _cumulative_columns(n_patterns)
     chains = _pattern_index(init_chains(config.n_persistent_chains, m, chain_rng))
     n_chains = config.n_persistent_chains
     k = config.gibbs_steps_per_update
     data_counts = np.bincount(data_idx, minlength=n_patterns)
     n_batches = -(-n_rows // config.batch_size)
     # row r of a shuffled epoch lands in minibatch r // batch_size
-    batch_offsets = np.arange(n_rows) // config.batch_size * n_patterns
-
-    def finite() -> bool:
-        return all(np.all(np.isfinite(p)) for p in (w, c, d))
+    batch_of_row = np.arange(n_rows) // config.batch_size
+    batch_offsets = batch_of_row * n_patterns
+    batch_sizes = np.bincount(batch_of_row)[:, None]
 
     records = []
     for epoch in range(1, config.n_epochs + 1):
         lr = config.learning_rate * config.learning_rate_decay ** (epoch - 1)
         cells = data_idx[shuffle_rng.permutation(n_rows)]
         cells += batch_offsets
-        batch_counts = np.bincount(
+        # each row is lr times its minibatch's pattern frequencies, so that
+        # one update is theta += v_aug.T @ ((row - lr * model weights) * ph)
+        batch_weights = np.bincount(
             cells, minlength=n_batches * n_patterns
-        ).reshape(n_batches, n_patterns)
-        batch_weights = batch_counts / batch_counts.sum(axis=1, keepdims=True)
+        ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
+        if model_term == "pcd":
+            uniforms = chain_rng.random((n_batches, n_chains, 1))
+            chain_weight = lr / n_chains
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for weights in batch_weights:
-                act = v_pat @ w + d
-                ph = expit(act)
+            for b, weights in enumerate(batch_weights):
+                log_joint, ph = _tables(theta, v_aug, h_aug)
                 if model_term == "pcd":
-                    chains = _pcd_advance(c, act, v_pat, h_pat, chains, k, chain_rng)
-                    model_weights = np.bincount(chains, minlength=n_patterns) / n_chains
-                    g_w, g_c, g_d = _table_moments(v_pat, ph, weights - model_weights)
+                    chains = _pcd_advance(log_joint, chains, k, uniforms[b], cumulative)
+                    occupancy = np.bincount(chains, minlength=n_patterns)
+                    weights = weights - occupancy * chain_weight
                 else:
-                    # the exact term rebuilds a model mid-epoch, whose
-                    # constructor rejects non-finite parameters; convert that
-                    # state into the typed divergence error instead
-                    if not finite():
-                        raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
-                    vh_m, v_m, h_m = model_expectation_exact(
-                        RbmModel(visible_bias=c, hidden_bias=d, weights=w)
-                    )
-                    vh_d, v_d, h_d = _table_moments(v_pat, ph, weights)
-                    g_w, g_c, g_d = vh_d - vh_m, v_d - v_m, h_d - h_m
-                w = w + lr * g_w
-                c = c + lr * g_c
-                d = d + lr * g_d
-        if not finite():
+                    p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
+                    weights = weights - lr / p_v.sum() * p_v
+                # the corner of theta collects the rounding of sum(weights),
+                # a constant offset of the log-joint that cancels everywhere
+                theta += v_aug.T @ (weights[:, None] * ph)
+        if not np.all(np.isfinite(theta)):
             raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
-        record = _epoch_diagnostics(
-            RbmModel(visible_bias=c, hidden_bias=d, weights=w), data_counts, epoch
-        )
+        record = _epoch_diagnostics(_unpack(theta), data_counts, epoch)
         if record is None:
             # parameters are finite but so extreme that the enumeration
             # overflows; that is divergence in all but name
             raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
         records.append(record)
 
-    final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
-    return final, TrainingTrace(tuple(records))
+    return _unpack(theta), TrainingTrace(tuple(records))
 
 
 def save_model(

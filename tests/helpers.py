@@ -12,7 +12,11 @@ import math
 
 import numpy as np
 from scipy import stats
+from scipy.special import expit
 
+from eprbm import trainer
+from eprbm.epr import EprDataset, encode_dataset
+from eprbm.exact import bit_patterns
 from eprbm.rbm import Configuration, RbmModel, energy
 
 
@@ -125,3 +129,99 @@ def flip_outcome_bits(model: RbmModel) -> RbmModel:
         c[i] = -c[i]
         w[i] = -w[i]
     return RbmModel(visible_bias=c, hidden_bias=d, weights=w)
+
+
+def _reference_pcd_advance(c, act, v_pat, h_pat, chains, k, rng) -> np.ndarray:
+    """k block-Gibbs sweeps of pattern-index chains as one categorical draw.
+
+    Builds T = P(h | v) @ P(v | h) from separate c and hidden pre-activations
+    act, raises it to the k-th power and draws each chain's next pattern by
+    comparing one uniform with the cumulative sum of its row.
+    """
+    log_joint = (v_pat @ c)[:, None] + act @ h_pat.T
+    h_given_v = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+    h_given_v /= h_given_v.sum(axis=1, keepdims=True)
+    v_given_h = np.exp(log_joint - log_joint.max(axis=0))
+    v_given_h /= v_given_h.sum(axis=0)
+    step = np.linalg.matrix_power(h_given_v @ v_given_h.T, k)
+    cum = step.cumsum(axis=1)[:, :-1]
+    return (cum[chains] < rng.random(chains.size)[:, None]).sum(axis=1)
+
+
+def _reference_table_moments(v_pat, ph, weights):
+    """<v_i h_j>, <v_i>, <h_j> of visible patterns weighted by weights."""
+    return v_pat.T @ (weights[:, None] * ph), weights @ v_pat, weights @ ph
+
+
+def reference_train(
+    dataset: EprDataset,
+    config: trainer.TrainerConfig,
+    *,
+    n_hidden: int = 4,
+    model_term: str = "pcd",
+) -> tuple[RbmModel, trainer.TrainingTrace]:
+    """Plain formulation of trainer.train, the oracle for its packed update.
+
+    W, c and d are kept apart and stepped one by one, each update takes its
+    uniforms in its own rng.random(n_chains) call, the chain draw goes
+    through an explicit cumulative sum, and the exact model term comes from
+    the enumerated joint table. The seeded streams are consumed in the same
+    order as in train, so the two agree up to floating-point reassociation.
+    Fresh weights only, and no divergence handling.
+    """
+    encoded = encode_dataset(dataset)
+    n_rows, m = encoded.shape
+    data_idx = trainer._pattern_index(encoded)
+    init_ss, shuffle_ss, chain_ss = np.random.SeedSequence(config.seed).spawn(3)
+    init_rng = np.random.default_rng(init_ss)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    chain_rng = np.random.default_rng(chain_ss)
+
+    w = init_rng.standard_normal((m, n_hidden)) * config.weight_init_scale
+    c = np.zeros(m)
+    d = np.zeros(n_hidden)
+    v_pat = bit_patterns(m)
+    h_pat = bit_patterns(n_hidden)
+    n_patterns = v_pat.shape[0]
+    n_chains = config.n_persistent_chains
+    chains = trainer._pattern_index(trainer.init_chains(n_chains, m, chain_rng))
+    data_counts = np.bincount(data_idx, minlength=n_patterns)
+    n_batches = -(-n_rows // config.batch_size)
+    batch_offsets = np.arange(n_rows) // config.batch_size * n_patterns
+
+    records = []
+    for epoch in range(1, config.n_epochs + 1):
+        lr = config.learning_rate * config.learning_rate_decay ** (epoch - 1)
+        cells = data_idx[shuffle_rng.permutation(n_rows)] + batch_offsets
+        batch_counts = np.bincount(
+            cells, minlength=n_batches * n_patterns
+        ).reshape(n_batches, n_patterns)
+        batch_weights = batch_counts / batch_counts.sum(axis=1, keepdims=True)
+        for weights in batch_weights:
+            act = v_pat @ w + d
+            ph = expit(act)
+            if model_term == "pcd":
+                chains = _reference_pcd_advance(
+                    c, act, v_pat, h_pat, chains, config.gibbs_steps_per_update,
+                    chain_rng,
+                )
+                model_weights = np.bincount(chains, minlength=n_patterns) / n_chains
+                g_w, g_c, g_d = _reference_table_moments(
+                    v_pat, ph, weights - model_weights
+                )
+            else:
+                vh_m, v_m, h_m = trainer.model_expectation_exact(
+                    RbmModel(visible_bias=c, hidden_bias=d, weights=w)
+                )
+                vh_d, v_d, h_d = _reference_table_moments(v_pat, ph, weights)
+                g_w, g_c, g_d = vh_d - vh_m, v_d - v_m, h_d - h_m
+            w = w + lr * g_w
+            c = c + lr * g_c
+            d = d + lr * g_d
+        records.append(
+            trainer._epoch_diagnostics(
+                RbmModel(visible_bias=c, hidden_bias=d, weights=w), data_counts, epoch
+            )
+        )
+    final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
+    return final, trainer.TrainingTrace(tuple(records))

@@ -240,6 +240,27 @@ class TestEval:
         assert 2.6 <= parsed["s"]["data"] <= 3.0
         assert (tmp_path / "comparison.csv.manifest.json").exists()
 
+    def test_theory_column_uses_dataset_angles(self, tmp_path, reference_model_file):
+        data = tmp_path / "custom.csv"
+        angles = DetectorAngles(0.1, 0.2, 0.3, 0.4)
+        assert run(
+            "simulate", "--trials", 2000, "--seed", 5,
+            "--angles", "0.1,0.2,0.3,0.4", "--out", data,
+        ) == EXIT_OK
+        out = tmp_path / "comparison.csv"
+        rc = run("eval", "--model", reference_model_file, "--data", data, "--out", out)
+        assert rc == EXIT_OK
+        parsed = bell.parse_comparison_csv(out.read_text())
+        theory = bell.theory_correlations(angles)
+        for quantity, expected in zip(
+            ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime"),
+            theory.correlations(),
+        ):
+            assert parsed[quantity]["theory"] == pytest.approx(expected, abs=5e-4)
+        assert parsed["s"]["theory"] == pytest.approx(theory.s, abs=5e-4)
+        # the default angles would read -0.707 here, not -cos(0.1 - 0.3)
+        assert parsed["c_ab"]["theory"] == pytest.approx(-0.980, abs=5e-4)
+
     def test_zero_model_does_not_violate(self, tmp_path, capsys):
         model_path = tmp_path / "zero.json"
         save_model(

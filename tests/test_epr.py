@@ -18,10 +18,12 @@ from eprbm.epr import (
     encode_trial,
     generate_dataset,
     load_dataset,
+    pattern_index,
     save_dataset,
     sidecar_path,
     singlet_joint_probability,
 )
+from eprbm.exact import bit_patterns
 
 from helpers import singlet_prob_oracle
 
@@ -114,6 +116,22 @@ class TestGenerateDataset:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             generate_dataset(DetectorAngles(), 0, seed=1)
+
+    def test_outcomes_follow_per_trial_agreement_law(self):
+        # per trial: x_beta equals x_alpha when the fourth block's uniform
+        # falls below (1 - cos(theta_a - theta_b)) / 2 at that trial's angles
+        angles = DetectorAngles(0.3, 1.1, -0.4, 2.0)
+        n = 3000
+        dataset = generate_dataset(angles, n, seed=31)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            rng.integers(0, 2, size=n)
+        agree_u = rng.random(n)
+        for i in range(n):
+            trial = dataset[i]
+            delta = angles.station_a(trial.alpha) - angles.station_b(trial.beta)
+            same = agree_u[i] < (1.0 - math.cos(delta)) / 2.0
+            assert trial.x_beta == (trial.x_alpha if same else -trial.x_alpha)
 
     def test_deterministic(self):
         a = generate_dataset(DetectorAngles(), 1000, seed=42)
@@ -233,6 +251,14 @@ class TestEncoding:
         for i in (0, 57, 199):
             np.testing.assert_array_equal(encoded[i], encode_trial(dataset[i]))
 
+    def test_pattern_index_is_row_of_bit_patterns(self):
+        dataset = generate_dataset(DetectorAngles(), 2000, seed=13)
+        index = pattern_index(dataset)
+        assert index.dtype == np.int64
+        np.testing.assert_array_equal(
+            bit_patterns(4)[index], encode_dataset(dataset)
+        )
+
     def test_round_trip_preserves_correlations(self):
         dataset = generate_dataset(DetectorAngles(), 5000, seed=14)
         encoded = encode_dataset(dataset)
@@ -272,6 +298,26 @@ class TestDatasetValidation:
                 seed=None,
                 angles=DetectorAngles(),
             )
+
+    def test_rejects_fractional_entries(self):
+        with pytest.raises(ValueError, match="integers"):
+            EprDataset(
+                alpha=[0.0, 0.5],
+                beta=[0, 0],
+                x_alpha=[1, 1],
+                x_beta=[1, 1],
+                seed=None,
+                angles=DetectorAngles(),
+            )
+        whole = EprDataset(
+            alpha=[0.0, 1.0],
+            beta=[True, False],
+            x_alpha=[1.0, -1.0],
+            x_beta=[1, -1],
+            seed=None,
+            angles=DetectorAngles(),
+        )
+        assert whole.alpha.tolist() == [0, 1] and whole.beta.tolist() == [1, 0]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
@@ -318,6 +364,27 @@ class TestDatasetIO:
         save_dataset(dataset, path)
         lines = path.read_text().splitlines()
         assert lines == ["alpha,beta,x_alpha,x_beta", "0,1,1,-1", "1,0,-1,-1"]
+
+    def test_bytes_match_line_by_line_rendering(self, tmp_path):
+        dataset = generate_dataset(DetectorAngles(0.3, 1.1, -0.4, 2.0), 5000, seed=23)
+        path = tmp_path / "trials.csv"
+        save_dataset(dataset, path)
+        expected = "alpha,beta,x_alpha,x_beta\n" + "".join(
+            f"{int(a)},{int(b)},{int(xa)},{int(xb)}\n"
+            for a, b, xa, xb in zip(
+                dataset.alpha, dataset.beta, dataset.x_alpha, dataset.x_beta
+            )
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_truncated_csv_raises(self, tmp_path):
+        dataset = generate_dataset(DetectorAngles(), 500, seed=16)
+        path = tmp_path / "trials.csv"
+        save_dataset(dataset, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-120]))
+        with pytest.raises(ValueError, match="n_trials"):
+            load_dataset(path)
 
     def test_sidecar_contents(self, tmp_path):
         dataset = generate_dataset(DetectorAngles(), 50, seed=17)

@@ -35,7 +35,12 @@ from eprbm.trainer import (
     train,
 )
 
-from helpers import brute_force_moments, random_model, tv_distance
+from helpers import (
+    brute_force_moments,
+    random_model,
+    reference_train,
+    tv_distance,
+)
 
 
 def zero_model(m: int = 4, n: int = 4) -> RbmModel:
@@ -80,6 +85,12 @@ class TestTrainerConfig:
             {"seed": 0, "n_epochs": -1},
             {"seed": 0, "weight_init_scale": -0.5},
             {"seed": 0, "weight_init_scale": float("nan")},
+            # bool is a subclass of int, but no integer field takes one
+            {"seed": True},
+            {"seed": 0, "batch_size": True},
+            {"seed": 0, "n_persistent_chains": True},
+            {"seed": 0, "gibbs_steps_per_update": True},
+            {"seed": 0, "n_epochs": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -464,6 +475,29 @@ class TestTrain:
         assert np.abs(model_a.weights[:, perm] - model_b.weights).max() <= 1e-12
         assert np.abs(model_a.hidden_bias[perm] - model_b.hidden_bias).max() <= 1e-12
         assert np.abs(model_a.visible_bias - model_b.visible_bias).max() <= 1e-12
+
+    @pytest.mark.parametrize("model_term", ["pcd", "exact"])
+    @pytest.mark.parametrize("n_hidden", [2, 3, 4])
+    def test_matches_reference_loop(self, small_dataset, n_hidden, model_term):
+        # the same draws give the same model up to reassociated sums, which
+        # stay below 1e-15 here; one flipped chain draw moves the parameters
+        # by about 1e-3
+        cfg = TrainerConfig(seed=3, n_epochs=3)
+        model, trace = train(
+            small_dataset, cfg, n_hidden=n_hidden, model_term=model_term
+        )
+        ref_model, ref_trace = reference_train(
+            small_dataset, cfg, n_hidden=n_hidden, model_term=model_term
+        )
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_allclose(
+                getattr(model, name), getattr(ref_model, name), rtol=0, atol=1e-10
+            )
+        assert len(trace) == len(ref_trace) == 3
+        for rec, ref in zip(trace.records, ref_trace.records):
+            assert rec.epoch == ref.epoch
+            assert abs(rec.avg_log_likelihood - ref.avg_log_likelihood) <= 1e-10
+            assert abs(rec.s - ref.s) <= 1e-10
 
     def test_initial_model_sets_hidden_width(self, small_dataset):
         init = random_model(np.random.default_rng(2), m=4, n=3, scale=0.1)

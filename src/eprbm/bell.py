@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactDistribution, SETTING_PAIRS, conditional_outcomes, enumerate_distribution
+from .exact import ExactDistribution, SETTING_PAIRS, enumerate_distribution
 from .rbm import RbmModel, advance_chains
 
 VALID_SOURCES = ("theory", "empirical", "model-exact", "model-sampled")
@@ -24,7 +24,8 @@ VALID_SOURCES = ("theory", "empirical", "model-exact", "model-sampled")
 # Tolerance for "in [-1, 1]" checks on floating-point correlation estimates.
 _RANGE_EPS = 1e-9
 
-_QUANTITY_LABELS = ("C(a,b)", "C(a,b')", "C(a',b)", "C(a',b')")
+QUANTITY_LABELS = ("C(a,b)", "C(a,b')", "C(a',b)", "C(a',b')")
+_OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # (2*v3-1)*(2*v4-1), v3v4 = 00..11
 _CSV_KEYS = ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s")
 
 
@@ -33,7 +34,7 @@ def chsh(
 ) -> float:
     """CHSH statistic |C(a,b) + C(a,b') + C(a',b) - C(a',b')|."""
     values = (c_ab, c_ab_prime, c_a_prime_b, c_a_prime_b_prime)
-    for label, value in zip(_QUANTITY_LABELS, values):
+    for label, value in zip(QUANTITY_LABELS, values):
         if not math.isfinite(value) or abs(value) > 1.0 + _RANGE_EPS:
             raise ValueError(f"{label} must lie in [-1, 1], got {value}")
     return abs(c_ab + c_ab_prime + c_a_prime_b - c_a_prime_b_prime)
@@ -81,14 +82,9 @@ class CorrelationReport:
         source: str,
     ) -> "CorrelationReport":
         """Build a report, deriving s from the four correlations."""
-        return cls(
-            c_ab=c_ab,
-            c_ab_prime=c_ab_prime,
-            c_a_prime_b=c_a_prime_b,
-            c_a_prime_b_prime=c_a_prime_b_prime,
-            s=chsh(c_ab, c_ab_prime, c_a_prime_b, c_a_prime_b_prime),
-            source=source,
-        )
+        # chsh's formula alone: __post_init__ runs chsh, range checks included
+        s = abs(c_ab + c_ab_prime + c_a_prime_b - c_a_prime_b_prime)
+        return cls(c_ab, c_ab_prime, c_a_prime_b, c_a_prime_b_prime, s, source)
 
     def correlations(self) -> tuple[float, float, float, float]:
         return (self.c_ab, self.c_ab_prime, self.c_a_prime_b, self.c_a_prime_b_prime)
@@ -121,12 +117,13 @@ def correlations_from_distribution(
     For each setting pair, C = sum over outcome bits of
     (2*v3 - 1) * (2*v4 - 1) * P(v3, v4 | v1, v2).
     """
-    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (2*v3-1)*(2*v4-1)
-    values = []
-    for pair in SETTING_PAIRS:
-        table = conditional_outcomes(dist, pair)
-        values.append(float((signs * table).sum()))
-    return CorrelationReport.from_correlations(*values, source=source)
+    mass = dist._outcome_mass
+    totals = mass.sum(axis=1)
+    for pair, total in zip(SETTING_PAIRS, totals):
+        if total <= 0:
+            raise ValueError(f"settings {pair} have zero probability")
+    values = (mass / totals[:, None] * _OUTCOME_SIGNS).sum(axis=1)
+    return CorrelationReport.from_correlations(*values.tolist(), source=source)
 
 
 def model_correlations_exact(model: RbmModel) -> CorrelationReport:
@@ -187,7 +184,7 @@ def comparison_table(
         return f"{getattr(report, attr):.3f}"
 
     rows = [("quantity", "theory", "data", "model")]
-    for label, key in zip(_QUANTITY_LABELS + ("S",), _CSV_KEYS):
+    for label, key in zip(QUANTITY_LABELS + ("S",), _CSV_KEYS):
         rows.append((label, fmt(theory, key), fmt(data, key), fmt(model, key)))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = []

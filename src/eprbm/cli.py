@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__, bell, exact, trainer
+from .atomic import atomic_write
 from .epr import (
     DetectorAngles,
     InsufficientDataError,
@@ -119,7 +120,7 @@ class RunManifest:
             "outputs": [str(p) for p in self.outputs],
             "duration_seconds": self.duration_seconds,
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         return path
@@ -136,9 +137,7 @@ def _parse_angles(text: str) -> DetectorAngles:
 
 
 def _print_report(report: bell.CorrelationReport) -> None:
-    for label, value in zip(
-        ("C(a,b)", "C(a,b')", "C(a',b)", "C(a',b')"), report.correlations()
-    ):
+    for label, value in zip(bell.QUANTITY_LABELS, report.correlations()):
         print(f"{label:9s} = {value:+.3f}")
     print(f"S = {report.s:.3f}  [{report.source}]")
 
@@ -251,7 +250,7 @@ def cmd_eval(args) -> int:
     print(bell.comparison_table(theory, data_report, model_report), end="")
     print(_bell_verdict(model_report.s))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with atomic_write(args.out, newline="") as fh:
             fh.write(bell.comparison_csv(theory, data_report, model_report))
         manifest = RunManifest(
             command="eval",
@@ -278,7 +277,9 @@ def cmd_diagnose(args) -> int:
     n = model.n_hidden
     labels = [HiddenState.from_index(i, n).label() for i in range(2**n)]
 
-    print(f"max factorization residual = {residual:.3e}")
+    # below 1e-12 the residual is rounding noise; --out keeps the exact value
+    shown = "< 1e-12" if residual < 1e-12 else f"= {residual:.3e}"
+    print(f"max factorization residual {shown}")
     if residual <= LOCALITY_RESIDUAL_BOUND:
         print(f"locality PASS (residual <= {LOCALITY_RESIDUAL_BOUND:g})")
     else:
@@ -325,7 +326,7 @@ def cmd_diagnose(args) -> int:
                 "violated": bool(mi.max_tv > MI_TV_BOUND),
             },
         }
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         manifest = RunManifest(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .bell import CorrelationReport
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_trial).
@@ -315,7 +316,7 @@ def save_dataset(dataset: EprDataset, path) -> None:
     lines[pattern_index(table)] = [
         f"{alpha},{beta},{x_alpha},{x_beta}\n" for alpha, beta, x_alpha, x_beta in every
     ]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("alpha,beta,x_alpha,x_beta\n")
         fh.write("".join(lines[pattern_index(dataset)]))
     meta = {
@@ -323,7 +324,7 @@ def save_dataset(dataset: EprDataset, path) -> None:
         "n_trials": dataset.n_trials,
         "angles": dataset.angles.to_dict(),
     }
-    with open(sidecar_path(path), "w") as fh:
+    with atomic_write(sidecar_path(path)) as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
 from .rbm import RbmModel
 
 # 2^24 joint states is about 128 MB of float64, a sensible desk-scale ceiling.
@@ -27,17 +29,32 @@ MAX_EXACT_UNITS = 24
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+def _bit_table(k: int) -> np.ndarray:
+    idx = np.arange(2**k)[:, None]
+    shifts = np.arange(k - 1, -1, -1)
+    return ((idx >> shifts) & 1).astype(np.float64)
+
+
+_SHARED_BIT_PATTERNS = tuple(_read_only(_bit_table(k)) for k in range(9))
+
+
 def bit_patterns(k: int) -> np.ndarray:
     """All 2^k binary vectors of length k as a (2^k, k) float array.
 
     Row i is the binary expansion of i with the first column as the most
-    significant bit, so rows are in lexicographic order.
+    significant bit, so rows are in lexicographic order. For k <= 8 the
+    table is a shared read-only array; larger tables are built per call.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    idx = np.arange(2**k)[:, None]
-    shifts = np.arange(k - 1, -1, -1)
-    return ((idx >> shifts) & 1).astype(np.float64)
+    if k < len(_SHARED_BIT_PATTERNS):
+        return _SHARED_BIT_PATTERNS[k]
+    return _bit_table(k)
 
 
 def require_enumerable(m: int, n: int) -> None:
@@ -95,6 +112,21 @@ class ExactDistribution:
         j.setflags(write=False)
         object.__setattr__(self, "joint", j)
 
+    @cached_property
+    def _epr_view(self) -> np.ndarray:
+        """The joint as (setting pair in SETTING_PAIRS order, outcome bits v3v4, λ)."""
+        if self.model.n_visible != 4:
+            raise ValueError(
+                "EPR layout requires exactly 4 visible units "
+                f"(settings v1, v2 and outcomes v3, v4), got {self.model.n_visible}"
+            )
+        return self.joint.reshape(len(SETTING_PAIRS), 4, -1)
+
+    @cached_property
+    def _outcome_mass(self) -> np.ndarray:
+        """P(v), summed once, as (setting pair, outcome bits v3v4)."""
+        return _read_only(self._epr_view.sum(axis=2))
+
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
         return self.joint.sum(axis=1)
@@ -130,18 +162,6 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     return ExactDistribution(model=model, log_partition=log_partition, joint=joint)
 
 
-def _require_epr_layout(dist: ExactDistribution) -> None:
-    if dist.model.n_visible != 4:
-        raise ValueError(
-            "EPR layout requires exactly 4 visible units "
-            f"(settings v1, v2 and outcomes v3, v4), got {dist.model.n_visible}"
-        )
-
-
-def _visible_index(v1: int, v2: int, v3: int, v4: int) -> int:
-    return (v1 << 3) | (v2 << 2) | (v3 << 1) | v4
-
-
 def conditional_outcomes(
     dist: ExactDistribution, settings: tuple[int, int]
 ) -> np.ndarray:
@@ -150,15 +170,11 @@ def conditional_outcomes(
     Entry [x3, x4] is the probability of outcome bits (v3, v4) = (x3, x4)
     given the setting bits. The four cells sum to 1.
     """
-    _require_epr_layout(dist)
+    mass = dist._outcome_mass
     s1, s2 = settings
     if s1 not in (0, 1) or s2 not in (0, 1):
         raise ValueError(f"settings must be binary, got {settings!r}")
-    pv = dist.visible_marginal()
-    table = np.empty((2, 2))
-    for x3 in (0, 1):
-        for x4 in (0, 1):
-            table[x3, x4] = pv[_visible_index(s1, s2, x3, x4)]
+    table = mass[SETTING_PAIRS.index((s1, s2))].reshape(2, 2)
     total = table.sum()
     if total <= 0:
         raise ValueError(f"settings {settings} have zero probability")
@@ -177,10 +193,8 @@ def locality_check(dist: ExactDistribution) -> float:
     units conditionally independent given λ, so the residual is zero up to
     floating-point error for any parameter values.
     """
-    _require_epr_layout(dist)
-    n_h = 2 ** dist.model.n_hidden
-    # joint reshaped to axes (v1, v2, v3, v4, lambda)
-    j = dist.joint.reshape(2, 2, 2, 2, n_h)
+    # the joint with axes (v1, v2, v3, v4, lambda)
+    j = dist._epr_view.reshape(2, 2, 2, 2, -1)
     # P(v3, v4 | v1, v2, lambda)
     cond_joint = j / j.sum(axis=(2, 3), keepdims=True)
     # P(v3 | v1, lambda): marginalize the remote setting v2 and outcome v4,
@@ -227,13 +241,8 @@ def measurement_independence_check(
     distributions exactly and their total-variation distances to the pooled
     average.
     """
-    _require_epr_layout(dist)
-    n_h = 2 ** dist.model.n_hidden
-    j = dist.joint.reshape(2, 2, 2, 2, n_h)
-    conditional = np.empty((4, n_h))
-    for p, (s1, s2) in enumerate(SETTING_PAIRS):
-        block = j[s1, s2].sum(axis=(0, 1))
-        conditional[p] = block / block.sum()
+    mass = dist._epr_view.sum(axis=1)  # P(v1, v2, lambda) by setting pair
+    conditional = mass / mass.sum(axis=1, keepdims=True)
     pooled = conditional.mean(axis=0)
     tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)
     return MeasurementIndependenceReport(
@@ -257,14 +266,8 @@ def dump_joint_csv(dist: ExactDistribution, path) -> None:
     header = [f"v{i+1}" for i in range(m)] + [f"h{j+1}" for j in range(n)] + [
         "probability"
     ]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for vi in range(2**m):
-            for hi in range(2**n):
-                row = (
-                    [str(b) for b in v_pat[vi]]
-                    + [str(b) for b in h_pat[hi]]
-                    + [repr(float(dist.joint[vi, hi]))]
-                )
-                writer.writerow(row)
+        for (vi, hi), p in np.ndenumerate(dist.joint):
+            writer.writerow([*v_pat[vi], *h_pat[hi], repr(float(p))])

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import bell
+from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset, pattern_index
 from .exact import bit_patterns, enumerate_distribution, require_enumerable
 from .rbm import RbmModel, hidden_activation_probs
@@ -121,7 +122,7 @@ class TrainingTrace:
         return len(self.records)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             fh.write("epoch,avg_log_likelihood,s\n")
             for rec in self.records:
                 fh.write(f"{rec.epoch},{rec.avg_log_likelihood!r},{rec.s!r}\n")
@@ -492,7 +493,7 @@ def save_model(
         "trainer": trainer_config.to_dict() if trainer_config else None,
         "dataset_seed": dataset_seed,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

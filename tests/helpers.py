@@ -15,8 +15,14 @@ from scipy import stats
 from scipy.special import expit
 
 from eprbm import trainer
+from eprbm.bell import CorrelationReport
 from eprbm.epr import EprDataset, encode_dataset
-from eprbm.exact import bit_patterns
+from eprbm.exact import (
+    SETTING_PAIRS,
+    ExactDistribution,
+    MeasurementIndependenceReport,
+    bit_patterns,
+)
 from eprbm.rbm import Configuration, RbmModel, energy
 
 
@@ -225,3 +231,81 @@ def reference_train(
         )
     final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
     return final, trainer.TrainingTrace(tuple(records))
+
+
+# Per-pair formulations of the exact diagnostics. exact and bell share one
+# derived view per distribution; these rebuild every table from the public
+# joint and P(v), pair by pair, with the same sums in the same order, so the
+# two must agree bit for bit.
+
+
+def _require_epr_layout(dist: ExactDistribution) -> None:
+    if dist.model.n_visible != 4:
+        raise ValueError(
+            "EPR layout requires exactly 4 visible units "
+            f"(settings v1, v2 and outcomes v3, v4), got {dist.model.n_visible}"
+        )
+
+
+def reference_conditional_outcomes(
+    dist: ExactDistribution, settings: tuple[int, int]
+) -> np.ndarray:
+    """P(v3, v4 | v1, v2) filled cell by cell from P(v)."""
+    _require_epr_layout(dist)
+    s1, s2 = settings
+    if s1 not in (0, 1) or s2 not in (0, 1):
+        raise ValueError(f"settings must be binary, got {settings!r}")
+    pv = dist.visible_marginal()
+    table = np.empty((2, 2))
+    for x3 in (0, 1):
+        for x4 in (0, 1):
+            table[x3, x4] = pv[(s1 << 3) | (s2 << 2) | (x3 << 1) | x4]
+    total = table.sum()
+    if total <= 0:
+        raise ValueError(f"settings {settings} have zero probability")
+    return table / total
+
+
+def reference_correlations(dist: ExactDistribution) -> CorrelationReport:
+    """The four correlations, one conditional outcome table at a time."""
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (2*v3-1)*(2*v4-1)
+    values = []
+    for pair in SETTING_PAIRS:
+        table = reference_conditional_outcomes(dist, pair)
+        values.append(float((signs * table).sum()))
+    return CorrelationReport.from_correlations(*values, source="model-exact")
+
+
+def reference_locality_check(dist: ExactDistribution) -> float:
+    """Factorization residual from the joint reshaped to (v1, v2, v3, v4, λ)."""
+    _require_epr_layout(dist)
+    j = dist.joint.reshape(2, 2, 2, 2, 2**dist.model.n_hidden)
+    cond_joint = j / j.sum(axis=(2, 3), keepdims=True)
+    num3 = j.sum(axis=(1, 3))
+    p3 = num3 / num3.sum(axis=1, keepdims=True)
+    num4 = j.sum(axis=(0, 2))
+    p4 = num4 / num4.sum(axis=1, keepdims=True)
+    product = p3[:, None, :, None, :] * p4[None, :, None, :, :]
+    return float(np.abs(cond_joint - product).max())
+
+
+def reference_measurement_independence(
+    dist: ExactDistribution,
+) -> MeasurementIndependenceReport:
+    """P(λ | settings) normalized block by block, one setting pair at a time."""
+    _require_epr_layout(dist)
+    n_h = 2**dist.model.n_hidden
+    j = dist.joint.reshape(2, 2, 2, 2, n_h)
+    conditional = np.empty((4, n_h))
+    for p, (s1, s2) in enumerate(SETTING_PAIRS):
+        block = j[s1, s2].sum(axis=(0, 1))
+        conditional[p] = block / block.sum()
+    pooled = conditional.mean(axis=0)
+    tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)
+    return MeasurementIndependenceReport(
+        setting_pairs=SETTING_PAIRS,
+        conditional=conditional,
+        pooled=pooled,
+        tv_distances=tv,
+        max_tv=float(tv.max()),
+    )

@@ -20,7 +20,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eprbm import __version__, bell
+from eprbm import __version__, bell, exact
 from eprbm.cli import (
     DIAGNOSTICS_REPORT_SCHEMA,
     EXIT_DATA,
@@ -314,6 +314,28 @@ class TestDiagnose:
         assert all(len(row) == 16 for row in mi["conditional"])
         assert len(mi["hidden_state_labels"]) == 16
         assert (tmp_path / "report.json.manifest.json").exists()
+
+    def test_residual_below_noise_floor_printed_as_bound(
+        self, tmp_path, reference_model_file, capsys, monkeypatch
+    ):
+        out = tmp_path / "report.json"
+        assert run("diagnose", "--model", reference_model_file, "--out", out) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "max factorization residual < 1e-12"
+        # the report keeps the exact float
+        residual = exact.locality_check(
+            exact.enumerate_distribution(load_reference_model())
+        )
+        assert 0 < residual < 1e-12
+        assert json.loads(out.read_text())["locality"]["max_residual"] == residual
+
+        monkeypatch.setattr(exact, "locality_check", lambda dist: 3.5e-11)
+        assert run("diagnose", "--model", reference_model_file) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "max factorization residual = 3.500e-11",
+            "locality PASS (residual <= 1e-10)",
+        ]
 
     def test_unweighted_model_is_independent(self, tmp_path, capsys):
         model_path = tmp_path / "free.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
     HiddenState,
     MAX_EXACT_UNITS,
@@ -15,8 +16,16 @@ from eprbm.exact import (
     measurement_independence_check,
 )
 from eprbm.rbm import Configuration, RbmModel, energy
+from eprbm.trainer import load_reference_model
 
-from helpers import brute_force_joint, random_model
+from helpers import (
+    brute_force_joint,
+    random_model,
+    reference_conditional_outcomes,
+    reference_correlations,
+    reference_locality_check,
+    reference_measurement_independence,
+)
 
 # Frozen pre-build oracle value: max TV distance between the reference
 # model's P(lambda | settings) and the pooled P(lambda), computed by exact
@@ -45,6 +54,22 @@ class TestBitPatterns:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             bit_patterns(-1)
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_small_tables_shared_read_only(self, k):
+        table = bit_patterns(k)
+        assert bit_patterns(k) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_large_tables_built_per_call(self):
+        first, second = bit_patterns(9), bit_patterns(9)
+        assert first is not second
+        assert first.flags.writeable
+        assert first.shape == (512, 9)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first[:256, 1:], bit_patterns(8))
 
 
 class TestEnumerate:
@@ -272,3 +297,86 @@ class TestDumpJointCsv:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (32, 6)
         assert rows[:, -1].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _oracle_population(kind: str) -> list[RbmModel]:
+    """Seeded models of one kind for the bit-for-bit oracle comparison."""
+    rng = np.random.default_rng(505)
+    if kind == "zero_weight":
+        return [
+            RbmModel(
+                visible_bias=rng.normal(0, 2, 4),
+                hidden_bias=rng.normal(0, 2, 4),
+                weights=np.zeros((4, 4)),
+            )
+            for _ in range(10)
+        ]
+    if kind == "reference_hidden_bias_-800":
+        model = load_reference_model()
+        hidden_bias = model.hidden_bias.copy()
+        hidden_bias[0] = -800.0
+        return [RbmModel(model.visible_bias, hidden_bias, model.weights)]
+    scale = float(kind.removeprefix("scale="))
+    hidden_sizes = (4,) * 8 + (3, 1)
+    return [random_model(rng, n=n, scale=scale) for n in hidden_sizes for _ in range(3)]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - compared with the oracle's
+        return (type(err), str(err))
+
+
+def _assert_bit_identical(got, want):
+    """Floats equal by repr and arrays by np.array_equal, NaN equal to NaN."""
+    if isinstance(want, tuple):  # an exception's (type, message), or setting pairs
+        assert got == want
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    elif isinstance(want, float):
+        assert repr(got) == repr(want)
+    else:
+        fields = (
+            ("setting_pairs", "conditional", "pooled", "tv_distances", "max_tv")
+            if hasattr(want, "tv_distances")
+            else ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s")
+        )
+        assert type(got) is type(want)
+        for name in fields:
+            _assert_bit_identical(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "scale=0.01",
+        "scale=1",
+        "scale=10",
+        "scale=100",
+        "zero_weight",
+        "reference_hidden_bias_-800",
+    ],
+)
+def test_diagnostics_bit_identical_to_per_pair_oracles(kind):
+    for model in _oracle_population(kind):
+        dist = enumerate_distribution(model)
+        for pair in SETTING_PAIRS + ((0, 2),):
+            _assert_bit_identical(
+                _outcome(conditional_outcomes, dist, pair),
+                _outcome(reference_conditional_outcomes, dist, pair),
+            )
+        _assert_bit_identical(
+            _outcome(correlations_from_distribution, dist),
+            _outcome(reference_correlations, dist),
+        )
+        _assert_bit_identical(
+            _outcome(locality_check, dist), _outcome(reference_locality_check, dist)
+        )
+        _assert_bit_identical(
+            _outcome(measurement_independence_check, dist),
+            _outcome(reference_measurement_independence, dist),
+        )

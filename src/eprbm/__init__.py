@@ -7,112 +7,3 @@ correlations, satisfies Bell locality, and violates measurement independence.
 """
 
 __version__ = "0.1.0"
-
-from .bell import (
-    CorrelationReport,
-    chsh,
-    comparison_csv,
-    comparison_table,
-    model_correlations_exact,
-    model_correlations_sampled,
-    parse_comparison_csv,
-    theory_correlations,
-)
-from .epr import (
-    DetectorAngles,
-    EprDataset,
-    EprTrial,
-    InsufficientDataError,
-    decode_visible,
-    empirical_correlations,
-    encode_dataset,
-    encode_trial,
-    generate_dataset,
-    load_dataset,
-    save_dataset,
-    singlet_joint_probability,
-)
-from .exact import (
-    ExactDistribution,
-    HiddenState,
-    MeasurementIndependenceReport,
-    conditional_outcomes,
-    dump_joint_csv,
-    enumerate_distribution,
-    locality_check,
-    measurement_independence_check,
-)
-from .rbm import (
-    Configuration,
-    RbmModel,
-    energy,
-    gibbs_sweep,
-    hidden_activation_probs,
-    sigmoid,
-    visible_activation_probs,
-)
-from .trainer import (
-    EpochRecord,
-    TrainerConfig,
-    TrainingDivergedError,
-    TrainingTrace,
-    data_expectation,
-    exact_gradient,
-    load_model,
-    load_reference_model,
-    model_expectation_exact,
-    model_expectation_pcd,
-    save_model,
-    train,
-)
-
-__all__ = [
-    "__version__",
-    "CorrelationReport",
-    "chsh",
-    "comparison_csv",
-    "comparison_table",
-    "model_correlations_exact",
-    "model_correlations_sampled",
-    "parse_comparison_csv",
-    "theory_correlations",
-    "DetectorAngles",
-    "EprDataset",
-    "EprTrial",
-    "InsufficientDataError",
-    "decode_visible",
-    "empirical_correlations",
-    "encode_dataset",
-    "encode_trial",
-    "generate_dataset",
-    "load_dataset",
-    "save_dataset",
-    "singlet_joint_probability",
-    "ExactDistribution",
-    "HiddenState",
-    "MeasurementIndependenceReport",
-    "conditional_outcomes",
-    "dump_joint_csv",
-    "enumerate_distribution",
-    "locality_check",
-    "measurement_independence_check",
-    "Configuration",
-    "RbmModel",
-    "energy",
-    "gibbs_sweep",
-    "hidden_activation_probs",
-    "sigmoid",
-    "visible_activation_probs",
-    "EpochRecord",
-    "TrainerConfig",
-    "TrainingDivergedError",
-    "TrainingTrace",
-    "data_expectation",
-    "exact_gradient",
-    "load_model",
-    "load_reference_model",
-    "model_expectation_exact",
-    "model_expectation_pcd",
-    "save_model",
-    "train",
-]

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ExactDistribution, SETTING_PAIRS, enumerate_distribution
-from .rbm import RbmModel, advance_chains
+from .rbm import RbmModel
 
-VALID_SOURCES = ("theory", "empirical", "model-exact", "model-sampled")
+VALID_SOURCES = ("theory", "empirical", "model-exact")
 
 # Tolerance for "in [-1, 1]" checks on floating-point correlation estimates.
 _RANGE_EPS = 1e-9
@@ -45,8 +45,8 @@ class CorrelationReport:
     """The four setting-pair correlations, their CHSH statistic, and origin.
 
     source identifies how the numbers were obtained: "theory" (singlet
-    prediction), "empirical" (dataset average), "model-exact" (enumeration),
-    or "model-sampled" (Gibbs sampling).
+    prediction), "empirical" (dataset average) or "model-exact"
+    (enumeration).
     """
 
     c_ab: float
@@ -117,7 +117,7 @@ def correlations_from_distribution(
     For each setting pair, C = sum over outcome bits of
     (2*v3 - 1) * (2*v4 - 1) * P(v3, v4 | v1, v2).
     """
-    mass = dist._outcome_mass
+    mass = dist._epr_view.sum(axis=2)  # P(v) as (setting pair, v3v4)
     totals = mass.sum(axis=1)
     for pair, total in zip(SETTING_PAIRS, totals):
         if total <= 0:
@@ -131,61 +131,32 @@ def model_correlations_exact(model: RbmModel) -> CorrelationReport:
     return correlations_from_distribution(enumerate_distribution(model))
 
 
-def model_correlations_sampled(
-    model: RbmModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    burn_in: int = 30,
-) -> CorrelationReport:
-    """Correlations estimated from block-Gibbs samples of the model.
-
-    Runs n_samples independent chains from uniform random visible states for
-    burn_in sweeps and treats each final visible state as one trial. Slower
-    and noisier than the exact route; used to cross-check the sampler.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    m = model.n_visible
-    if m != 4:
-        raise ValueError(f"EPR layout requires 4 visible units, got {m}")
-    start = (rng.random((n_samples, m)) < 0.5).astype(np.float64)
-    visible = advance_chains(model, start, rng, n_sweeps=burn_in)
-    products = (2 * visible[:, 2] - 1) * (2 * visible[:, 3] - 1)
-    values = []
-    for s1, s2 in SETTING_PAIRS:
-        mask = (visible[:, 0] == s1) & (visible[:, 1] == s2)
-        if not mask.any():
-            raise ValueError(f"no samples landed on setting pair ({s1}, {s2})")
-        values.append(float(products[mask].mean()))
-    return CorrelationReport.from_correlations(*values, source="model-sampled")
-
-
-def _check_sources_distinct(reports) -> None:
-    sources = [r.source for r in reports if r is not None]
-    if len(set(sources)) != len(sources):
-        raise ValueError(f"report sources must be distinct, got {sources}")
-
-
 def comparison_table(
     theory: CorrelationReport,
     data: CorrelationReport | None,
     model: CorrelationReport,
+    *,
+    csv: bool = False,
 ) -> str:
-    """Aligned text table with Theory/Data/Model columns and an S row.
+    """Theory/data/model columns for each correlation and S, at 3 decimals.
 
-    data may be None; its column then renders as an em dash. Values are
-    shown at 3 decimals.
+    As text, the columns are aligned, the rows are labelled C(a,b) ... S and
+    a missing data column (data None) renders as an em dash. With csv=True
+    the rows are quantity,theory,data,model with quantities c_ab ... s and
+    missing data cells are empty.
     """
-    _check_sources_distinct((theory, data, model))
-
-    def fmt(report, attr) -> str:
-        if report is None:
-            return "—"
-        return f"{getattr(report, attr):.3f}"
-
+    reports = (theory, data, model)
+    sources = [r.source for r in reports if r is not None]
+    if len(set(sources)) != len(sources):
+        raise ValueError(f"report sources must be distinct, got {sources}")
+    labels = _CSV_KEYS if csv else QUANTITY_LABELS + ("S",)
+    missing = "" if csv else "—"
     rows = [("quantity", "theory", "data", "model")]
-    for label, key in zip(QUANTITY_LABELS + ("S",), _CSV_KEYS):
-        rows.append((label, fmt(theory, key), fmt(data, key), fmt(model, key)))
+    for label, key in zip(labels, _CSV_KEYS):
+        cells = [missing if r is None else f"{getattr(r, key):.3f}" for r in reports]
+        rows.append((label, *cells))
+    if csv:
+        return "".join(",".join(row) + "\n" for row in rows)
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     lines = []
     for row in rows:
@@ -193,42 +164,3 @@ def comparison_table(
         cells += [row[i].rjust(widths[i]) for i in range(1, 4)]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def comparison_csv(
-    theory: CorrelationReport,
-    data: CorrelationReport | None,
-    model: CorrelationReport,
-) -> str:
-    """CSV twin of comparison_table: quantity,theory,data,model rows.
-
-    Missing data cells are empty. Values are written at 3 decimals, so a
-    parse-render cycle is stable at that precision.
-    """
-    _check_sources_distinct((theory, data, model))
-
-    def fmt(report, attr) -> str:
-        if report is None:
-            return ""
-        return f"{getattr(report, attr):.3f}"
-
-    lines = ["quantity,theory,data,model"]
-    for key in _CSV_KEYS:
-        lines.append(f"{key},{fmt(theory, key)},{fmt(data, key)},{fmt(model, key)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_comparison_csv(text: str) -> dict:
-    """Parse comparison_csv output back into {quantity: {column: float|None}}."""
-    lines = [line for line in text.strip().splitlines() if line]
-    header = lines[0].split(",")
-    if header != ["quantity", "theory", "data", "model"]:
-        raise ValueError(f"unexpected comparison CSV header: {lines[0]!r}")
-    out = {}
-    for line in lines[1:]:
-        quantity, *cells = line.split(",")
-        out[quantity] = {
-            column: (float(cell) if cell else None)
-            for column, cell in zip(("theory", "data", "model"), cells)
-        }
-    return out

@@ -29,7 +29,7 @@ from .epr import (
     save_dataset,
     sidecar_path,
 )
-from .exact import HiddenState, enumerate_distribution
+from .exact import enumerate_distribution
 from .trainer import TrainerConfig, TrainingDivergedError, load_model, save_model
 
 EXIT_OK = 0
@@ -39,62 +39,6 @@ EXIT_DIVERGED = 4
 
 LOCALITY_RESIDUAL_BOUND = 1e-10
 MI_TV_BOUND = 1e-3
-
-# Schema of the diagnostics report written by `eprbm diagnose --out`.
-DIAGNOSTICS_REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["model", "locality", "measurement_independence"],
-    "properties": {
-        "model": {"type": "string"},
-        "locality": {
-            "type": "object",
-            "required": ["max_residual", "threshold", "pass"],
-            "properties": {
-                "max_residual": {"type": "number"},
-                "threshold": {"type": "number"},
-                "pass": {"type": "boolean"},
-            },
-        },
-        "measurement_independence": {
-            "type": "object",
-            "required": [
-                "setting_pairs",
-                "hidden_state_labels",
-                "conditional",
-                "pooled",
-                "tv_distances",
-                "max_tv",
-                "threshold",
-                "violated",
-            ],
-            "properties": {
-                "setting_pairs": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "integer", "enum": [0, 1]},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-                "hidden_state_labels": {
-                    "type": "array",
-                    "items": {"type": "string", "pattern": "^[01]+$"},
-                },
-                "conditional": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-                "pooled": {"type": "array", "items": {"type": "number"}},
-                "tv_distances": {"type": "array", "items": {"type": "number"}},
-                "max_tv": {"type": "number"},
-                "threshold": {"type": "number"},
-                "violated": {"type": "boolean"},
-            },
-        },
-    },
-}
 
 
 @dataclass
@@ -251,7 +195,7 @@ def cmd_eval(args) -> int:
     print(_bell_verdict(model_report.s))
     if args.out:
         with atomic_write(args.out, newline="") as fh:
-            fh.write(bell.comparison_csv(theory, data_report, model_report))
+            fh.write(bell.comparison_table(theory, data_report, model_report, csv=True))
         manifest = RunManifest(
             command="eval",
             config={
@@ -275,7 +219,8 @@ def cmd_diagnose(args) -> int:
     residual = exact.locality_check(dist)
     mi = exact.measurement_independence_check(dist)
     n = model.n_hidden
-    labels = [HiddenState.from_index(i, n).label() for i in range(2**n)]
+    # hidden state i is row i of exact.bit_patterns(n), written as bits
+    labels = [format(i, f"0{n}b") for i in range(2**n)]
 
     # below 1e-12 the residual is rounding noise; --out keeps the exact value
     shown = "< 1e-12" if residual < 1e-12 else f"= {residual:.3e}"

@@ -12,6 +12,8 @@ marginals at both stations.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -21,16 +23,16 @@ import numpy as np
 
 from .atomic import atomic_write
 from .bell import CorrelationReport
+from .exact import SETTING_PAIRS
 
-# Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_trial).
+# Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
 
-# Human-readable names of the four setting pairs, by (alpha, beta) bits.
+# Human-readable names of the four setting pairs, by (alpha, beta) bits:
+# "(a, b)", "(a, b')", "(a', b)", "(a', b')".
 SETTING_PAIR_LABELS = {
-    (0, 0): "(a, b)",
-    (0, 1): "(a, b')",
-    (1, 0): "(a', b)",
-    (1, 1): "(a', b')",
+    (alpha, beta): "(a" + "'" * alpha + ", b" + "'" * beta + ")"
+    for alpha, beta in SETTING_PAIRS
 }
 
 
@@ -79,32 +81,12 @@ class DetectorAngles:
 
 
 @dataclass(frozen=True)
-class EprTrial:
-    """One run: setting indices (0 or 1) and outcomes (+1 or -1)."""
-
-    alpha: int
-    beta: int
-    x_alpha: int
-    x_beta: int
-
-    def __post_init__(self):
-        if self.alpha not in (0, 1) or self.beta not in (0, 1):
-            raise ValueError(
-                f"settings must be 0 or 1, got ({self.alpha}, {self.beta})"
-            )
-        if self.x_alpha not in (-1, 1) or self.x_beta not in (-1, 1):
-            raise ValueError(
-                f"outcomes must be +1 or -1, got ({self.x_alpha}, {self.x_beta})"
-            )
-
-
-@dataclass(frozen=True)
 class EprDataset:
     """A sequence of trials plus the seed and angles that produced them.
 
-    Trials are stored as four aligned integer columns; indexing recovers
-    individual EprTrial values. seed is None for datasets not produced by
-    generate_dataset (for example hand-written files).
+    Trials are stored as four aligned read-only integer columns. seed is
+    None for datasets not produced by generate_dataset (for example
+    hand-written files).
     """
 
     alpha: np.ndarray
@@ -145,14 +127,6 @@ class EprDataset:
     def __len__(self) -> int:
         return self.n_trials
 
-    def __getitem__(self, i: int) -> EprTrial:
-        return EprTrial(
-            alpha=int(self.alpha[i]),
-            beta=int(self.beta[i]),
-            x_alpha=int(self.x_alpha[i]),
-            x_beta=int(self.x_beta[i]),
-        )
-
 
 class InsufficientDataError(ValueError):
     """Raised when a dataset lacks trials for one or more setting pairs."""
@@ -161,17 +135,6 @@ class InsufficientDataError(ValueError):
         self.missing_pairs = list(missing_pairs)
         labels = ", ".join(SETTING_PAIR_LABELS[p] for p in self.missing_pairs)
         super().__init__(f"no trials for setting pair(s) {labels}")
-
-
-def singlet_joint_probability(
-    theta_alpha: float, theta_beta: float, x_alpha: int, x_beta: int
-) -> float:
-    """Joint outcome probability of the singlet state at the given angles."""
-    if x_alpha not in (-1, 1) or x_beta not in (-1, 1):
-        raise ValueError(
-            f"outcomes must be +1 or -1, got ({x_alpha}, {x_beta})"
-        )
-    return (1.0 - x_alpha * x_beta * math.cos(theta_alpha - theta_beta)) / 4.0
 
 
 def generate_dataset(
@@ -223,55 +186,20 @@ def empirical_correlations(dataset: EprDataset) -> CorrelationReport:
             trials; the error names the missing pairs.
     """
     products = dataset.x_alpha * dataset.x_beta
-    values = {}
-    missing = []
-    for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        mask = (dataset.alpha == pair[0]) & (dataset.beta == pair[1])
-        if not mask.any():
-            missing.append(pair)
-        else:
-            values[pair] = float(products[mask].mean())
+    masks = [(dataset.alpha == a) & (dataset.beta == b) for a, b in SETTING_PAIRS]
+    missing = [pair for pair, mask in zip(SETTING_PAIRS, masks) if not mask.any()]
     if missing:
         raise InsufficientDataError(missing)
-    return CorrelationReport.from_correlations(
-        c_ab=values[(0, 0)],
-        c_ab_prime=values[(0, 1)],
-        c_a_prime_b=values[(1, 0)],
-        c_a_prime_b_prime=values[(1, 1)],
-        source="empirical",
-    )
-
-
-def encode_trial(trial: EprTrial) -> np.ndarray:
-    """Map a trial to the 4-unit visible vector.
-
-    v1 = alpha setting bit, v2 = beta setting bit, v3 and v4 are the
-    outcomes with +1 mapped to 1 and -1 mapped to 0.
-    """
-    return np.array(
-        [trial.alpha, trial.beta, (trial.x_alpha + 1) // 2, (trial.x_beta + 1) // 2],
-        dtype=np.int64,
-    )
-
-
-def decode_visible(visible) -> EprTrial:
-    """Exact inverse of encode_trial."""
-    v = np.asarray(visible)
-    if v.shape != (4,):
-        raise ValueError(f"visible vector must have shape (4,), got {v.shape}")
-    bits = [int(b) for b in v]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"visible entries must be 0 or 1, got {bits}")
-    return EprTrial(
-        alpha=bits[0],
-        beta=bits[1],
-        x_alpha=2 * bits[2] - 1,
-        x_beta=2 * bits[3] - 1,
-    )
+    values = [float(products[mask].mean()) for mask in masks]
+    return CorrelationReport.from_correlations(*values, source="empirical")
 
 
 def _visible_columns(dataset: EprDataset) -> list[np.ndarray]:
-    """v1..v4 of every trial as integer columns, encoded as in encode_trial."""
+    """v1..v4 of every trial as integer columns.
+
+    v1 and v2 are the setting bits alpha and beta; v3 and v4 are the outcomes
+    x_alpha and x_beta with +1 mapped to 1 and -1 mapped to 0.
+    """
     return [
         dataset.alpha,
         dataset.beta,
@@ -303,11 +231,13 @@ def sidecar_path(csv_path) -> str:
 
 
 def save_dataset(dataset: EprDataset, path) -> None:
-    """Write the trials as CSV plus a JSON sidecar with seed/size/angles.
+    """Write the trials as CSV plus a JSON sidecar with seed/size/angles/hash.
 
     CSV columns: alpha,beta,x_alpha,x_beta with values 0/1 and 1/-1, one row
     per trial. The sidecar records everything needed to regenerate or audit
-    the file.
+    the file, and the CSV's SHA-256, which ties the pair together: the two
+    files are replaced one after the other, so a run killed in between would
+    otherwise leave new rows under an old sidecar.
     """
     # a row is one of 16 lines, looked up by the trial's visible pattern
     every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
@@ -316,13 +246,14 @@ def save_dataset(dataset: EprDataset, path) -> None:
     lines[pattern_index(table)] = [
         f"{alpha},{beta},{x_alpha},{x_beta}\n" for alpha, beta, x_alpha, x_beta in every
     ]
+    text = "alpha,beta,x_alpha,x_beta\n" + "".join(lines[pattern_index(dataset)])
     with atomic_write(path, newline="") as fh:
-        fh.write("alpha,beta,x_alpha,x_beta\n")
-        fh.write("".join(lines[pattern_index(dataset)]))
+        fh.write(text)
     meta = {
         "seed": dataset.seed,
         "n_trials": dataset.n_trials,
         "angles": dataset.angles.to_dict(),
+        "csv_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
     }
     with atomic_write(sidecar_path(path)) as fh:
         json.dump(meta, fh, indent=2)
@@ -334,16 +265,19 @@ def load_dataset(path) -> EprDataset:
 
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
-        ValueError: on malformed rows or values, or a row count that differs
-            from the sidecar's n_trials.
+        ValueError: on malformed rows or values, a row count that differs
+            from the sidecar's n_trials, or a CSV whose SHA-256 is not the
+            one the sidecar records (or a sidecar that records none).
     """
     with open(sidecar_path(path)) as fh:
         meta = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
     angles = DetectorAngles.from_dict(meta["angles"])
     seed = meta["seed"]
     if seed is not None:
         seed = int(seed)
-    rows = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
     if rows.size == 0:
         rows = rows.reshape(0, 4)
     if rows.shape[1] != 4:
@@ -355,6 +289,12 @@ def load_dataset(path) -> EprDataset:
         raise ValueError(
             f"dataset has {rows.shape[0]} rows but its sidecar records "
             f"n_trials = {meta['n_trials']}; the file may be truncated"
+        )
+    if meta.get("csv_sha256") != hashlib.sha256(data).hexdigest():
+        raise ValueError(
+            f"dataset {path} does not match the SHA-256 recorded in its sidecar "
+            f"{sidecar_path(path)} (or the sidecar records none); re-run "
+            "`eprbm simulate` to write the pair again"
         )
     return EprDataset(
         alpha=rows[:, 0],

@@ -1,9 +1,8 @@
 """Exact inference for small RBMs by full enumeration of all 2^(m+n) states.
 
 This is the oracle everything else is checked against: partition function,
-joint and marginal distributions, conditional outcome tables, and the two
-hidden-variable diagnostics (locality factorization and measurement
-independence).
+joint and visible marginal distributions, and the two hidden-variable
+diagnostics (locality factorization and measurement independence).
 
 Bit order convention: configurations are enumerated with unit 1 as the most
 significant bit, so index k of a layer corresponds to the binary expansion of
@@ -13,19 +12,18 @@ lexicographic in (v1, v2, ..., vm).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .atomic import atomic_write
 from .rbm import RbmModel
 
 # 2^24 joint states is about 128 MB of float64, a sensible desk-scale ceiling.
 MAX_EXACT_UNITS = 24
 
-# Setting pairs (v1, v2) in the order used by every per-pair report.
+# Setting pairs (v1, v2) in the order of every per-pair report, correlation
+# and label: (a, b), (a, b'), (a', b), (a', b').
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -67,33 +65,6 @@ def require_enumerable(m: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class HiddenState:
-    """One joint on/off assignment of the hidden units, the hidden variable."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(b in (0, 1) for b in self.bits):
-            raise ValueError(f"hidden state bits must be 0 or 1, got {self.bits}")
-
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "HiddenState":
-        if not 0 <= index < 2**n:
-            raise ValueError(f"index {index} out of range for {n} bits")
-        return cls(tuple((index >> (n - 1 - j)) & 1 for j in range(n)))
-
-    @property
-    def index(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
-
-    def label(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
 class ExactDistribution:
     """Exact Boltzmann distribution of a model over all joint configurations.
 
@@ -122,18 +93,9 @@ class ExactDistribution:
             )
         return self.joint.reshape(len(SETTING_PAIRS), 4, -1)
 
-    @cached_property
-    def _outcome_mass(self) -> np.ndarray:
-        """P(v), summed once, as (setting pair, outcome bits v3v4)."""
-        return _read_only(self._epr_view.sum(axis=2))
-
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
         return self.joint.sum(axis=1)
-
-    def hidden_marginal(self) -> np.ndarray:
-        """P(h) over the 2^n hidden patterns, lexicographic order."""
-        return self.joint.sum(axis=0)
 
 
 def enumerate_distribution(model: RbmModel) -> ExactDistribution:
@@ -160,25 +122,6 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
     joint = np.exp(neg_energy - log_partition)
     return ExactDistribution(model=model, log_partition=log_partition, joint=joint)
-
-
-def conditional_outcomes(
-    dist: ExactDistribution, settings: tuple[int, int]
-) -> np.ndarray:
-    """P(v3, v4 | v1, v2) as a 2x2 table, hidden units marginalized out.
-
-    Entry [x3, x4] is the probability of outcome bits (v3, v4) = (x3, x4)
-    given the setting bits. The four cells sum to 1.
-    """
-    mass = dist._outcome_mass
-    s1, s2 = settings
-    if s1 not in (0, 1) or s2 not in (0, 1):
-        raise ValueError(f"settings must be binary, got {settings!r}")
-    table = mass[SETTING_PAIRS.index((s1, s2))].reshape(2, 2)
-    total = table.sum()
-    if total <= 0:
-        raise ValueError(f"settings {settings} have zero probability")
-    return table / total
 
 
 def locality_check(dist: ExactDistribution) -> float:
@@ -252,22 +195,3 @@ def measurement_independence_check(
         tv_distances=tv,
         max_tv=float(tv.max()),
     )
-
-
-def dump_joint_csv(dist: ExactDistribution, path) -> None:
-    """Write the joint table as CSV: v1..vm,h1..hn,probability.
-
-    Rows are lexicographic over the concatenated (visible, hidden) bits,
-    matching the enumeration order of the joint table.
-    """
-    m, n = dist.model.n_visible, dist.model.n_hidden
-    v_pat = bit_patterns(m).astype(int)
-    h_pat = bit_patterns(n).astype(int)
-    header = [f"v{i+1}" for i in range(m)] + [f"h{j+1}" for j in range(n)] + [
-        "probability"
-    ]
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for (vi, hi), p in np.ndenumerate(dist.joint):
-            writer.writerow([*v_pat[vi], *h_pat[hi], repr(float(p))])

@@ -1,12 +1,13 @@
-"""Restricted Boltzmann machine core: parameters, energy, conditionals, Gibbs sampling.
+"""Restricted Boltzmann machine core: parameters and the block Gibbs sampler.
 
 Units are binary with values in {0, 1} and the temperature is fixed at kT = 1,
 so the joint law is P(v, h) = exp(-E(v, h)) / Z with
 
     E(v, h) = -(sum_i c_i v_i + sum_j d_j h_j + sum_ij w_ij v_i h_j).
 
-The bipartite wiring makes both conditionals factorize, which is what the
-block Gibbs sampler and the gradient estimators rely on.
+The bipartite wiring makes both conditionals factorize,
+P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h,
+which is what the block Gibbs sampler and the gradient estimators rely on.
 """
 
 from __future__ import annotations
@@ -17,28 +18,12 @@ import numpy as np
 from scipy.special import expit
 
 
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr!r}")
-
-
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
     arr = np.array(value, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    _require_finite(name, arr)
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_binary_array(name: str, value) -> np.ndarray:
-    raw = np.asarray(value)
-    if raw.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array, got shape {raw.shape}")
-    # validate before the integer cast, which would silently truncate 0.5
-    if not np.all((raw == 0) | (raw == 1)):
-        raise ValueError(f"{name} entries must be 0 or 1, got {raw!r}")
-    arr = raw.astype(np.int64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {arr!r}")
     arr.setflags(write=False)
     return arr
 
@@ -79,95 +64,6 @@ class RbmModel:
         return self.hidden_bias.size
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A joint state (v, h) of the machine, all entries in {0, 1}."""
-
-    visible: np.ndarray
-    hidden: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "visible", _as_binary_array("visible", self.visible))
-        object.__setattr__(self, "hidden", _as_binary_array("hidden", self.hidden))
-
-
-def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), stable for large |x|.
-
-    Evaluates exp(x) / (1 + exp(x)) on the negative branch so that arguments
-    down to -700 and beyond neither overflow nor collapse prematurely to 0.
-    """
-    out = expit(np.asarray(x, dtype=np.float64))
-    return float(out) if out.ndim == 0 else out
-
-
-def energy(model: RbmModel, config: Configuration) -> float:
-    """E(v, h) = -(c.v + d.h + v.W.h) for a single joint configuration."""
-    v = config.visible.astype(np.float64)
-    h = config.hidden.astype(np.float64)
-    if v.size != model.n_visible or h.size != model.n_hidden:
-        raise ValueError(
-            f"configuration size ({v.size}, {h.size}) does not match model "
-            f"({model.n_visible}, {model.n_hidden})"
-        )
-    return float(-(model.visible_bias @ v + model.hidden_bias @ h + v @ model.weights @ h))
-
-
-def _check_layer(
-    name: str, states: np.ndarray, width: int
-) -> tuple[np.ndarray, bool]:
-    """Coerce a layer state (or batch of them) to float64, return (array, batched)."""
-    arr = np.asarray(states, dtype=np.float64)
-    batched = arr.ndim == 2
-    if arr.ndim not in (1, 2) or arr.shape[-1] != width:
-        raise ValueError(
-            f"{name} states must have shape ({width},) or (batch, {width}), "
-            f"got {arr.shape}"
-        )
-    return arr, batched
-
-
-def hidden_activation_probs(model: RbmModel, visible) -> np.ndarray:
-    """P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij).
-
-    Accepts a single visible state of shape (m,) or a batch of shape (B, m);
-    the result has the matching shape over the n hidden units.
-    """
-    v, _ = _check_layer("visible", visible, model.n_visible)
-    return sigmoid(v @ model.weights + model.hidden_bias)
-
-
-def visible_activation_probs(model: RbmModel, hidden) -> np.ndarray:
-    """P(v_i = 1 | h) = sigmoid(c_i + sum_j h_j w_ij), single state or batch."""
-    h, _ = _check_layer("hidden", hidden, model.n_hidden)
-    return sigmoid(h @ model.weights.T + model.visible_bias)
-
-
-def sample_hidden(model: RbmModel, visible, rng: np.random.Generator) -> np.ndarray:
-    """Draw the hidden layer from P(h | v), elementwise independent."""
-    probs = hidden_activation_probs(model, visible)
-    return (rng.random(probs.shape) < probs).astype(np.float64)
-
-
-def sample_visible(model: RbmModel, hidden, rng: np.random.Generator) -> np.ndarray:
-    """Draw the visible layer from P(v | h), elementwise independent."""
-    probs = visible_activation_probs(model, hidden)
-    return (rng.random(probs.shape) < probs).astype(np.float64)
-
-
-def gibbs_sweep(
-    model: RbmModel, config: Configuration, rng: np.random.Generator
-) -> Configuration:
-    """One block Gibbs sweep: resample h from the current v, then v from the new h.
-
-    Both block updates are exchangeable with respect to the joint law, so the
-    sweep leaves P(v, h) invariant.
-    """
-    h_new = sample_hidden(model, config.visible, rng)
-    v_new = sample_visible(model, h_new, rng)
-    return Configuration(v_new.astype(np.int64), h_new.astype(np.int64))
-
-
 def advance_chains(
     model: RbmModel,
     visible: np.ndarray,
@@ -176,17 +72,25 @@ def advance_chains(
 ) -> np.ndarray:
     """Run block Gibbs sweeps on a batch of chains, returning the visible states.
 
-    This is the reference sampler: the trainer's one-draw pattern-space
-    advance is tested against it.
+    Each sweep draws the hidden layer from P(h | v), then the visible layer
+    from P(v | h), each unit independently. This is the reference sampler:
+    the trainer's one-draw pattern-space advance is tested against it.
 
     Args:
-        visible: shape (n_chains, m) batch of {0, 1} visible states.
+        visible: shape (n_chains, m) batch of {0, 1} visible states, or a
+            single state of shape (m,).
         n_sweeps: number of full sweeps (hidden then visible) to apply.
 
     Returns:
-        Array of shape (n_chains, m) with the visible states after the sweeps.
+        The visible states after the sweeps, in the shape of visible.
     """
-    v, batched = _check_layer("visible", visible, model.n_visible)
+    v = np.asarray(visible, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != model.n_visible:
+        raise ValueError(
+            f"visible states must have shape ({model.n_visible},) or "
+            f"(batch, {model.n_visible}), got {v.shape}"
+        )
+    batched = v.ndim == 2
     if not batched:
         v = v[None, :]
     w = model.weights
@@ -198,35 +102,3 @@ def advance_chains(
         pv = expit(h @ w.T + c)
         v = (rng.random(pv.shape) < pv).astype(np.float64)
     return v if batched else v[0]
-
-
-def resample_unit(
-    model: RbmModel,
-    config: Configuration,
-    layer: str,
-    index: int,
-    rng: np.random.Generator,
-) -> Configuration:
-    """Resample one unit from its conditional, leaving every other unit fixed.
-
-    The flip probability comes from the energy gap of that single unit:
-    P(unit = 1 | rest) = sigmoid(bias + coupling terms). This asynchronous
-    update is a correctness reference for the block sweep, not a fast path.
-    """
-    v = config.visible.astype(np.float64)
-    h = config.hidden.astype(np.float64)
-    if layer == "visible":
-        if not 0 <= index < model.n_visible:
-            raise ValueError(f"visible index {index} out of range")
-        gap = model.visible_bias[index] + model.weights[index] @ h
-        new_v = config.visible.copy()
-        new_v[index] = int(rng.random() < sigmoid(gap))
-        return Configuration(new_v, config.hidden)
-    if layer == "hidden":
-        if not 0 <= index < model.n_hidden:
-            raise ValueError(f"hidden index {index} out of range")
-        gap = model.hidden_bias[index] + v @ model.weights[:, index]
-        new_h = config.hidden.copy()
-        new_h[index] = int(rng.random() < sigmoid(gap))
-        return Configuration(config.visible, new_h)
-    raise ValueError(f"layer must be 'visible' or 'hidden', got {layer!r}")

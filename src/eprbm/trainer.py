@@ -4,11 +4,11 @@ The log-likelihood gradient for a weight is
 
     d log p(v) / d w_ij = <v_i h_j>_data - <v_i h_j>_model
 
-and analogously for the biases with <v_i> and <h_j>. The data expectation is
-cheap (one sigmoid per hidden unit per vector); the model expectation is
-estimated with persistent contrastive divergence, or computed exactly by
-enumeration when the machine is small enough, which doubles as the oracle
-for validating the stochastic estimate.
+and analogously for the biases with <v_i> and <h_j>. Both expectations are
+taken over the 2^m visible patterns, each weighted by how often it occurs:
+in the data, among the persistent contrastive divergence chains, or under
+the exact distribution, which doubles as the oracle for validating the
+stochastic estimate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import bell
 from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset, pattern_index
 from .exact import bit_patterns, enumerate_distribution, require_enumerable
-from .rbm import RbmModel, hidden_activation_probs
+from .rbm import RbmModel
 
 ENCODING_DOC = {
     "v1": "alpha",
@@ -142,6 +142,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _check_batch(model: RbmModel, batch) -> np.ndarray:
+    """The rows as a non-empty (B, m) float array of 0/1 visible states."""
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.n_visible:
         raise ValueError(
@@ -149,38 +150,10 @@ def _check_batch(model: RbmModel, batch) -> np.ndarray:
         )
     if arr.shape[0] == 0:
         raise ValueError("batch must be non-empty")
+    # a fractional entry would be truncated to another pattern's index
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("batch entries must be 0 or 1")
     return arr
-
-
-def data_expectation(
-    model: RbmModel, batch
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Data-side moments of a batch of visible vectors.
-
-    Each vector fixes the visible units, and the hidden units are summed out
-    analytically: the (i, j) entry is the batch mean of v_i * P(h_j = 1 | v).
-
-    Returns:
-        (vh, v_mean, h_mean): (m, n) matrix <v_i h_j>, (m,) vector <v_i>,
-        (n,) vector <h_j>, all averaged over the batch.
-    """
-    arr = _check_batch(model, batch)
-    ph = hidden_activation_probs(model, arr)
-    vh = arr.T @ ph / arr.shape[0]
-    return vh, arr.mean(axis=0), ph.mean(axis=0)
-
-
-def model_expectation_exact(
-    model: RbmModel,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Model-side moments <v_i h_j>, <v_i>, <h_j> from the exact joint table."""
-    dist = enumerate_distribution(model)
-    v_pat = bit_patterns(model.n_visible)
-    h_pat = bit_patterns(model.n_hidden)
-    vh = v_pat.T @ dist.joint @ h_pat
-    v_mean = v_pat.T @ dist.visible_marginal()
-    h_mean = h_pat.T @ dist.hidden_marginal()
-    return vh, v_mean, h_mean
 
 
 def init_chains(
@@ -266,6 +239,69 @@ def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
     return (cum.take(chains, axis=0) < u).sum(axis=1)
 
 
+def _model_tables(model: RbmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Augmented visible patterns, log-joint table and [P(h | v), 1] rows.
+
+    These are the tables train builds at each update (see _tables), from
+    the model's parameters.
+    """
+    require_enumerable(model.n_visible, model.n_hidden)
+    v_aug = _augmented_patterns(model.n_visible)
+    log_joint, ph = _tables(_pack(model), v_aug, _augmented_patterns(model.n_hidden))
+    return v_aug, log_joint, ph
+
+
+def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<v h>, <v> and <h> over the visible patterns weighted by weights.
+
+    This is the product train steps theta with, v_aug.T @ (weights * ph),
+    split into its W, c and d blocks.
+    """
+    moments = v_aug.T @ (weights[:, None] * ph)
+    return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1]
+
+
+def _frequencies(rows: np.ndarray, n_patterns: int) -> np.ndarray:
+    """How often each visible pattern occurs among the 0/1 rows, as fractions."""
+    return np.bincount(_pattern_index(rows), minlength=n_patterns) / rows.shape[0]
+
+
+def _exact_visible(log_joint: np.ndarray) -> np.ndarray:
+    """The model's exact P(v) from its log-joint table, as train's exact term."""
+    p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
+    return p_v / p_v.sum()
+
+
+def data_expectation(
+    model: RbmModel, batch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Data-side moments of a batch of visible vectors.
+
+    Each vector fixes the visible units, and the hidden units are summed out
+    analytically: the (i, j) entry is the batch mean of v_i * P(h_j = 1 | v).
+    The batch enters as its visible-pattern frequencies.
+
+    Returns:
+        (vh, v_mean, h_mean): (m, n) matrix <v_i h_j>, (m,) vector <v_i>,
+        (n,) vector <h_j>, all averaged over the batch.
+    """
+    arr = _check_batch(model, batch)
+    v_aug, _, ph = _model_tables(model)
+    return _moments(v_aug, ph, _frequencies(arr, v_aug.shape[0]))
+
+
+def model_expectation_exact(
+    model: RbmModel,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model-side moments <v_i h_j>, <v_i>, <h_j> under the exact distribution.
+
+    The visible patterns are weighted by the exact P(v) and the hidden units
+    summed out analytically, which equals summing over the joint table.
+    """
+    v_aug, log_joint, ph = _model_tables(model)
+    return _moments(v_aug, ph, _exact_visible(log_joint))
+
+
 def model_expectation_pcd(
     model: RbmModel,
     chains: np.ndarray,
@@ -286,19 +322,14 @@ def model_expectation_pcd(
     arr = _check_batch(model, chains)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("chain states must be 0 or 1")
-    require_enumerable(model.n_visible, model.n_hidden)
-    v_aug = _augmented_patterns(model.n_visible)
-    log_joint, ph = _tables(_pack(model), v_aug, _augmented_patterns(model.n_hidden))
+    v_aug, log_joint, ph = _model_tables(model)
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
     idx = _pcd_advance(
         log_joint, _pattern_index(arr), k, rng.random(n_chains)[:, None],
         _cumulative_columns(n_patterns),
     )
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
-    moments = v_aug.T @ (occupancy[:, None] * ph)
-    return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1], v_aug[idx, :-1]
+    return (*_moments(v_aug, ph, occupancy), v_aug[idx, :-1])
 
 
 def average_log_likelihood(model: RbmModel, data) -> float:
@@ -315,14 +346,18 @@ def exact_gradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact ascent direction of the average log-likelihood.
 
+    This is the step train(model_term="exact") takes on a minibatch, before
+    the learning rate: one product over the visible patterns weighted by
+    data frequency minus exact model probability.
+
     Returns:
         (grad_w, grad_c, grad_d): data moments minus exact model moments for
         the weights, visible biases, and hidden biases.
     """
     arr = _check_batch(model, data)
-    vh_d, v_d, h_d = data_expectation(model, arr)
-    vh_m, v_m, h_m = model_expectation_exact(model)
-    return vh_d - vh_m, v_d - v_m, h_d - h_m
+    v_aug, log_joint, ph = _model_tables(model)
+    weights = _frequencies(arr, v_aug.shape[0]) - _exact_visible(log_joint)
+    return _moments(v_aug, ph, weights)
 
 
 def _epoch_diagnostics(

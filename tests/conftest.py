@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from eprbm.exact import enumerate_distribution
-from eprbm.rbm import advance_chains, sample_hidden
+from eprbm.rbm import advance_chains
 from eprbm.trainer import load_reference_model
 
 
@@ -29,5 +30,6 @@ def reference_gibbs_sample(reference_model):
     n = 1_000_000
     start = (rng.random((n, reference_model.n_visible)) < 0.5).astype(np.float64)
     visible = advance_chains(reference_model, start, rng, n_sweeps=30)
-    hidden = sample_hidden(reference_model, visible, rng)
+    p_hidden = expit(visible @ reference_model.weights + reference_model.hidden_bias)
+    hidden = (rng.random(p_hidden.shape) < p_hidden).astype(np.float64)
     return visible, hidden

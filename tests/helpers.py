@@ -23,7 +23,19 @@ from eprbm.exact import (
     MeasurementIndependenceReport,
     bit_patterns,
 )
-from eprbm.rbm import Configuration, RbmModel, energy
+from eprbm.rbm import RbmModel
+
+
+def energy(model: RbmModel, visible, hidden) -> float:
+    """E(v, h) = -(c.v + d.h + v.W.h) for a single joint configuration."""
+    v = np.asarray(visible, dtype=np.float64)
+    h = np.asarray(hidden, dtype=np.float64)
+    if v.shape != (model.n_visible,) or h.shape != (model.n_hidden,):
+        raise ValueError(
+            f"configuration size ({v.size}, {h.size}) does not match model "
+            f"({model.n_visible}, {model.n_hidden})"
+        )
+    return float(-(model.visible_bias @ v + model.hidden_bias @ h + v @ model.weights @ h))
 
 
 def brute_force_joint(model: RbmModel) -> tuple[np.ndarray, float]:
@@ -32,7 +44,7 @@ def brute_force_joint(model: RbmModel) -> tuple[np.ndarray, float]:
     weights = np.empty((2**m, 2**n))
     for vi, v in enumerate(itertools.product((0, 1), repeat=m)):
         for hi, h in enumerate(itertools.product((0, 1), repeat=n)):
-            weights[vi, hi] = math.exp(-energy(model, Configuration(v, h)))
+            weights[vi, hi] = math.exp(-energy(model, v, h))
     z = weights.sum()
     return weights / z, math.log(z)
 
@@ -80,6 +92,22 @@ def singlet_prob_oracle(
 
     op = np.kron(projector(theta_a, x_a), projector(theta_b, x_b))
     return float(_SINGLET @ op @ _SINGLET)
+
+
+def parse_comparison_csv(text: str) -> dict:
+    """Parse `eval --out` CSV back into {quantity: {column: float | None}}."""
+    lines = [line for line in text.strip().splitlines() if line]
+    header = lines[0].split(",")
+    if header != ["quantity", "theory", "data", "model"]:
+        raise ValueError(f"unexpected comparison CSV header: {lines[0]!r}")
+    out = {}
+    for line in lines[1:]:
+        quantity, *cells = line.split(",")
+        out[quantity] = {
+            column: (float(cell) if cell else None)
+            for column, cell in zip(("theory", "data", "model"), cells)
+        }
+    return out
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -16,7 +16,6 @@ from eprbm import atomic
 from eprbm.atomic import atomic_write
 from eprbm.cli import EXIT_DATA, main
 from eprbm.epr import DetectorAngles, generate_dataset, save_dataset
-from eprbm.exact import dump_joint_csv, enumerate_distribution
 from eprbm.trainer import (
     EpochRecord,
     TrainingTrace,
@@ -99,10 +98,6 @@ def _save_dataset(d):
     save_dataset(generate_dataset(DetectorAngles(), 50, 1), d / "data.csv")
 
 
-def _dump_joint_csv(d):
-    dump_joint_csv(enumerate_distribution(load_reference_model()), d / "j.csv")
-
-
 def _cli(command, out):
     def write(d):
         model = d / "model.json"
@@ -122,7 +117,6 @@ WRITERS = {
     "trace_to_csv": ("t.csv", _trace_to_csv),
     "save_dataset_csv": ("data.csv", _save_dataset),
     "save_dataset_sidecar": ("data.csv.meta.json", _save_dataset),
-    "dump_joint_csv": ("j.csv", _dump_joint_csv),
     "eval_out": ("cmp.csv", _cli("eval", "cmp.csv")),
     "diagnose_out": ("diag.json", _cli("diagnose", "diag.json")),
     "run_manifest": ("sim.csv.manifest.json", _simulate),

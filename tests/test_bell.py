@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from eprbm.bell import (
     CorrelationReport,
     chsh,
-    comparison_csv,
     comparison_table,
     model_correlations_exact,
-    model_correlations_sampled,
-    parse_comparison_csv,
     theory_correlations,
 )
 from eprbm.epr import DetectorAngles
-from eprbm.rbm import RbmModel
+from eprbm.exact import SETTING_PAIRS
+from eprbm.rbm import RbmModel, advance_chains
 
-from helpers import flip_outcome_bits, random_model
+from helpers import flip_outcome_bits, parse_comparison_csv, random_model
 
 corr_st = st.floats(min_value=-1.0, max_value=1.0)
 
@@ -32,6 +30,21 @@ SINGLET_THEORY_COLUMN = (-0.707, -0.707, -0.707, 0.707)
 def zero_model():
     return RbmModel(
         visible_bias=np.zeros(4), hidden_bias=np.zeros(4), weights=np.zeros((4, 4))
+    )
+
+
+def sampled_correlations(model, n_samples, rng, burn_in):
+    """The four correlations among n_samples chains after burn_in sweeps.
+
+    Each chain starts from uniform random visible bits, and its final visible
+    state counts as one trial.
+    """
+    start = (rng.random((n_samples, 4)) < 0.5).astype(np.float64)
+    visible = advance_chains(model, start, rng, n_sweeps=burn_in)
+    products = (2 * visible[:, 2] - 1) * (2 * visible[:, 3] - 1)
+    return tuple(
+        float(products[(visible[:, 0] == s1) & (visible[:, 1] == s2)].mean())
+        for s1, s2 in SETTING_PAIRS
     )
 
 
@@ -153,30 +166,25 @@ class TestModelCorrelationsSampled:
         visible, _ = reference_gibbs_sample
         exact_report = model_correlations_exact(reference_model)
         products = (2 * visible[:, 2] - 1) * (2 * visible[:, 3] - 1)
-        for (s1, s2), expected in zip(
-            ((0, 0), (0, 1), (1, 0), (1, 1)), exact_report.correlations()
-        ):
+        for (s1, s2), expected in zip(SETTING_PAIRS, exact_report.correlations()):
             mask = (visible[:, 0] == s1) & (visible[:, 1] == s2)
             assert products[mask].mean() == pytest.approx(expected, abs=0.01)
 
     def test_sampled_report_smoke(self, reference_model):
         rng = np.random.default_rng(32)
-        report = model_correlations_sampled(
-            reference_model, 200_000, rng, burn_in=20
-        )
+        sampled = sampled_correlations(reference_model, 200_000, rng, burn_in=20)
         exact_report = model_correlations_exact(reference_model)
-        for c, e in zip(report.correlations(), exact_report.correlations()):
+        for c, e in zip(sampled, exact_report.correlations()):
             assert c == pytest.approx(e, abs=0.02)
-        assert report.source == "model-sampled"
 
     def test_deterministic(self, reference_model):
-        a = model_correlations_sampled(
+        a = sampled_correlations(
             reference_model, 5000, np.random.default_rng(33), burn_in=5
         )
-        b = model_correlations_sampled(
+        b = sampled_correlations(
             reference_model, 5000, np.random.default_rng(33), burn_in=5
         )
-        assert a.correlations() == b.correlations()
+        assert a == b
 
 
 def _reference_reports():
@@ -216,7 +224,7 @@ class TestComparisonTable:
             CorrelationReport.from_correlations(*values, source=src)
             for src in ("theory", "empirical", "model-exact")
         ]
-        parsed = parse_comparison_csv(comparison_csv(*reports))
+        parsed = parse_comparison_csv(comparison_table(*reports, csv=True))
         for row in parsed.values():
             assert row["theory"] == row["data"] == row["model"]
 
@@ -225,7 +233,7 @@ class TestComparisonTable:
         with pytest.raises(ValueError, match="distinct"):
             comparison_table(theory, data, data)
         with pytest.raises(ValueError, match="distinct"):
-            comparison_csv(model, None, model)
+            comparison_table(model, None, model, csv=True)
 
 
 class TestComparisonCsv:
@@ -234,7 +242,7 @@ class TestComparisonCsv:
         values = np.round(rng.uniform(-1, 1, 4), 3)
         theory = theory_correlations(DetectorAngles())
         model = CorrelationReport.from_correlations(*values, source="model-exact")
-        text = comparison_csv(theory, None, model)
+        text = comparison_table(theory, None, model, csv=True)
         parsed = parse_comparison_csv(text)
         assert parsed["c_ab"]["model"] == pytest.approx(values[0], abs=5e-4)
         assert parsed["s"]["model"] == pytest.approx(model.s, abs=5e-4)
@@ -247,11 +255,11 @@ class TestComparisonCsv:
             parsed["c_a_prime_b_prime"]["model"],
             source="model-exact",
         )
-        assert comparison_csv(theory, None, model2) == text
+        assert comparison_table(theory, None, model2, csv=True) == text
 
     def test_header_and_quantities(self):
         theory, data, model = _reference_reports()
-        lines = comparison_csv(theory, data, model).splitlines()
+        lines = comparison_table(theory, data, model, csv=True).splitlines()
         assert lines[0] == "quantity,theory,data,model"
         assert [line.split(",")[0] for line in lines[1:]] == [
             "c_ab",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -20,17 +21,70 @@ import jsonschema
 import numpy as np
 import pytest
 
+import eprbm
 from eprbm import __version__, bell, exact
-from eprbm.cli import (
-    DIAGNOSTICS_REPORT_SCHEMA,
-    EXIT_DATA,
-    EXIT_DIVERGED,
-    EXIT_OK,
-    main,
-)
+from eprbm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from eprbm.epr import DetectorAngles, empirical_correlations, load_dataset
 from eprbm.rbm import RbmModel
 from eprbm.trainer import load_model, load_reference_model, save_model
+
+from helpers import parse_comparison_csv
+
+# Schema of the diagnostics report written by `eprbm diagnose --out`.
+DIAGNOSTICS_REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["model", "locality", "measurement_independence"],
+    "properties": {
+        "model": {"type": "string"},
+        "locality": {
+            "type": "object",
+            "required": ["max_residual", "threshold", "pass"],
+            "properties": {
+                "max_residual": {"type": "number"},
+                "threshold": {"type": "number"},
+                "pass": {"type": "boolean"},
+            },
+        },
+        "measurement_independence": {
+            "type": "object",
+            "required": [
+                "setting_pairs",
+                "hidden_state_labels",
+                "conditional",
+                "pooled",
+                "tv_distances",
+                "max_tv",
+                "threshold",
+                "violated",
+            ],
+            "properties": {
+                "setting_pairs": {
+                    "type": "array",
+                    "items": {
+                        "type": "array",
+                        "items": {"type": "integer", "enum": [0, 1]},
+                        "minItems": 2,
+                        "maxItems": 2,
+                    },
+                },
+                "hidden_state_labels": {
+                    "type": "array",
+                    "items": {"type": "string", "pattern": "^[01]+$"},
+                },
+                "conditional": {
+                    "type": "array",
+                    "items": {"type": "array", "items": {"type": "number"}},
+                },
+                "pooled": {"type": "array", "items": {"type": "number"}},
+                "tv_distances": {"type": "array", "items": {"type": "number"}},
+                "max_tv": {"type": "number"},
+                "threshold": {"type": "number"},
+                "violated": {"type": "boolean"},
+            },
+        },
+    },
+}
 
 
 def eprbm_installed() -> bool:
@@ -224,7 +278,7 @@ class TestEval:
                  "--out", out)
         assert rc == EXIT_OK
 
-        parsed = bell.parse_comparison_csv(out.read_text())
+        parsed = parse_comparison_csv(out.read_text())
         assert set(parsed) == {
             "c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s",
         }
@@ -250,7 +304,7 @@ class TestEval:
         out = tmp_path / "comparison.csv"
         rc = run("eval", "--model", reference_model_file, "--data", data, "--out", out)
         assert rc == EXIT_OK
-        parsed = bell.parse_comparison_csv(out.read_text())
+        parsed = parse_comparison_csv(out.read_text())
         theory = bell.theory_correlations(angles)
         for quantity, expected in zip(
             ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime"),
@@ -312,7 +366,7 @@ class TestDiagnose:
         assert mi["max_tv"] == pytest.approx(0.620024075451, abs=1e-9)
         assert len(mi["conditional"]) == 4
         assert all(len(row) == 16 for row in mi["conditional"])
-        assert len(mi["hidden_state_labels"]) == 16
+        assert mi["hidden_state_labels"] == [format(i, "04b") for i in range(16)]
         assert (tmp_path / "report.json.manifest.json").exists()
 
     def test_residual_below_noise_floor_printed_as_bound(
@@ -373,10 +427,14 @@ class TestMain:
         assert info.value.code == 2
 
     def test_version_via_module_subprocess(self):
+        # the child imports the eprbm under test, installed or not
+        src = str(Path(eprbm.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "eprbm.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.strip() == __version__

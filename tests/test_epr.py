@@ -1,27 +1,27 @@
+import hashlib
 import itertools
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprbm import atomic
 from eprbm.epr import (
     DetectorAngles,
     EprDataset,
-    EprTrial,
     InsufficientDataError,
-    decode_visible,
     empirical_correlations,
     encode_dataset,
-    encode_trial,
     generate_dataset,
     load_dataset,
     pattern_index,
     save_dataset,
     sidecar_path,
-    singlet_joint_probability,
 )
 from eprbm.exact import bit_patterns
 
@@ -29,6 +29,17 @@ from helpers import singlet_prob_oracle
 
 angles_st = st.floats(min_value=-10.0, max_value=10.0)
 outcome_st = st.sampled_from([-1, 1])
+
+
+def one_trial(alpha, beta, x_alpha, x_beta) -> EprDataset:
+    return EprDataset(
+        alpha=[alpha],
+        beta=[beta],
+        x_alpha=[x_alpha],
+        x_beta=[x_beta],
+        seed=None,
+        angles=DetectorAngles(),
+    )
 
 
 class TestDetectorAngles:
@@ -54,9 +65,11 @@ class TestDetectorAngles:
 
 
 class TestEprTrial:
+    """Each trial: settings 0 or 1, outcomes +1 or -1."""
+
     def test_valid(self):
-        trial = EprTrial(alpha=1, beta=0, x_alpha=-1, x_beta=1)
-        assert trial.alpha == 1
+        trial = one_trial(alpha=1, beta=0, x_alpha=-1, x_beta=1)
+        assert trial.alpha.tolist() == [1]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,23 +82,27 @@ class TestEprTrial:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            EprTrial(**kwargs)
+            one_trial(**kwargs)
 
 
 class TestSingletJointProbability:
+    """The singlet law P(x_a, x_b) = (1 - x_a x_b cos(theta_a - theta_b)) / 4,
+    as the density-matrix oracle the generated trials are checked against
+    gives it."""
+
     def test_known_value(self):
         # (1 - cos(pi/4)) / 4
-        p = singlet_joint_probability(0.0, math.pi / 4, 1, 1)
+        p = singlet_prob_oracle(0.0, math.pi / 4, 1, 1)
         assert p == pytest.approx(0.0732233, abs=1e-6)
 
     def test_equal_angles_anticorrelated(self):
-        assert singlet_joint_probability(0.7, 0.7, 1, 1) == 0.0
-        assert singlet_joint_probability(0.7, 0.7, 1, -1) == pytest.approx(0.5)
+        assert singlet_prob_oracle(0.7, 0.7, 1, 1) == pytest.approx(0.0, abs=1e-15)
+        assert singlet_prob_oracle(0.7, 0.7, 1, -1) == pytest.approx(0.5)
 
     @given(angles_st, angles_st)
     def test_normalization(self, ta, tb):
         total = sum(
-            singlet_joint_probability(ta, tb, xa, xb)
+            singlet_prob_oracle(ta, tb, xa, xb)
             for xa in (-1, 1)
             for xb in (-1, 1)
         )
@@ -94,22 +111,18 @@ class TestSingletJointProbability:
     @given(angles_st, angles_st, outcome_st, outcome_st)
     @settings(max_examples=50)
     def test_matches_density_matrix_oracle(self, ta, tb, xa, xb):
-        ours = singlet_joint_probability(ta, tb, xa, xb)
+        closed_form = (1.0 - xa * xb * math.cos(ta - tb)) / 4.0
         oracle = singlet_prob_oracle(ta, tb, xa, xb)
-        assert ours == pytest.approx(oracle, abs=1e-10)
+        assert closed_form == pytest.approx(oracle, abs=1e-10)
 
     @given(angles_st, angles_st)
     def test_implies_cosine_correlation(self, ta, tb):
         corr = sum(
-            xa * xb * singlet_joint_probability(ta, tb, xa, xb)
+            xa * xb * singlet_prob_oracle(ta, tb, xa, xb)
             for xa in (-1, 1)
             for xb in (-1, 1)
         )
         assert corr == pytest.approx(-math.cos(ta - tb), abs=1e-12)
-
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            singlet_joint_probability(0.0, 0.0, 0, 1)
 
 
 class TestGenerateDataset:
@@ -119,7 +132,7 @@ class TestGenerateDataset:
 
     def test_outcomes_follow_per_trial_agreement_law(self):
         # per trial: x_beta equals x_alpha when the fourth block's uniform
-        # falls below (1 - cos(theta_a - theta_b)) / 2 at that trial's angles
+        # falls below the singlet's P(same outcome) at that trial's angles
         angles = DetectorAngles(0.3, 1.1, -0.4, 2.0)
         n = 3000
         dataset = generate_dataset(angles, n, seed=31)
@@ -127,11 +140,15 @@ class TestGenerateDataset:
         for _ in range(3):
             rng.integers(0, 2, size=n)
         agree_u = rng.random(n)
-        for i in range(n):
-            trial = dataset[i]
-            delta = angles.station_a(trial.alpha) - angles.station_b(trial.beta)
-            same = agree_u[i] < (1.0 - math.cos(delta)) / 2.0
-            assert trial.x_beta == (trial.x_alpha if same else -trial.x_alpha)
+        p_same = np.zeros((2, 2))
+        for alpha, beta, x in itertools.product((0, 1), (0, 1), (-1, 1)):
+            p_same[alpha, beta] += singlet_prob_oracle(
+                angles.station_a(alpha), angles.station_b(beta), x, x
+            )
+        same = agree_u < p_same[dataset.alpha, dataset.beta]
+        np.testing.assert_array_equal(
+            dataset.x_beta, np.where(same, dataset.x_alpha, -dataset.x_alpha)
+        )
 
     def test_deterministic(self):
         a = generate_dataset(DetectorAngles(), 1000, seed=42)
@@ -221,27 +238,33 @@ class TestEmpiricalCorrelations:
             assert abs(c) <= 0.02
 
 
+def decode(encoded: np.ndarray) -> dict:
+    """Trial columns back from encoded visible rows."""
+    v = encoded.astype(np.int64)
+    return {
+        "alpha": v[:, 0],
+        "beta": v[:, 1],
+        "x_alpha": 2 * v[:, 2] - 1,
+        "x_beta": 2 * v[:, 3] - 1,
+    }
+
+
 class TestEncoding:
     def test_setting_encoding_example(self):
-        trial = EprTrial(alpha=0, beta=0, x_alpha=1, x_beta=1)
-        assert encode_trial(trial).tolist() == [0, 0, 1, 1]
+        encoded = encode_dataset(one_trial(alpha=0, beta=0, x_alpha=1, x_beta=1))
+        assert encoded.tolist() == [[0, 0, 1, 1]]
 
     def test_negative_outcome_example(self):
-        trial = EprTrial(alpha=1, beta=0, x_alpha=-1, x_beta=-1)
-        assert encode_trial(trial).tolist() == [1, 0, 0, 0]
+        encoded = encode_dataset(one_trial(alpha=1, beta=0, x_alpha=-1, x_beta=-1))
+        assert encoded.tolist() == [[1, 0, 0, 0]]
 
     def test_round_trip_all_sixteen(self):
-        for alpha, beta, xa, xb in itertools.product(
-            (0, 1), (0, 1), (-1, 1), (-1, 1)
-        ):
-            trial = EprTrial(alpha=alpha, beta=beta, x_alpha=xa, x_beta=xb)
-            assert decode_visible(encode_trial(trial)) == trial
-
-    def test_decode_validation(self):
-        with pytest.raises(ValueError):
-            decode_visible([0, 1, 2, 0])
-        with pytest.raises(ValueError):
-            decode_visible([0, 1, 0])
+        every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
+        dataset = EprDataset(*zip(*every), seed=None, angles=DetectorAngles())
+        encoded = encode_dataset(dataset)
+        assert sorted(pattern_index(dataset).tolist()) == list(range(16))
+        for name, column in decode(encoded).items():
+            np.testing.assert_array_equal(column, getattr(dataset, name))
 
     def test_encode_dataset_matches_rows(self):
         dataset = generate_dataset(DetectorAngles(), 200, seed=13)
@@ -249,7 +272,13 @@ class TestEncoding:
         assert encoded.shape == (200, 4)
         assert encoded.dtype == np.float64
         for i in (0, 57, 199):
-            np.testing.assert_array_equal(encoded[i], encode_trial(dataset[i]))
+            expected = [
+                dataset.alpha[i],
+                dataset.beta[i],
+                (dataset.x_alpha[i] + 1) // 2,
+                (dataset.x_beta[i] + 1) // 2,
+            ]
+            np.testing.assert_array_equal(encoded[i], expected)
 
     def test_pattern_index_is_row_of_bit_patterns(self):
         dataset = generate_dataset(DetectorAngles(), 2000, seed=13)
@@ -261,15 +290,8 @@ class TestEncoding:
 
     def test_round_trip_preserves_correlations(self):
         dataset = generate_dataset(DetectorAngles(), 5000, seed=14)
-        encoded = encode_dataset(dataset)
-        decoded = [decode_visible(row) for row in encoded.astype(int)]
         rebuilt = EprDataset(
-            alpha=[t.alpha for t in decoded],
-            beta=[t.beta for t in decoded],
-            x_alpha=[t.x_alpha for t in decoded],
-            x_beta=[t.x_beta for t in decoded],
-            seed=dataset.seed,
-            angles=dataset.angles,
+            **decode(encode_dataset(dataset)), seed=dataset.seed, angles=dataset.angles
         )
         original = empirical_correlations(dataset)
         recovered = empirical_correlations(rebuilt)
@@ -331,11 +353,14 @@ class TestDatasetValidation:
             )
 
     def test_indexing(self):
+        # trials are indexed through the columns: read-only int64 arrays
         dataset = generate_dataset(DetectorAngles(), 10, seed=15)
         assert len(dataset) == 10
-        trial = dataset[3]
-        assert isinstance(trial, EprTrial)
-        assert trial.alpha == dataset.alpha[3]
+        for name in ("alpha", "beta", "x_alpha", "x_beta"):
+            column = getattr(dataset, name)
+            assert column.dtype == np.int64 and column.shape == (10,)
+            with pytest.raises(ValueError):
+                column[3] = 0
 
 
 class TestDatasetIO:
@@ -394,7 +419,37 @@ class TestDatasetIO:
         assert meta["seed"] == 17
         assert meta["n_trials"] == 50
         assert meta["angles"]["a_prime"] == pytest.approx(math.pi / 2)
+        assert meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert sidecar_path(path) == str(path) + ".meta.json"
+
+    def test_torn_pair_raises(self, tmp_path, monkeypatch):
+        # a second save that dies between its two renames leaves its rows
+        # under the first save's sidecar, with the same trial count
+        path = tmp_path / "trials.csv"
+        save_dataset(generate_dataset(DetectorAngles(), 100, seed=1), path)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.fspath(dst) == sidecar_path(path):
+                raise OSError("killed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(atomic.os, "replace", replace)
+        with pytest.raises(OSError, match="killed"):
+            save_dataset(generate_dataset(DetectorAngles(), 100, seed=2), path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="re-run `eprbm simulate`"):
+            load_dataset(path)
+
+    def test_sidecar_without_hash_raises(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        save_dataset(generate_dataset(DetectorAngles(), 50, seed=3), path)
+        sidecar = Path(sidecar_path(path))
+        meta = json.loads(sidecar.read_text())
+        del meta["csv_sha256"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="re-run `eprbm simulate`"):
+            load_dataset(path)
 
     def test_missing_sidecar_raises(self, tmp_path):
         path = tmp_path / "trials.csv"
@@ -407,7 +462,12 @@ class TestDatasetIO:
         path.write_text("alpha,beta,x_alpha,x_beta\n0,0,1\n")
         (tmp_path / "trials.csv.meta.json").write_text(
             json.dumps(
-                {"seed": None, "n_trials": 1, "angles": DetectorAngles().to_dict()}
+                {
+                    "seed": None,
+                    "n_trials": 1,
+                    "angles": DetectorAngles().to_dict(),
+                    "csv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                }
             )
         )
         with pytest.raises(ValueError):

@@ -5,21 +5,19 @@ import pytest
 
 from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
-    HiddenState,
     MAX_EXACT_UNITS,
     SETTING_PAIRS,
     bit_patterns,
-    conditional_outcomes,
-    dump_joint_csv,
     enumerate_distribution,
     locality_check,
     measurement_independence_check,
 )
-from eprbm.rbm import Configuration, RbmModel, energy
+from eprbm.rbm import RbmModel
 from eprbm.trainer import load_reference_model
 
 from helpers import (
     brute_force_joint,
+    energy,
     random_model,
     reference_conditional_outcomes,
     reference_correlations,
@@ -97,9 +95,7 @@ class TestEnumerate:
         pats = bit_patterns(4).astype(int)
         for vi in range(16):
             for hi in range(16):
-                e = energy(
-                    reference_model, Configuration(pats[vi], pats[hi])
-                )
+                e = energy(reference_model, pats[vi], pats[hi])
                 expected = math.exp(-e - reference_dist.log_partition)
                 assert reference_dist.joint[vi, hi] == pytest.approx(
                     expected, abs=1e-12
@@ -172,20 +168,25 @@ class TestEnumerate:
 
     def test_marginals_sum_to_one(self, reference_dist):
         assert reference_dist.visible_marginal().sum() == pytest.approx(1.0, abs=1e-12)
-        assert reference_dist.hidden_marginal().sum() == pytest.approx(1.0, abs=1e-12)
+        assert reference_dist.joint.sum(axis=0).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalOutcomes:
+    """P(v3, v4 | v1, v2), the per-pair oracle behind reference_correlations."""
+
     def test_reference_same_outcome_probability(self, reference_dist):
-        # P(v3 = v4 | settings (0,0)) is the trace of the outcome table
-        table = conditional_outcomes(reference_dist, (0, 0))
+        # P(v3 = v4 | settings (0,0)) is the trace of the outcome table, and
+        # the shipped correlation gives it as (1 + C(a,b)) / 2
+        table = reference_conditional_outcomes(reference_dist, (0, 0))
         assert float(np.trace(table)) == pytest.approx(0.145, abs=0.01)
+        c_ab = correlations_from_distribution(reference_dist).c_ab
+        assert (1 + c_ab) / 2 == pytest.approx(float(np.trace(table)), abs=1e-12)
 
     def test_zero_model_uniform_cells(self):
         dist = enumerate_distribution(zero_model())
         for pair in SETTING_PAIRS:
             np.testing.assert_allclose(
-                conditional_outcomes(dist, pair), 0.25, atol=1e-12
+                reference_conditional_outcomes(dist, pair), 0.25, atol=1e-12
             )
 
     def test_cells_sum_to_one(self):
@@ -193,17 +194,19 @@ class TestConditionalOutcomes:
         for _ in range(5):
             dist = enumerate_distribution(random_model(rng))
             for pair in SETTING_PAIRS:
-                table = conditional_outcomes(dist, pair)
+                table = reference_conditional_outcomes(dist, pair)
                 assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_layout_guard(self):
         dist = enumerate_distribution(zero_model(m=3, n=4))
         with pytest.raises(ValueError, match="4 visible units"):
-            conditional_outcomes(dist, (0, 0))
+            reference_conditional_outcomes(dist, (0, 0))
+        with pytest.raises(ValueError, match="4 visible units"):
+            correlations_from_distribution(dist)
 
     def test_invalid_settings(self, reference_dist):
         with pytest.raises(ValueError, match="binary"):
-            conditional_outcomes(reference_dist, (0, 2))
+            reference_conditional_outcomes(reference_dist, (0, 2))
 
 
 class TestLocalityCheck:
@@ -261,42 +264,11 @@ class TestMeasurementIndependence:
 
 class TestHiddenState:
     def test_round_trip_all_indices(self):
-        for i in range(16):
-            state = HiddenState.from_index(i, 4)
-            assert state.index == i
-            assert len(state.bits) == 4
-            assert state.label() == format(i, "04b")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HiddenState((0, 2, 1))
-        with pytest.raises(ValueError):
-            HiddenState.from_index(16, 4)
-
-
-class TestDumpJointCsv:
-    def test_round_trip(self, tmp_path, reference_dist):
-        path = tmp_path / "joint.csv"
-        dump_joint_csv(reference_dist, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "v1,v2,v3,v4,h1,h2,h3,h4,probability"
-        assert len(lines) == 1 + 256
-        # first row is the all-zero configuration, order is lexicographic
-        first = lines[1].split(",")
-        assert first[:8] == ["0"] * 8
-        assert float(first[8]) == reference_dist.joint[0, 0]
-        last = lines[-1].split(",")
-        assert last[:8] == ["1"] * 8
-        assert float(last[8]) == reference_dist.joint[15, 15]
-
-    def test_probabilities_sum_to_one(self, tmp_path):
-        rng = np.random.default_rng(27)
-        dist = enumerate_distribution(random_model(rng, m=2, n=3))
-        path = tmp_path / "joint.csv"
-        dump_joint_csv(dist, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (32, 6)
-        assert rows[:, -1].sum() == pytest.approx(1.0, abs=1e-12)
+        # `eprbm diagnose` labels hidden state i as format(i, "0nb"), which
+        # must spell row i of bit_patterns(n), the λ order of every table
+        for n in (1, 3, 4):
+            for i, bits in enumerate(bit_patterns(n).astype(int)):
+                assert format(i, f"0{n}b") == "".join(map(str, bits))
 
 
 def _oracle_population(kind: str) -> list[RbmModel]:
@@ -364,11 +336,6 @@ def _assert_bit_identical(got, want):
 def test_diagnostics_bit_identical_to_per_pair_oracles(kind):
     for model in _oracle_population(kind):
         dist = enumerate_distribution(model)
-        for pair in SETTING_PAIRS + ((0, 2),):
-            _assert_bit_identical(
-                _outcome(conditional_outcomes, dist, pair),
-                _outcome(reference_conditional_outcomes, dist, pair),
-            )
         _assert_bit_identical(
             _outcome(correlations_from_distribution, dist),
             _outcome(reference_correlations, dist),

@@ -1,30 +1,39 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from eprbm.exact import bit_patterns, enumerate_distribution
-from eprbm.rbm import (
-    Configuration,
-    RbmModel,
-    advance_chains,
-    energy,
-    gibbs_sweep,
-    hidden_activation_probs,
-    resample_unit,
-    sample_hidden,
-    sample_visible,
-    sigmoid,
-    visible_activation_probs,
+from eprbm.rbm import RbmModel, advance_chains
+from eprbm.trainer import (
+    average_log_likelihood,
+    data_expectation,
+    exact_gradient,
+    model_expectation_pcd,
 )
 
-from helpers import chisquare_bucketed, random_model, tv_distance
+from helpers import chisquare_bucketed, energy, random_model, tv_distance
 
 
 def zero_model(m=4, n=4):
     return RbmModel(
         visible_bias=np.zeros(m), hidden_bias=np.zeros(n), weights=np.zeros((m, n))
     )
+
+
+def p_hidden(model: RbmModel, visible) -> np.ndarray:
+    """P(h_j = 1 | v) for every hidden unit, as the trainer computes it.
+
+    The data-side moments of a one-row batch are exactly these
+    probabilities: <h_j> = P(h_j = 1 | v).
+    """
+    return data_expectation(model, [visible])[2]
+
+
+def hidden_bias_model(d: float) -> RbmModel:
+    """One visible and one hidden unit, uncoupled, with hidden bias d."""
+    return RbmModel(visible_bias=[0.0], hidden_bias=[d], weights=[[0.0]])
 
 
 class TestRbmModel:
@@ -59,28 +68,45 @@ class TestRbmModel:
 
 
 class TestConfiguration:
-    def test_accepts_binary(self):
-        cfg = Configuration([0, 1, 1, 0], [1, 0, 0, 1])
-        assert cfg.visible.tolist() == [0, 1, 1, 0]
+    """Visible configurations enter every trainer function that takes rows as 0/1."""
 
-    @pytest.mark.parametrize("bad", [[0, 2, 0, 0], [0.5, 0, 0, 0], [-1, 0, 0, 0]])
-    def test_rejects_non_binary(self, bad):
-        with pytest.raises(ValueError):
-            Configuration(bad, [0, 0, 0, 0])
+    def test_accepts_binary(self, reference_model):
+        _, v_mean, _ = data_expectation(reference_model, [[0, 1, 1, 0]])
+        assert v_mean.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "bad", [[0, 2, 0, 0], [0.5, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0.5]]
+    )
+    def test_rejects_non_binary(self, reference_model, bad):
+        # rows used to be read as the integer part of their pattern index:
+        # [0, 0, 0, 0.5] scored as pattern 0000 and [0.5, 0, 0, 0] as 0100,
+        # while the moments used the 0.5 itself
+        rng = np.random.default_rng(0)
+        calls = (
+            lambda: average_log_likelihood(reference_model, [bad]),
+            lambda: data_expectation(reference_model, [bad]),
+            lambda: exact_gradient(reference_model, [bad]),
+            lambda: model_expectation_pcd(reference_model, [bad], 1, rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="0 or 1"):
+                call()
 
 
 class TestEnergy:
+    """The energy oracle behind brute_force_joint."""
+
     def test_all_zero_configuration(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             model = random_model(rng)
-            cfg = Configuration(np.zeros(4, int), np.zeros(4, int))
-            assert energy(model, cfg) == 0.0
+            assert energy(model, np.zeros(4), np.zeros(4)) == 0.0
 
     def test_reference_all_ones(self, reference_model):
         # -(sum c + sum d + sum w) for the reference parameter set
-        cfg = Configuration(np.ones(4, int), np.ones(4, int))
-        assert energy(reference_model, cfg) == pytest.approx(-2.469, abs=1e-9)
+        assert energy(reference_model, np.ones(4), np.ones(4)) == pytest.approx(
+            -2.469, abs=1e-9
+        )
 
     def test_single_weight(self):
         model = RbmModel(
@@ -88,20 +114,17 @@ class TestEnergy:
             hidden_bias=np.zeros(2),
             weights=np.array([[2.0, 0.0], [0.0, 0.0]]),
         )
-        cfg = Configuration([1, 0], [1, 0])
-        assert energy(model, cfg) == -2.0
+        assert energy(model, [1, 0], [1, 0]) == -2.0
 
     def test_dimension_mismatch(self, reference_model):
         with pytest.raises(ValueError, match="does not match model"):
-            energy(reference_model, Configuration([0, 1], [0, 1]))
+            energy(reference_model, [0, 1], [0, 1])
 
     def test_linear_in_each_parameter(self):
         rng = np.random.default_rng(1)
         model = random_model(rng)
-        cfg = Configuration(
-            rng.integers(0, 2, 4), rng.integers(0, 2, 4)
-        )
-        base = energy(model, cfg)
+        v, h = rng.integers(0, 2, 4), rng.integers(0, 2, 4)
+        base = energy(model, v, h)
         delta = 0.731
         for i in range(4):
             for j in range(4):
@@ -112,52 +135,64 @@ class TestEnergy:
                     hidden_bias=model.hidden_bias,
                     weights=w,
                 )
-                expected = base - delta * cfg.visible[i] * cfg.hidden[j]
-                assert energy(bumped, cfg) == pytest.approx(expected, abs=1e-12)
+                expected = base - delta * v[i] * h[j]
+                assert energy(bumped, v, h) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSigmoid:
-    def test_symmetry_point(self):
-        assert sigmoid(0.0) == 0.5
+    """The logistic law of the hidden conditional, P(h = 1 | v) = sigmoid(bias)."""
 
-    def test_reference_hidden_bias_value(self):
-        assert sigmoid(-3.320) == pytest.approx(0.0349, abs=1e-4)
+    def test_symmetry_point(self):
+        assert p_hidden(hidden_bias_model(0.0), [0])[0] == 0.5
+
+    def test_reference_hidden_bias_value(self, reference_model):
+        assert p_hidden(reference_model, np.zeros(4))[0] == pytest.approx(
+            0.0349, abs=1e-4
+        )
 
     @given(st.floats(min_value=-700, max_value=700))
     def test_complement_identity(self, x):
-        assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-15)
+        up = p_hidden(hidden_bias_model(x), [0])[0]
+        down = p_hidden(hidden_bias_model(-x), [0])[0]
+        assert up + down == pytest.approx(1.0, abs=1e-15)
 
     def test_stable_at_extremes(self):
         with np.errstate(over="raise", invalid="raise"):
-            low = sigmoid(-700.0)
-            high = sigmoid(700.0)
+            low = p_hidden(hidden_bias_model(-700.0), [0])[0]
+            high = p_hidden(hidden_bias_model(700.0), [0])[0]
         assert 0.0 < low < 1e-300
         assert high == 1.0
 
     def test_monotone(self):
-        xs = np.linspace(-40, 40, 2001)
-        ys = sigmoid(xs)
+        ys = np.array(
+            [p_hidden(hidden_bias_model(x), [0])[0] for x in np.linspace(-40, 40, 2001)]
+        )
         assert np.all(np.diff(ys) >= 0)
         assert np.all((ys >= 0) & (ys <= 1))
         # the open interval holds wherever float64 can represent it
-        inner = sigmoid(np.linspace(-30, 30, 601))
+        inner = np.array(
+            [p_hidden(hidden_bias_model(x), [0])[0] for x in np.linspace(-30, 30, 601)]
+        )
         assert np.all((inner > 0) & (inner < 1))
 
 
 class TestActivationProbs:
     def test_reference_hidden_at_zero_visible(self, reference_model):
-        probs = hidden_activation_probs(reference_model, np.zeros(4))
-        assert probs[0] == pytest.approx(sigmoid(-3.320), abs=1e-12)
+        probs = p_hidden(reference_model, np.zeros(4))
+        assert probs[0] == pytest.approx(expit(-3.320), abs=1e-12)
         assert probs.shape == (4,)
 
-    def test_reference_visible_at_zero_hidden(self, reference_model):
-        probs = visible_activation_probs(reference_model, np.zeros(4))
-        assert probs[0] == pytest.approx(0.00652, abs=1e-4)
+    def test_reference_visible_at_zero_hidden(self, reference_dist):
+        # P(v1 = 1 | h = 0000) from the exact joint's first column
+        column = reference_dist.joint[:, 0] / reference_dist.joint[:, 0].sum()
+        assert bit_patterns(4)[:, 0] @ column == pytest.approx(0.00652, abs=1e-4)
 
     def test_zero_model_gives_half(self):
         model = zero_model()
-        assert np.all(hidden_activation_probs(model, np.ones(4)) == 0.5)
-        assert np.all(visible_activation_probs(model, np.ones(4)) == 0.5)
+        assert np.all(p_hidden(model, np.ones(4)) == 0.5)
+        joint = enumerate_distribution(model).joint
+        column = joint[:, -1] / joint[:, -1].sum()
+        np.testing.assert_allclose(bit_patterns(4).T @ column, 0.5, atol=1e-15)
 
     def test_saturated_bias(self):
         model = RbmModel(
@@ -165,23 +200,22 @@ class TestActivationProbs:
             hidden_bias=np.array([50.0, 0.0, 0.0, 0.0]),
             weights=np.zeros((4, 4)),
         )
-        probs = hidden_activation_probs(model, np.ones(4))
-        assert probs[0] == pytest.approx(1.0, abs=1e-15)
+        assert p_hidden(model, np.ones(4))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         model = random_model(rng)
         batch = (rng.random((10, 4)) < 0.5).astype(float)
-        batched = hidden_activation_probs(model, batch)
-        assert batched.shape == (10, 4)
-        for row, v in zip(batched, batch):
-            np.testing.assert_allclose(row, hidden_activation_probs(model, v))
+        singles = [p_hidden(model, v) for v in batch]
+        np.testing.assert_allclose(
+            data_expectation(model, batch)[2], np.mean(singles, axis=0), atol=1e-15
+        )
 
     def test_dimension_mismatch(self, reference_model):
         with pytest.raises(ValueError, match="shape"):
-            hidden_activation_probs(reference_model, np.zeros(3))
+            p_hidden(reference_model, np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            visible_activation_probs(reference_model, np.zeros(5))
+            advance_chains(reference_model, np.zeros(5), np.random.default_rng(0))
 
     def test_matches_exact_conditional(self):
         # P(h | v) from the enumerated joint must factor into the per-unit
@@ -192,7 +226,7 @@ class TestActivationProbs:
         h_pat = bit_patterns(3)
         for vi, v in enumerate(bit_patterns(3)):
             cond = dist.joint[vi] / dist.joint[vi].sum()
-            p = hidden_activation_probs(model, v)
+            p = p_hidden(model, v)
             product = np.prod(
                 np.where(h_pat == 1.0, p[None, :], 1.0 - p[None, :]), axis=1
             )
@@ -200,16 +234,20 @@ class TestActivationProbs:
 
 
 class TestGibbsSweep:
+    """The law of the block Gibbs sweeps advance_chains runs."""
+
     def test_saturated_hidden(self):
+        # h = (1, 0, 0, 0) whatever v, and v1 copies h1 while v2..v4 stay off
+        weights = np.zeros((4, 4))
+        weights[0, 0] = 50.0
         model = RbmModel(
-            visible_bias=np.full(4, -50.0),
+            visible_bias=np.full(4, -25.0),
             hidden_bias=np.array([50.0, -50.0, -50.0, -50.0]),
-            weights=np.zeros((4, 4)),
+            weights=weights,
         )
         rng = np.random.default_rng(4)
-        out = gibbs_sweep(model, Configuration([0, 1, 0, 1], [0, 0, 0, 0]), rng)
-        assert out.hidden.tolist() == [1, 0, 0, 0]
-        assert out.visible.tolist() == [0, 0, 0, 0]
+        out = advance_chains(model, [[0, 1, 0, 1], [1, 1, 1, 1]], rng, n_sweeps=3)
+        assert out.tolist() == [[1, 0, 0, 0], [1, 0, 0, 0]]
 
     def test_zero_model_uniform_frequencies(self):
         # the zero model mixes in one sweep: outputs are iid fair bits
@@ -221,20 +259,25 @@ class TestGibbsSweep:
         np.testing.assert_allclose(freqs, 0.5, atol=0.002)
 
     def test_matches_batched_path_bitwise(self, reference_model):
-        cfg = Configuration([1, 0, 1, 1], [0, 1, 0, 0])
-        out_single = gibbs_sweep(reference_model, cfg, np.random.default_rng(6))
+        # one sweep of one chain is a hidden draw from P(h | v), then a
+        # visible draw from P(v | h), each comparing fresh uniforms
+        v = np.array([1.0, 0.0, 1.0, 1.0])
+        out = advance_chains(reference_model, v, np.random.default_rng(6))
         rng = np.random.default_rng(6)
-        h = sample_hidden(reference_model, cfg.visible.astype(float), rng)
-        v = sample_visible(reference_model, h, rng)
-        assert out_single.hidden.tolist() == h.astype(int).tolist()
-        assert out_single.visible.tolist() == v.astype(int).tolist()
+        w, c, d = (
+            reference_model.weights,
+            reference_model.visible_bias,
+            reference_model.hidden_bias,
+        )
+        h = (rng.random(4) < expit(v @ w + d)).astype(float)
+        expected = (rng.random(4) < expit(w @ h + c)).astype(float)
+        assert out.tolist() == expected.tolist()
 
     def test_deterministic_given_seed(self, reference_model):
-        cfg = Configuration([1, 0, 1, 1], [0, 1, 0, 0])
-        a = gibbs_sweep(reference_model, cfg, np.random.default_rng(7))
-        b = gibbs_sweep(reference_model, cfg, np.random.default_rng(7))
-        assert a.visible.tolist() == b.visible.tolist()
-        assert a.hidden.tolist() == b.hidden.tolist()
+        start = np.array([[1, 0, 1, 1], [0, 1, 0, 0]])
+        a = advance_chains(reference_model, start, np.random.default_rng(7), 3)
+        b = advance_chains(reference_model, start, np.random.default_rng(7), 3)
+        assert a.tolist() == b.tolist()
 
     def test_reference_marginal_within_tv_bound(
         self, reference_model, reference_dist, reference_gibbs_sample
@@ -246,68 +289,14 @@ class TestGibbsSweep:
         assert tv_distance(freqs, reference_dist.visible_marginal()) <= 0.01
 
     def test_preserves_boltzmann_distribution(self, reference_model, reference_dist):
-        # start from the exact joint, apply one sweep, chi-square the result
+        # start from the exact P(v), apply one sweep, chi-square the result
         rng = np.random.default_rng(8)
         n = 1_000_000
-        flat = reference_dist.joint.ravel()
-        states = rng.choice(flat.size, size=n, p=flat)
-        v = bit_patterns(4)[states // 16]
-        h1 = sample_hidden(reference_model, v, rng)
-        v1 = sample_visible(reference_model, h1, rng)
-        joint_idx = (v1 @ [8, 4, 2, 1]).astype(int) * 16 + (
-            h1 @ [8, 4, 2, 1]
-        ).astype(int)
-        counts = np.bincount(joint_idx, minlength=256)
-        p_value = chisquare_bucketed(counts, flat)
-        assert p_value > 0.001
-
-
-class TestResampleUnit:
-    def test_invalid_layer_and_index(self, reference_model):
-        cfg = Configuration([0, 0, 0, 0], [0, 0, 0, 0])
-        rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match="layer"):
-            resample_unit(reference_model, cfg, "middle", 0, rng)
-        with pytest.raises(ValueError, match="out of range"):
-            resample_unit(reference_model, cfg, "visible", 4, rng)
-
-    def test_only_target_unit_changes(self, reference_model):
-        rng = np.random.default_rng(10)
-        cfg = Configuration([1, 0, 1, 0], [0, 1, 1, 0])
-        out = resample_unit(reference_model, cfg, "hidden", 2, rng)
-        assert out.visible.tolist() == cfg.visible.tolist()
-        assert out.hidden[[0, 1, 3]].tolist() == cfg.hidden[[0, 1, 3]].tolist()
-
-    def test_matches_conditional_frequency(self):
-        rng = np.random.default_rng(11)
-        model = random_model(rng, m=2, n=2, scale=1.0)
-        cfg = Configuration([1, 0], [1, 1])
-        gap = model.visible_bias[0] + model.weights[0] @ cfg.hidden
-        target = sigmoid(gap)
-        hits = sum(
-            resample_unit(model, cfg, "visible", 0, rng).visible[0]
-            for _ in range(20000)
-        )
-        assert hits / 20000 == pytest.approx(target, abs=0.015)
-
-    def test_asynchronous_updates_preserve_distribution(self):
-        # random single-site updates leave the Boltzmann law invariant
-        model = RbmModel(
-            visible_bias=[0.0], hidden_bias=[0.0], weights=[[np.log(3.0)]]
-        )
-        dist = enumerate_distribution(model)
-        rng = np.random.default_rng(12)
-        n = 20000
-        flat = dist.joint.ravel()
-        states = rng.choice(4, size=n, p=flat)
-        counts = np.zeros(4)
-        for s in states:
-            cfg = Configuration([s // 2], [s % 2])
-            for _ in range(2):
-                layer = "visible" if rng.random() < 0.5 else "hidden"
-                cfg = resample_unit(model, cfg, layer, 0, rng)
-            counts[2 * cfg.visible[0] + cfg.hidden[0]] += 1
-        assert chisquare_bucketed(counts, flat) > 0.001
+        p_v = reference_dist.visible_marginal()
+        start = bit_patterns(4)[rng.choice(16, size=n, p=p_v)]
+        out = advance_chains(reference_model, start, rng, n_sweeps=1)
+        counts = np.bincount((out @ [8, 4, 2, 1]).astype(int), minlength=16)
+        assert chisquare_bucketed(counts, p_v) > 0.001
 
 
 class TestAdvanceChains:

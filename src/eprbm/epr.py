@@ -219,10 +219,12 @@ def pattern_index(dataset: EprDataset) -> np.ndarray:
     v1 is the most significant bit, the order of exact.bit_patterns(4), so
     entry i is the row of bit_patterns(4) equal to encode_dataset(dataset)[i].
     """
-    index = np.zeros(dataset.n_trials, dtype=np.int64)
-    for column in _visible_columns(dataset):
-        index = 2 * index + column
-    return index
+    return (
+        8 * dataset.alpha
+        + 4 * dataset.beta
+        + 2 * (dataset.x_alpha > 0)
+        + (dataset.x_beta > 0)
+    )
 
 
 def sidecar_path(csv_path) -> str:

@@ -23,7 +23,12 @@ from scipy.special import expit
 from . import bell
 from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset, pattern_index
-from .exact import bit_patterns, enumerate_distribution, require_enumerable
+from .exact import (
+    ExactDistribution,
+    bit_patterns,
+    enumerate_distribution,
+    require_enumerable,
+)
 from .rbm import RbmModel
 
 ENCODING_DOC = {
@@ -211,13 +216,20 @@ def _tables(theta, v_aug, h_aug) -> tuple[np.ndarray, np.ndarray]:
     return act @ h_aug.T, ph
 
 
-def _cumulative_columns(n_patterns: int) -> np.ndarray:
-    """Upper-triangular ones without the last column: T @ it is T.cumsum(1)[:, :-1].
+def _cumulative_rows(n_patterns: int) -> np.ndarray:
+    """Lower-triangular ones without the last row: column j of it @ T.T
+    holds the cumulative sums of row j of T, without the last one.
 
-    The last column is left out so that rounding in the row sums can never
+    The last row is left out so that rounding in the row sums can never
     push a draw past the last pattern.
     """
-    return np.triu(np.ones((n_patterns, n_patterns)))[:, :-1]
+    return np.tril(np.ones((n_patterns, n_patterns)))[:-1]
+
+
+# Below this spread of the log-joint table, one shift by its maximum leaves
+# every exponential at least e^-600, a normal double, so both conditionals
+# can be normalized from one table without underflow.
+_ONE_SHIFT_RANGE = 600.0
 
 
 def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
@@ -229,14 +241,32 @@ def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
     (2^m, 2^n) table log_joint of unnormalized log-probabilities. Each chain
     then takes a single categorical draw from its row of T^k, which has
     exactly the law of k sweeps: u holds one uniform per chain, shape
-    (n_chains, 1), and cumulative is _cumulative_columns(2^m).
+    (n_chains,), and cumulative is _cumulative_rows(2^m).
+
+    The cumulative table is kept transposed, cumulative @ (T.T)^k with
+    (T.T)^k built by repeated squaring, so that each chain's column is
+    compared with its uniform.
     """
-    h_given_v = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
-    h_given_v /= h_given_v.sum(axis=1, keepdims=True)
-    v_given_h = np.exp(log_joint - log_joint.max(axis=0))
-    v_given_h /= v_given_h.sum(axis=0)
-    cum = np.linalg.matrix_power(h_given_v @ v_given_h.T, k) @ cumulative
-    return (cum.take(chains, axis=0) < u).sum(axis=1)
+    top = log_joint.max()
+    if top - log_joint.min() < _ONE_SHIFT_RANGE:
+        both = np.exp(log_joint - top)
+        h_given_v = both / both.sum(axis=1, keepdims=True)
+        v_given_h = both / both.sum(axis=0)
+    else:
+        h_given_v = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        h_given_v /= h_given_v.sum(axis=1, keepdims=True)
+        v_given_h = np.exp(log_joint - log_joint.max(axis=0))
+        v_given_h /= v_given_h.sum(axis=0)
+    step = np.dot(v_given_h, h_given_v.T)
+    table = cumulative
+    while True:
+        if k & 1:
+            table = np.dot(table, step)
+        k >>= 1
+        if not k:
+            break
+        step = np.dot(step, step)
+    return (table.take(chains, axis=1) < u).sum(axis=0)
 
 
 def _model_tables(model: RbmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,20 +355,23 @@ def model_expectation_pcd(
     v_aug, log_joint, ph = _model_tables(model)
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
     idx = _pcd_advance(
-        log_joint, _pattern_index(arr), k, rng.random(n_chains)[:, None],
-        _cumulative_columns(n_patterns),
+        log_joint, _pattern_index(arr), k, rng.random(n_chains),
+        _cumulative_rows(n_patterns),
     )
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
     return (*_moments(v_aug, ph, occupancy), v_aug[idx, :-1])
 
 
+def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
+    """Mean of log P(v) under dist over data given as visible-pattern counts."""
+    return float(counts @ np.log(dist.visible_marginal()) / counts.sum())
+
+
 def average_log_likelihood(model: RbmModel, data) -> float:
     """Mean over data rows of log P(v) under the exact distribution."""
     arr = _check_batch(model, data)
-    dist = enumerate_distribution(model)
-    log_pv = np.log(dist.visible_marginal())
     counts = np.bincount(_pattern_index(arr), minlength=2**model.n_visible)
-    return float(counts @ log_pv / arr.shape[0])
+    return _mean_log_likelihood(enumerate_distribution(model), counts)
 
 
 def exact_gradient(
@@ -373,8 +406,7 @@ def _epoch_diagnostics(
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dist = enumerate_distribution(model)
-        log_pv = np.log(dist.visible_marginal())
-        avg_ll = float(counts @ log_pv / counts.sum())
+        avg_ll = _mean_log_likelihood(dist, counts)
         try:
             s = bell.correlations_from_distribution(dist).s
         except ValueError:
@@ -454,7 +486,7 @@ def train(
     v_aug = _augmented_patterns(m)
     h_aug = _augmented_patterns(n_hidden)
     n_patterns = v_aug.shape[0]
-    cumulative = _cumulative_columns(n_patterns)
+    cumulative = _cumulative_rows(n_patterns)
     chains = _pattern_index(init_chains(config.n_persistent_chains, m, chain_rng))
     n_chains = config.n_persistent_chains
     k = config.gibbs_steps_per_update
@@ -476,7 +508,7 @@ def train(
             cells, minlength=n_batches * n_patterns
         ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
         if model_term == "pcd":
-            uniforms = chain_rng.random((n_batches, n_chains, 1))
+            uniforms = chain_rng.random((n_batches, n_chains))
             chain_weight = lr / n_chains
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information

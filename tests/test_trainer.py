@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from eprbm import bell
+from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
 from eprbm.exact import bit_patterns, enumerate_distribution
 from eprbm.rbm import RbmModel, advance_chains
@@ -36,6 +36,7 @@ from eprbm.trainer import (
 )
 
 from helpers import (
+    _reference_pcd_advance,
     brute_force_moments,
     random_model,
     reference_train,
@@ -277,6 +278,50 @@ class TestModelExpectationPcd:
             model_expectation_pcd(huge, chains, 1, rng)
         with pytest.raises(ValueError, match="n_chains"):
             init_chains(0, 4, rng)
+
+
+class TestPcdAdvance:
+    def test_draws_match_reference_draw_for_draw(self, reference_model):
+        # the kernel and the plain cumulative-sum draw compare the same
+        # uniforms with the same rows of T^k up to rounding, so every chain
+        # must land on the same pattern. The spreads of the log-joint tables
+        # span both the one-shift path and the per-row/per-column fallback,
+        # which -800 on one hidden bias forces on the reference model
+        blocked_bias = reference_model.hidden_bias.copy()
+        blocked_bias[0] = -800.0
+        models = [
+            random_model(np.random.default_rng(seed), scale=scale)
+            for seed, scale in enumerate((0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0))
+        ]
+        models += [
+            reference_model,
+            RbmModel(
+                visible_bias=reference_model.visible_bias,
+                hidden_bias=blocked_bias,
+                weights=reference_model.weights,
+            ),
+        ]
+        patterns = bit_patterns(4)
+        cumulative = trainer._cumulative_rows(16)
+        spreads = []
+        for model in models:
+            _, log_joint, _ = trainer._model_tables(model)
+            spreads.append(np.ptp(log_joint))
+            act = patterns @ model.weights + model.hidden_bias
+            for k in (1, 2, 3, 4, 5, 8):
+                chains = np.random.default_rng(k).integers(0, 16, 32_000)
+                got = trainer._pcd_advance(
+                    log_joint, chains, k,
+                    np.random.default_rng(100 + k).random(chains.size), cumulative,
+                )
+                want = _reference_pcd_advance(
+                    model.visible_bias, act, patterns, patterns, chains, k,
+                    np.random.default_rng(100 + k),
+                )
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"log-joint spread {spreads[-1]:.3g}, k={k}"
+                )
+        assert min(spreads) < trainer._ONE_SHIFT_RANGE <= max(spreads)
 
 
 class TestAverageLogLikelihood:

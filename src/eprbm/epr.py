@@ -50,6 +50,13 @@ class DetectorAngles:
     b: float = math.pi / 4
     b_prime: float = -math.pi / 4
 
+    def __post_init__(self):
+        # cos of a NaN or infinite angle is NaN, and every trial would then
+        # come out anticorrelated
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"angle {name} must be finite, got {value}")
+
     def station_a(self, setting: int) -> float:
         """Angle used by station A for setting bit 0 (a) or 1 (a')."""
         if setting not in (0, 1):
@@ -267,9 +274,10 @@ def load_dataset(path) -> EprDataset:
 
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
-        ValueError: on malformed rows or values, a row count that differs
-            from the sidecar's n_trials, or a CSV whose SHA-256 is not the
-            one the sidecar records (or a sidecar that records none).
+        ValueError: on malformed rows or values, a non-finite angle in the
+            sidecar, a row count that differs from the sidecar's n_trials,
+            or a CSV whose SHA-256 is not the one the sidecar records (or a
+            sidecar that records none).
     """
     with open(sidecar_path(path)) as fh:
         meta = json.load(fh)

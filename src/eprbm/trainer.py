@@ -13,6 +13,7 @@ stochastic estimate.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -203,19 +204,6 @@ def _unpack(theta: np.ndarray) -> RbmModel:
     )
 
 
-def _tables(theta, v_aug, h_aug) -> tuple[np.ndarray, np.ndarray]:
-    """Log-joint table and the rows [P(h | v), 1], one per visible pattern.
-
-    Weighting the second table's rows by pattern frequencies w and forming
-    v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
-    augmented matrix laid out like theta.
-    """
-    act = v_aug @ theta
-    ph = expit(act)
-    ph[:, -1] = 1.0
-    return act @ h_aug.T, ph
-
-
 def _cumulative_rows(n_patterns: int) -> np.ndarray:
     """Lower-triangular ones without the last row: column j of it @ T.T
     holds the cumulative sums of row j of T, without the last one.
@@ -232,7 +220,26 @@ def _cumulative_rows(n_patterns: int) -> np.ndarray:
 _ONE_SHIFT_RANGE = 600.0
 
 
-def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _ones(n: int) -> np.ndarray:
+    """A shared read-only vector of n ones, for row and column sums by BLAS."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
+def _conditional(log_joint, axis, out=None) -> np.ndarray:
+    """P(h | v) (axis=1) or P(v | h) (axis=0) from the log-joint table.
+
+    Each row (or column) is shifted by its own maximum, so the table stays
+    finite and normalizable at any spread of the log-joint.
+    """
+    table = np.exp(log_joint - log_joint.max(axis=axis, keepdims=True), out=out)
+    table /= table.sum(axis=axis, keepdims=True)
+    return table
+
+
+def _pcd_advance(log_joint, chains, k, u, cumulative, h_given_v=None) -> np.ndarray:
     """Advance pattern-index chains by k block-Gibbs sweeps, one draw per chain.
 
     With the visible layer confined to its 2^m patterns, a block-Gibbs sweep
@@ -245,47 +252,52 @@ def _pcd_advance(log_joint, chains, k, u, cumulative) -> np.ndarray:
 
     The cumulative table is kept transposed, cumulative @ (T.T)^k with
     (T.T)^k built by repeated squaring, so that each chain's column is
-    compared with its uniform.
+    compared with its uniform. The normalized P(h | v) table is written to
+    h_given_v when one is given: h_given_v @ h_aug holds the rows
+    [P(h | v), 1] that the moments are formed from.
     """
     top = log_joint.max()
     if top - log_joint.min() < _ONE_SHIFT_RANGE:
         both = np.exp(log_joint - top)
-        h_given_v = both / both.sum(axis=1, keepdims=True)
-        v_given_h = both / both.sum(axis=0)
+        n_v, n_h = both.shape
+        h_given_v = np.divide(both, both.dot(_ones(n_h))[:, None], out=h_given_v)
+        v_given_h = both / _ones(n_v).dot(both)
     else:
-        h_given_v = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
-        h_given_v /= h_given_v.sum(axis=1, keepdims=True)
-        v_given_h = np.exp(log_joint - log_joint.max(axis=0))
-        v_given_h /= v_given_h.sum(axis=0)
-    step = np.dot(v_given_h, h_given_v.T)
+        h_given_v = _conditional(log_joint, 1, h_given_v)
+        v_given_h = _conditional(log_joint, 0)
+    step = v_given_h.dot(h_given_v.T)
     table = cumulative
     while True:
         if k & 1:
-            table = np.dot(table, step)
+            table = table.dot(step)
         k >>= 1
         if not k:
             break
-        step = np.dot(step, step)
+        step = step.dot(step)
     return (table.take(chains, axis=1) < u).sum(axis=0)
 
 
 def _model_tables(model: RbmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Augmented visible patterns, log-joint table and [P(h | v), 1] rows.
 
-    These are the tables train builds at each update (see _tables), from
-    the model's parameters.
+    Weighting the rows of the last table by pattern frequencies w and
+    forming v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
+    augmented matrix laid out like _pack(model).
     """
     require_enumerable(model.n_visible, model.n_hidden)
     v_aug = _augmented_patterns(model.n_visible)
-    log_joint, ph = _tables(_pack(model), v_aug, _augmented_patterns(model.n_hidden))
-    return v_aug, log_joint, ph
+    act = v_aug.dot(_pack(model))
+    ph = expit(act)
+    ph[:, -1] = 1.0
+    return v_aug, act.dot(_augmented_patterns(model.n_hidden).T), ph
 
 
 def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<v h>, <v> and <h> over the visible patterns weighted by weights.
 
-    This is the product train steps theta with, v_aug.T @ (weights * ph),
-    split into its W, c and d blocks.
+    This is the product train steps theta with, split into its W, c and d
+    blocks; train forms the rows ph as P(h | v) @ h_aug from the P(h | v)
+    table of each update.
     """
     moments = v_aug.T @ (weights[:, None] * ph)
     return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1]
@@ -485,8 +497,10 @@ def train(
     require_enumerable(m, n_hidden)
     v_aug = _augmented_patterns(m)
     h_aug = _augmented_patterns(n_hidden)
+    v_aug_t, h_aug_t = v_aug.T, h_aug.T
     n_patterns = v_aug.shape[0]
     cumulative = _cumulative_rows(n_patterns)
+    h_given_v = np.empty((n_patterns, h_aug.shape[0]))
     chains = _pattern_index(init_chains(config.n_persistent_chains, m, chain_rng))
     n_chains = config.n_persistent_chains
     k = config.gibbs_steps_per_update
@@ -503,28 +517,32 @@ def train(
         cells = data_idx[shuffle_rng.permutation(n_rows)]
         cells += batch_offsets
         # each row is lr times its minibatch's pattern frequencies, so that
-        # one update is theta += v_aug.T @ ((row - lr * model weights) * ph)
+        # one update is theta += v_aug.T @ diag(row - lr * model weights)
+        # @ P(h | v) @ h_aug
         batch_weights = np.bincount(
             cells, minlength=n_batches * n_patterns
         ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
         if model_term == "pcd":
             uniforms = chain_rng.random((n_batches, n_chains))
-            chain_weight = lr / n_chains
+            # each chain's pattern counts lr / n_chains against the data
+            chain_weights = np.full(n_chains, lr / n_chains)
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for b, weights in enumerate(batch_weights):
-                log_joint, ph = _tables(theta, v_aug, h_aug)
+                log_joint = v_aug.dot(theta).dot(h_aug_t)
                 if model_term == "pcd":
-                    chains = _pcd_advance(log_joint, chains, k, uniforms[b], cumulative)
-                    occupancy = np.bincount(chains, minlength=n_patterns)
-                    weights = weights - occupancy * chain_weight
+                    chains = _pcd_advance(
+                        log_joint, chains, k, uniforms[b], cumulative, h_given_v
+                    )
+                    weights = weights - np.bincount(chains, chain_weights, n_patterns)
                 else:
                     p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
                     weights = weights - lr / p_v.sum() * p_v
+                    _conditional(log_joint, 1, h_given_v)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
-                theta += v_aug.T @ (weights[:, None] * ph)
+                theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)
         if not np.all(np.isfinite(theta)):
             raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
         record = _epoch_diagnostics(_unpack(theta), data_counts, epoch)

@@ -163,6 +163,16 @@ class TestSimulate:
         assert info.value.code == 2
         assert "--angles needs 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("angles", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
+    def test_non_finite_angles_is_usage_error(self, tmp_path, capsys, angles):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--trials", 10, "--seed", 0,
+                "--angles", angles, "--out", out)
+        assert info.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_custom_angles_recorded_in_sidecar(self, tmp_path):
         out = tmp_path / "custom.csv"
         assert run(
@@ -221,6 +231,20 @@ class TestTrain:
                  "--out", tmp_path / "m.json", "--seed", 0, "--epochs", 1)
         assert rc == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_sidecar_angle_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
+        sidecar = tmp_path / "d.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["angles"]["a"] = float("nan")
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        rc = run("train", "--data", data, "--out", tmp_path / "m.json",
+                 "--seed", 0, "--epochs", 1)
+        assert rc == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_unknown_config_key_is_data_error(self, tmp_path, data_csv, capsys):
         cfg_path = tmp_path / "cfg.json"

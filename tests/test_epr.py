@@ -63,6 +63,14 @@ class TestDetectorAngles:
         angles = DetectorAngles(a=1.0, a_prime=-2.0, b=0.25, b_prime=3.5)
         assert DetectorAngles.from_dict(angles.to_dict()) == angles
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "a_prime", "b", "b_prime"])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN angle made every trial anticorrelated (S = 2.000) and put a
+        # non-standard NaN token in the sidecar
+        with pytest.raises(ValueError, match="finite"):
+            DetectorAngles(**{field: value})
+
 
 class TestEprTrial:
     """Each trial: settings 0 or 1, outcomes +1 or -1."""
@@ -449,6 +457,16 @@ class TestDatasetIO:
         del meta["csv_sha256"]
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="re-run `eprbm simulate`"):
+            load_dataset(path)
+
+    def test_sidecar_with_non_finite_angle_raises(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        save_dataset(generate_dataset(DetectorAngles(), 50, seed=3), path)
+        sidecar = Path(sidecar_path(path))
+        meta = json.loads(sidecar.read_text())
+        meta["angles"]["b"] = math.nan
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="finite"):
             load_dataset(path)
 
     def test_missing_sidecar_raises(self, tmp_path):

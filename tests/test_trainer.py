@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
@@ -321,6 +322,50 @@ class TestPcdAdvance:
                 np.testing.assert_array_equal(
                     got, want, err_msg=f"log-joint spread {spreads[-1]:.3g}, k={k}"
                 )
+        assert min(spreads) < trainer._ONE_SHIFT_RANGE <= max(spreads)
+
+    def test_moment_table_matches_expit(self, reference_model):
+        # train forms its moments from the P(h | v) table the kernel writes:
+        # times the augmented hidden patterns it must give [P(h_j = 1 | v), 1]
+        # on the one-shift path and on the per-row/per-column fallback alike,
+        # also where the two layers differ in size
+        blocked_bias = reference_model.hidden_bias.copy()
+        blocked_bias[0] = -800.0
+        models = [
+            random_model(np.random.default_rng(seed), n=n, scale=scale)
+            for seed, (n, scale) in enumerate(
+                [(4, s) for s in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0)]
+                + [(2, 1.0), (6, 3.0), (6, 100.0)]
+            )
+        ]
+        models += [
+            reference_model,
+            RbmModel(
+                visible_bias=reference_model.visible_bias,
+                hidden_bias=blocked_bias,
+                weights=reference_model.weights,
+            ),
+        ]
+        patterns = bit_patterns(4)
+        spreads = []
+        for model in models:
+            _, log_joint, _ = trainer._model_tables(model)
+            spreads.append(np.ptp(log_joint))
+            h_pat = bit_patterns(model.n_hidden)
+            h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
+            want = np.hstack(
+                [expit(patterns @ model.weights + model.hidden_bias), np.ones((16, 1))]
+            )
+            h_given_v = np.full((16, h_pat.shape[0]), np.nan)
+            chains = np.random.default_rng(0).integers(0, 16, 100)
+            trainer._pcd_advance(
+                log_joint, chains, 5, np.random.default_rng(1).random(100),
+                trainer._cumulative_rows(16), h_given_v,
+            )
+            np.testing.assert_allclose(
+                h_given_v @ h_aug, want, rtol=0, atol=1e-14,
+                err_msg=f"log-joint spread {spreads[-1]:.3g}",
+            )
         assert min(spreads) < trainer._ONE_SHIFT_RANGE <= max(spreads)
 
 

@@ -121,25 +121,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# the TrainerConfig field each train flag sets, keyed by the flag's dest
+_TRAINER_FLAGS = {
+    "seed": "seed",
+    "learning_rate": "learning_rate",
+    "lr_decay": "learning_rate_decay",
+    "batch_size": "batch_size",
+    "chains": "n_persistent_chains",
+    "gibbs_steps": "gibbs_steps_per_update",
+    "epochs": "n_epochs",
+    "init_scale": "weight_init_scale",
+}
+
+
 def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerConfig:
-    """Defaults, overridden by --config file values, overridden by flags."""
+    """Defaults, overridden by --config file values, overridden by flags.
+
+    A bad flag value is a usage error that names the flag; a bad value read
+    from the --config file raises TrainerConfig's ValueError, a data error.
+    """
     values = {}
     if args.config:
         with open(args.config) as fh:
             values.update(json.load(fh))
-    flag_map = {
-        "seed": args.seed,
-        "learning_rate": args.learning_rate,
-        "learning_rate_decay": args.lr_decay,
-        "batch_size": args.batch_size,
-        "n_persistent_chains": args.chains,
-        "gibbs_steps_per_update": args.gibbs_steps,
-        "n_epochs": args.epochs,
-        "weight_init_scale": args.init_scale,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
+    for dest, key in _TRAINER_FLAGS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        try:
+            # checked alone, so that the error is this flag's
+            TrainerConfig(**{"seed": 0, key: value})
+        except ValueError as err:
+            parser.error(f"--{dest.replace('_', '-')}: {err}")
+        values[key] = value
     if "seed" not in values:
         parser.error("a seed is required: pass --seed or put one in --config")
     return TrainerConfig.from_dict(values)
@@ -339,11 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.angles is not None:
-        try:
-            args.angles = _parse_angles(args.angles)
-        except ValueError as err:
-            parser.error(str(err))
+    if args.command == "simulate":
+        if args.trials < 1:
+            parser.error(f"--trials must be at least 1, got {args.trials}")
+        if args.seed < 0:
+            parser.error(f"--seed must be non-negative, got {args.seed}")
+        if args.angles is not None:
+            try:
+                args.angles = _parse_angles(args.angles)
+            except ValueError as err:
+                parser.error(str(err))
     try:
         if args.command == "simulate":
             return cmd_simulate(args)

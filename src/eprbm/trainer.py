@@ -45,6 +45,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """True for Python integers and floats other than bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     """Hyperparameters of the training run.
@@ -70,6 +75,10 @@ class TrainerConfig:
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("learning_rate", "learning_rate_decay", "weight_init_scale"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not 0 < self.learning_rate_decay <= 1:
@@ -214,18 +223,36 @@ def _cumulative_rows(n_patterns: int) -> np.ndarray:
     return np.tril(np.ones((n_patterns, n_patterns)))[:-1]
 
 
-# Below this spread of the log-joint table, one shift by its maximum leaves
-# every exponential at least e^-600, a normal double, so both conditionals
-# can be normalized from one table without underflow.
-_ONE_SHIFT_RANGE = 600.0
+# one shape at a time: with many hidden units these tables are large
+@functools.lru_cache(maxsize=1)
+def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Shared read-only tables for a packed theta of the given shape.
+
+    v_aug and h_aug.T turn theta into the log-joint table, two vectors of
+    ones take its row and column sums by BLAS, and _cumulative_rows(2^m)
+    turns a transition table into the rows each chain draws from.
+    """
+    v_aug = _augmented_patterns(shape[0] - 1)
+    h_aug = _augmented_patterns(shape[1] - 1)
+    tables = (
+        v_aug,
+        h_aug.T,
+        np.ones(h_aug.shape[0]),
+        np.ones(v_aug.shape[0]),
+        _cumulative_rows(v_aug.shape[0]),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-@functools.lru_cache(maxsize=4)
-def _ones(n: int) -> np.ndarray:
-    """A shared read-only vector of n ones, for row and column sums by BLAS."""
-    ones = np.ones(n)
-    ones.setflags(write=False)
-    return ones
+# Every log-joint entry v_aug @ theta @ h_aug.T is a sum of a subset of
+# theta's entries, and the difference of two entries a signed sum, so both
+# are bounded by ||theta||_1 <= sqrt(theta.size) ||theta||_F. When that bound
+# is below _MAX_LOG_JOINT, every exponential lies in (e^-600, e^600) and no
+# conditional is below e^-600 over its row or column length: normal doubles
+# throughout, so both conditionals can be normalized from one unshifted table.
+_MAX_LOG_JOINT = 600.0
 
 
 def _conditional(log_joint, axis, out=None) -> np.ndarray:
@@ -239,29 +266,33 @@ def _conditional(log_joint, axis, out=None) -> np.ndarray:
     return table
 
 
-def _pcd_advance(log_joint, chains, k, u, cumulative, h_given_v=None) -> np.ndarray:
+def _pcd_advance(theta, chains, k, u, h_given_v=None) -> np.ndarray:
     """Advance pattern-index chains by k block-Gibbs sweeps, one draw per chain.
 
     With the visible layer confined to its 2^m patterns, a block-Gibbs sweep
     is a Markov chain over those patterns with transition matrix
     T = P(h | v) @ P(v | h); both conditionals come from the one
-    (2^m, 2^n) table log_joint of unnormalized log-probabilities. Each chain
-    then takes a single categorical draw from its row of T^k, which has
-    exactly the law of k sweeps: u holds one uniform per chain, shape
-    (n_chains,), and cumulative is _cumulative_rows(2^m).
+    (2^m, 2^n) table v_aug @ theta @ h_aug.T of unnormalized
+    log-probabilities, with theta the packed parameters (see _pack). Each
+    chain then takes a single categorical draw from its row of T^k, which
+    has exactly the law of k sweeps: u holds one uniform per chain, shape
+    (n_chains,).
 
-    The cumulative table is kept transposed, cumulative @ (T.T)^k with
-    (T.T)^k built by repeated squaring, so that each chain's column is
-    compared with its uniform. The normalized P(h | v) table is written to
-    h_given_v when one is given: h_given_v @ h_aug holds the rows
-    [P(h | v), 1] that the moments are formed from.
+    The table is exponentiated unshifted when the bound _MAX_LOG_JOINT
+    holds for theta, and shifted per row and per column otherwise. The
+    cumulative table is kept transposed, cumulative @ (T.T)^k with (T.T)^k
+    built by repeated squaring, so that each chain's column is compared with
+    its uniform. The normalized P(h | v) table is written to h_given_v when
+    one is given: h_given_v @ h_aug holds the rows [P(h | v), 1] that the
+    moments are formed from.
     """
-    top = log_joint.max()
-    if top - log_joint.min() < _ONE_SHIFT_RANGE:
-        both = np.exp(log_joint - top)
-        n_v, n_h = both.shape
-        h_given_v = np.divide(both, both.dot(_ones(n_h))[:, None], out=h_given_v)
-        v_given_h = both / _ones(n_v).dot(both)
+    v_aug, h_aug_t, ones_h, ones_v, cumulative = _kernel_tables(theta.shape)
+    log_joint = v_aug.dot(theta).dot(h_aug_t)
+    flat = theta.ravel()
+    if flat.dot(flat) * flat.size < _MAX_LOG_JOINT**2:
+        both = np.exp(log_joint)
+        h_given_v = np.divide(both, both.dot(ones_h)[:, None], out=h_given_v)
+        v_given_h = both / ones_v.dot(both)
     else:
         h_given_v = _conditional(log_joint, 1, h_given_v)
         v_given_h = _conditional(log_joint, 0)
@@ -277,19 +308,20 @@ def _pcd_advance(log_joint, chains, k, u, cumulative, h_given_v=None) -> np.ndar
     return (table.take(chains, axis=1) < u).sum(axis=0)
 
 
-def _model_tables(model: RbmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Augmented visible patterns, log-joint table and [P(h | v), 1] rows.
 
     Weighting the rows of the last table by pattern frequencies w and
     forming v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
-    augmented matrix laid out like _pack(model).
+    augmented matrix laid out like theta, the packed model (see _pack).
     """
-    require_enumerable(model.n_visible, model.n_hidden)
-    v_aug = _augmented_patterns(model.n_visible)
-    act = v_aug.dot(_pack(model))
+    m, n = theta.shape[0] - 1, theta.shape[1] - 1
+    require_enumerable(m, n)
+    v_aug = _augmented_patterns(m)
+    act = v_aug.dot(theta)
     ph = expit(act)
     ph[:, -1] = 1.0
-    return v_aug, act.dot(_augmented_patterns(model.n_hidden).T), ph
+    return v_aug, act.dot(_augmented_patterns(n).T), ph
 
 
 def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +360,7 @@ def data_expectation(
         (n,) vector <h_j>, all averaged over the batch.
     """
     arr = _check_batch(model, batch)
-    v_aug, _, ph = _model_tables(model)
+    v_aug, _, ph = _model_tables(_pack(model))
     return _moments(v_aug, ph, _frequencies(arr, v_aug.shape[0]))
 
 
@@ -340,7 +372,7 @@ def model_expectation_exact(
     The visible patterns are weighted by the exact P(v) and the hidden units
     summed out analytically, which equals summing over the joint table.
     """
-    v_aug, log_joint, ph = _model_tables(model)
+    v_aug, log_joint, ph = _model_tables(_pack(model))
     return _moments(v_aug, ph, _exact_visible(log_joint))
 
 
@@ -364,12 +396,10 @@ def model_expectation_pcd(
     arr = _check_batch(model, chains)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    v_aug, log_joint, ph = _model_tables(model)
+    theta = _pack(model)
+    v_aug, _, ph = _model_tables(theta)
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
-    idx = _pcd_advance(
-        log_joint, _pattern_index(arr), k, rng.random(n_chains),
-        _cumulative_rows(n_patterns),
-    )
+    idx = _pcd_advance(theta, _pattern_index(arr), k, rng.random(n_chains))
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
     return (*_moments(v_aug, ph, occupancy), v_aug[idx, :-1])
 
@@ -400,7 +430,7 @@ def exact_gradient(
         the weights, visible biases, and hidden biases.
     """
     arr = _check_batch(model, data)
-    v_aug, log_joint, ph = _model_tables(model)
+    v_aug, log_joint, ph = _model_tables(_pack(model))
     weights = _frequencies(arr, v_aug.shape[0]) - _exact_visible(log_joint)
     return _moments(v_aug, ph, weights)
 
@@ -495,11 +525,9 @@ def train(
     # the pattern-space kernel and the per-epoch diagnostics both tabulate
     # all 2^(m+n) joint states
     require_enumerable(m, n_hidden)
-    v_aug = _augmented_patterns(m)
-    h_aug = _augmented_patterns(n_hidden)
-    v_aug_t, h_aug_t = v_aug.T, h_aug.T
+    v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
+    v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
-    cumulative = _cumulative_rows(n_patterns)
     h_given_v = np.empty((n_patterns, h_aug.shape[0]))
     chains = _pattern_index(init_chains(config.n_persistent_chains, m, chain_rng))
     n_chains = config.n_persistent_chains
@@ -514,7 +542,7 @@ def train(
     records = []
     for epoch in range(1, config.n_epochs + 1):
         lr = config.learning_rate * config.learning_rate_decay ** (epoch - 1)
-        cells = data_idx[shuffle_rng.permutation(n_rows)]
+        cells = shuffle_rng.permutation(data_idx)
         cells += batch_offsets
         # each row is lr times its minibatch's pattern frequencies, so that
         # one update is theta += v_aug.T @ diag(row - lr * model weights)
@@ -530,13 +558,11 @@ def train(
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for b, weights in enumerate(batch_weights):
-                log_joint = v_aug.dot(theta).dot(h_aug_t)
                 if model_term == "pcd":
-                    chains = _pcd_advance(
-                        log_joint, chains, k, uniforms[b], cumulative, h_given_v
-                    )
+                    chains = _pcd_advance(theta, chains, k, uniforms[b], h_given_v)
                     weights = weights - np.bincount(chains, chain_weights, n_patterns)
                 else:
+                    log_joint = v_aug.dot(theta).dot(h_aug_t)
                     p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
                     weights = weights - lr / p_v.sum() * p_v
                     _conditional(log_joint, 1, h_given_v)

@@ -173,6 +173,19 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--seed", "-1")]
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        argv = {"--trials": "10", "--seed": "0"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as info:
+            run("simulate", *[a for pair in argv.items() for a in pair],
+                "--out", tmp_path / "x.csv")
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_custom_angles_recorded_in_sidecar(self, tmp_path):
         out = tmp_path / "custom.csv"
         assert run(
@@ -225,6 +238,52 @@ class TestTrain:
                 "--epochs", 1)
         assert info.value.code == 2
         assert "a seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "-1"),
+            ("--epochs", "-1"),
+            ("--chains", "0"),
+            ("--batch-size", "0"),
+            ("--gibbs-steps", "0"),
+            ("--learning-rate", "-0.1"),
+            ("--lr-decay", "0"),
+            ("--init-scale", "nan"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(
+        self, tmp_path, data_csv, capsys, flag, value
+    ):
+        argv = {"--seed": "1", "--epochs": "1"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as info:
+            run("train", "--data", data_csv, "--out", tmp_path / "m.json",
+                *[a for pair in argv.items() for a in pair])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ({"n_epochs": -1}, "n_epochs"),
+            ({"n_persistent_chains": 0}, "n_persistent_chains"),
+            ({"learning_rate": "0.1"}, "learning_rate"),
+            ({"learning_rate": True}, "learning_rate"),
+            ({"weight_init_scale": False}, "weight_init_scale"),
+        ],
+    )
+    def test_bad_config_value_is_data_error(
+        self, tmp_path, data_csv, capsys, values, field
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, **values}))
+        rc = run("train", "--data", data_csv, "--out", tmp_path / "m.json",
+                 "--config", cfg_path)
+        assert rc == EXIT_DATA
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         rc = run("train", "--data", tmp_path / "nope.csv",

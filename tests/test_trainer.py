@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from eprbm import bell, trainer
@@ -93,10 +95,17 @@ class TestTrainerConfig:
             {"seed": 0, "n_persistent_chains": True},
             {"seed": 0, "gibbs_steps_per_update": True},
             {"seed": 0, "n_epochs": False},
+            # nor does a float field, and a string is no number
+            {"seed": 0, "learning_rate": True},
+            {"seed": 0, "learning_rate_decay": True},
+            {"seed": 0, "weight_init_scale": False},
+            {"seed": 0, "learning_rate": "0.1"},
+            {"seed": 0, "learning_rate_decay": "0.9"},
+            {"seed": 0, "weight_init_scale": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
 
     def test_boundary_values_allowed(self):
@@ -281,13 +290,19 @@ class TestModelExpectationPcd:
             init_chains(0, 4, rng)
 
 
+def bound_admits(theta: np.ndarray) -> bool:
+    """Whether _pcd_advance takes its unshifted path for theta."""
+    flat = theta.ravel()
+    return flat.dot(flat) * flat.size < trainer._MAX_LOG_JOINT**2
+
+
 class TestPcdAdvance:
     def test_draws_match_reference_draw_for_draw(self, reference_model):
         # the kernel and the plain cumulative-sum draw compare the same
         # uniforms with the same rows of T^k up to rounding, so every chain
-        # must land on the same pattern. The spreads of the log-joint tables
-        # span both the one-shift path and the per-row/per-column fallback,
-        # which -800 on one hidden bias forces on the reference model
+        # must land on the same pattern. The parameter norms span both the
+        # unshifted path and the per-row/per-column fallback, which -800 on
+        # one hidden bias forces on the reference model
         blocked_bias = reference_model.hidden_bias.copy()
         blocked_bias[0] = -800.0
         models = [
@@ -303,31 +318,29 @@ class TestPcdAdvance:
             ),
         ]
         patterns = bit_patterns(4)
-        cumulative = trainer._cumulative_rows(16)
-        spreads = []
+        admitted = []
         for model in models:
-            _, log_joint, _ = trainer._model_tables(model)
-            spreads.append(np.ptp(log_joint))
+            theta = trainer._pack(model)
+            admitted.append(bound_admits(theta))
             act = patterns @ model.weights + model.hidden_bias
             for k in (1, 2, 3, 4, 5, 8):
                 chains = np.random.default_rng(k).integers(0, 16, 32_000)
                 got = trainer._pcd_advance(
-                    log_joint, chains, k,
-                    np.random.default_rng(100 + k).random(chains.size), cumulative,
+                    theta, chains, k, np.random.default_rng(100 + k).random(chains.size)
                 )
                 want = _reference_pcd_advance(
                     model.visible_bias, act, patterns, patterns, chains, k,
                     np.random.default_rng(100 + k),
                 )
                 np.testing.assert_array_equal(
-                    got, want, err_msg=f"log-joint spread {spreads[-1]:.3g}, k={k}"
+                    got, want, err_msg=f"unshifted path {admitted[-1]}, k={k}"
                 )
-        assert min(spreads) < trainer._ONE_SHIFT_RANGE <= max(spreads)
+        assert any(admitted) and not all(admitted)
 
     def test_moment_table_matches_expit(self, reference_model):
         # train forms its moments from the P(h | v) table the kernel writes:
         # times the augmented hidden patterns it must give [P(h_j = 1 | v), 1]
-        # on the one-shift path and on the per-row/per-column fallback alike,
+        # on the unshifted path and on the per-row/per-column fallback alike,
         # also where the two layers differ in size
         blocked_bias = reference_model.hidden_bias.copy()
         blocked_bias[0] = -800.0
@@ -347,10 +360,10 @@ class TestPcdAdvance:
             ),
         ]
         patterns = bit_patterns(4)
-        spreads = []
+        admitted = []
         for model in models:
-            _, log_joint, _ = trainer._model_tables(model)
-            spreads.append(np.ptp(log_joint))
+            theta = trainer._pack(model)
+            admitted.append(bound_admits(theta))
             h_pat = bit_patterns(model.n_hidden)
             h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
             want = np.hstack(
@@ -359,14 +372,44 @@ class TestPcdAdvance:
             h_given_v = np.full((16, h_pat.shape[0]), np.nan)
             chains = np.random.default_rng(0).integers(0, 16, 100)
             trainer._pcd_advance(
-                log_joint, chains, 5, np.random.default_rng(1).random(100),
-                trainer._cumulative_rows(16), h_given_v,
+                theta, chains, 5, np.random.default_rng(1).random(100), h_given_v
             )
             np.testing.assert_allclose(
                 h_given_v @ h_aug, want, rtol=0, atol=1e-14,
-                err_msg=f"log-joint spread {spreads[-1]:.3g}",
+                err_msg=f"unshifted path {admitted[-1]}",
             )
-        assert min(spreads) < trainer._ONE_SHIFT_RANGE <= max(spreads)
+        assert any(admitted) and not all(admitted)
+
+    @given(
+        n=st.integers(1, 6),
+        scale=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unshifted_path_matches_oracles(self, n, scale, seed, k):
+        # wherever the parameter bound lets the kernel skip the shift, the
+        # log-joint must stay inside (-600, 600), and the unshifted table must
+        # give the P(h | v) of expit and the draws of the shifted oracle
+        model = random_model(np.random.default_rng(seed), n=n, scale=scale)
+        theta = trainer._pack(model)
+        assume(bound_admits(theta))
+        _, log_joint, ph = trainer._model_tables(theta)
+        assert np.abs(log_joint).max() < trainer._MAX_LOG_JOINT
+        h_pat = bit_patterns(n)
+        h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
+        h_given_v = np.full((16, h_pat.shape[0]), np.nan)
+        chains = np.random.default_rng(seed).integers(0, 16, 2_000)
+        got = trainer._pcd_advance(
+            theta, chains, k, np.random.default_rng(k).random(chains.size), h_given_v
+        )
+        np.testing.assert_allclose(h_given_v @ h_aug, ph, rtol=0, atol=1e-14)
+        patterns = bit_patterns(4)
+        want = _reference_pcd_advance(
+            model.visible_bias, patterns @ model.weights + model.hidden_bias,
+            patterns, h_pat, chains, k, np.random.default_rng(k),
+        )
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAverageLogLikelihood:

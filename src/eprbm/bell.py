@@ -24,9 +24,17 @@ VALID_SOURCES = ("theory", "empirical", "model-exact")
 # Tolerance for "in [-1, 1]" checks on floating-point correlation estimates.
 _RANGE_EPS = 1e-9
 
-QUANTITY_LABELS = ("C(a,b)", "C(a,b')", "C(a',b)", "C(a',b')")
-_OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # (2*v3-1)*(2*v4-1), v3v4 = 00..11
-_CSV_KEYS = ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s")
+# Per setting pair (alpha, beta) in SETTING_PAIRS order: the printed label,
+# "C(a,b)" ... "C(a',b')", and the CorrelationReport field and CSV key,
+# "c_ab" ... "c_a_prime_b_prime" (the CSV adds "s").
+QUANTITY_LABELS = tuple(
+    "C(a" + "'" * alpha + ",b" + "'" * beta + ")" for alpha, beta in SETTING_PAIRS
+)
+_CSV_KEYS = tuple(
+    "c_a" + "_prime_" * alpha + "b" + "_prime" * beta for alpha, beta in SETTING_PAIRS
+) + ("s",)
+# (2*v3-1)*(2*v4-1), the outcome product x_alpha * x_beta, for v3v4 = 00..11
+OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def chsh(
@@ -122,7 +130,7 @@ def correlations_from_distribution(
     for pair, total in zip(SETTING_PAIRS, totals):
         if total <= 0:
             raise ValueError(f"settings {pair} have zero probability")
-    values = (mass / totals[:, None] * _OUTCOME_SIGNS).sum(axis=1)
+    values = (mass / totals[:, None] * OUTCOME_SIGNS).sum(axis=1)
     return CorrelationReport.from_correlations(*values.tolist(), source=source)
 
 

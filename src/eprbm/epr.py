@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .bell import CorrelationReport
-from .exact import SETTING_PAIRS
+from .bell import OUTCOME_SIGNS, CorrelationReport
+from .exact import SETTING_PAIRS, bit_patterns
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
+N_PATTERNS = 2**N_VISIBLE
 
 # Human-readable names of the four setting pairs, by (alpha, beta) bits:
 # "(a, b)", "(a, b')", "(a', b)", "(a', b')".
@@ -87,26 +88,45 @@ class DetectorAngles:
         )
 
 
-@dataclass(frozen=True)
+def _decoded(shift: int, outcome: bool, doc: str) -> property:
+    """A read-only column decoded from bit `shift` of each trial's pattern:
+    the bit itself for a setting, 2 * bit - 1 for an outcome."""
+
+    def column(self) -> np.ndarray:
+        bits = (self.pattern >> shift) & 1
+        values = 2 * bits - 1 if outcome else bits
+        values.setflags(write=False)
+        return values
+
+    return property(column, doc=doc)
+
+
+@dataclass(frozen=True, init=False)
 class EprDataset:
     """A sequence of trials plus the seed and angles that produced them.
 
-    Trials are stored as four aligned read-only integer columns. seed is
-    None for datasets not produced by generate_dataset (for example
-    hand-written files).
+    Each trial is stored as one read-only int64 index among the 16 visible
+    patterns, 8 bytes per trial:
+
+        pattern = 8 * alpha + 4 * beta + 2 * [x_alpha = +1] + [x_beta = +1]
+
+    which is the row of exact.bit_patterns(4) that encode_dataset gives the
+    trial. alpha, beta, x_alpha and x_beta are decoded from it on access as
+    read-only int64 columns. seed is None for datasets not produced by
+    generate_dataset (for example hand-written files).
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    x_alpha: np.ndarray
-    x_beta: np.ndarray
+    pattern: np.ndarray
     seed: int | None
     angles: DetectorAngles
 
-    def __post_init__(self):
+    def __init__(self, alpha, beta, x_alpha, x_beta, seed, angles):
+        """Trials from four aligned columns: settings 0 or 1, outcomes +1 or -1."""
         cols = {}
-        for name in ("alpha", "beta", "x_alpha", "x_beta"):
-            raw = np.asarray(getattr(self, name))
+        for name, values in zip(
+            ("alpha", "beta", "x_alpha", "x_beta"), (alpha, beta, x_alpha, x_beta)
+        ):
+            raw = np.asarray(values)
             if raw.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d column, got {raw.shape}")
             # check integrality before the cast truncates fractions away;
@@ -123,13 +143,43 @@ class EprDataset:
         for name in ("x_alpha", "x_beta"):
             if not np.all((cols[name] == 1) | (cols[name] == -1)):
                 raise ValueError(f"{name} entries must be +1 or -1")
-        for name, arr in cols.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        pattern = (
+            8 * cols["alpha"]
+            + 4 * cols["beta"]
+            + 2 * (cols["x_alpha"] > 0)
+            + (cols["x_beta"] > 0)
+        )
+        self._store(pattern, seed, angles)
+
+    @classmethod
+    def from_patterns(cls, pattern, seed, angles) -> "EprDataset":
+        """Trials given directly as visible-pattern indices, integers in 0..15."""
+        raw = np.asarray(pattern)
+        if raw.ndim != 1:
+            raise ValueError(f"pattern must be a 1-d column, got {raw.shape}")
+        if raw.dtype.kind not in "biu" and not np.all(raw == np.floor(raw)):
+            raise ValueError("pattern entries must be integers")
+        if raw.size and not (raw.min() >= 0 and raw.max() < N_PATTERNS):
+            raise ValueError(f"pattern entries must lie in 0..{N_PATTERNS - 1}")
+        dataset = object.__new__(cls)
+        # astype copies, so the caller's array stays writable and unshared
+        dataset._store(raw.astype(np.int64), seed, angles)
+        return dataset
+
+    def _store(self, pattern: np.ndarray, seed, angles) -> None:
+        pattern.setflags(write=False)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "angles", angles)
+
+    alpha = _decoded(3, False, "Station A's setting per trial, 0 (a) or 1 (a').")
+    beta = _decoded(2, False, "Station B's setting per trial, 0 (b) or 1 (b').")
+    x_alpha = _decoded(1, True, "Station A's outcome per trial, +1 or -1.")
+    x_beta = _decoded(0, True, "Station B's outcome per trial, +1 or -1.")
 
     @property
     def n_trials(self) -> int:
-        return self.alpha.size
+        return self.pattern.size
 
     def __len__(self) -> int:
         return self.n_trials
@@ -163,26 +213,23 @@ def generate_dataset(
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
-    alpha = rng.integers(0, 2, size=n_trials)
-    beta = rng.integers(0, 2, size=n_trials)
-    x_alpha = 2 * rng.integers(0, 2, size=n_trials) - 1
+    # the setting pair alpha, beta as 2 * alpha + beta, in SETTING_PAIRS order
+    pattern = 2 * rng.integers(0, 2, size=n_trials)
+    pattern += rng.integers(0, 2, size=n_trials)
+    x_alpha_up = rng.integers(0, 2, size=n_trials)
     agree_u = rng.random(n_trials)
 
-    # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta), as a
-    # 2x2 table over the setting pair (alpha, beta)
+    # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta), per
+    # setting pair
     theta_a = np.array([[angles.station_a(0)], [angles.station_a(1)]])
     theta_b = np.array([angles.station_b(0), angles.station_b(1)])
-    p_same = (1.0 - np.cos(theta_a - theta_b)) / 2.0
-    same = agree_u < p_same[alpha, beta]
-    x_beta = np.where(same, x_alpha, -x_alpha)
-    return EprDataset(
-        alpha=alpha,
-        beta=beta,
-        x_alpha=x_alpha,
-        x_beta=x_beta,
-        seed=seed,
-        angles=angles,
-    )
+    p_same = ((1.0 - np.cos(theta_a - theta_b)) / 2.0).ravel()
+    same = agree_u < p_same.take(pattern)
+    pattern <<= 2
+    pattern += 2 * x_alpha_up
+    # x_beta is +1 when it agrees with an x_alpha of +1 or differs from a -1
+    pattern += same == x_alpha_up
+    return EprDataset.from_patterns(pattern, seed=seed, angles=angles)
 
 
 def empirical_correlations(dataset: EprDataset) -> CorrelationReport:
@@ -192,46 +239,33 @@ def empirical_correlations(dataset: EprDataset) -> CorrelationReport:
         InsufficientDataError: if any of the four setting pairs has no
             trials; the error names the missing pairs.
     """
-    products = dataset.x_alpha * dataset.x_beta
-    masks = [(dataset.alpha == a) & (dataset.beta == b) for a, b in SETTING_PAIRS]
-    missing = [pair for pair, mask in zip(SETTING_PAIRS, masks) if not mask.any()]
+    # rows are the setting pairs, columns the outcome pairs v3v4 = 00..11
+    counts = np.bincount(dataset.pattern, minlength=N_PATTERNS).reshape(4, 4)
+    totals = counts.sum(axis=1)
+    missing = [pair for pair, total in zip(SETTING_PAIRS, totals) if not total]
     if missing:
         raise InsufficientDataError(missing)
-    values = [float(products[mask].mean()) for mask in masks]
-    return CorrelationReport.from_correlations(*values, source="empirical")
+    values = counts.dot(OUTCOME_SIGNS) / totals
+    return CorrelationReport.from_correlations(*values.tolist(), source="empirical")
 
 
-def _visible_columns(dataset: EprDataset) -> list[np.ndarray]:
-    """v1..v4 of every trial as integer columns.
+def encode_dataset(dataset: EprDataset) -> np.ndarray:
+    """All trials encoded as an (n_trials, 4) float matrix of visible vectors.
 
     v1 and v2 are the setting bits alpha and beta; v3 and v4 are the outcomes
     x_alpha and x_beta with +1 mapped to 1 and -1 mapped to 0.
     """
-    return [
-        dataset.alpha,
-        dataset.beta,
-        (dataset.x_alpha + 1) // 2,
-        (dataset.x_beta + 1) // 2,
-    ]
+    return bit_patterns(N_VISIBLE).take(dataset.pattern, axis=0)
 
 
-def encode_dataset(dataset: EprDataset) -> np.ndarray:
-    """All trials encoded as an (n_trials, 4) float matrix of visible vectors."""
-    return np.column_stack(_visible_columns(dataset)).astype(np.float64)
-
-
-def pattern_index(dataset: EprDataset) -> np.ndarray:
-    """Index of each trial's visible vector among the 16 possible patterns.
-
-    v1 is the most significant bit, the order of exact.bit_patterns(4), so
-    entry i is the row of bit_patterns(4) equal to encode_dataset(dataset)[i].
-    """
-    return (
-        8 * dataset.alpha
-        + 4 * dataset.beta
-        + 2 * (dataset.x_alpha > 0)
-        + (dataset.x_beta > 0)
-    )
+# The CSV line of each visible pattern, in the row order of bit_patterns(4).
+_CSV_LINES = np.array(
+    [
+        f"{alpha},{beta},{2 * up_a - 1},{2 * up_b - 1}\n"
+        for alpha, beta, up_a, up_b in itertools.product((0, 1), repeat=N_VISIBLE)
+    ],
+    dtype=object,
+)
 
 
 def sidecar_path(csv_path) -> str:
@@ -248,14 +282,7 @@ def save_dataset(dataset: EprDataset, path) -> None:
     files are replaced one after the other, so a run killed in between would
     otherwise leave new rows under an old sidecar.
     """
-    # a row is one of 16 lines, looked up by the trial's visible pattern
-    every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
-    lines = np.empty(len(every), dtype=object)
-    table = EprDataset(*zip(*every), seed=None, angles=dataset.angles)
-    lines[pattern_index(table)] = [
-        f"{alpha},{beta},{x_alpha},{x_beta}\n" for alpha, beta, x_alpha, x_beta in every
-    ]
-    text = "alpha,beta,x_alpha,x_beta\n" + "".join(lines[pattern_index(dataset)])
+    text = "alpha,beta,x_alpha,x_beta\n" + "".join(_CSV_LINES.take(dataset.pattern))
     with atomic_write(path, newline="") as fh:
         fh.write(text)
     meta = {
@@ -306,11 +333,5 @@ def load_dataset(path) -> EprDataset:
             f"{sidecar_path(path)} (or the sidecar records none); re-run "
             "`eprbm simulate` to write the pair again"
         )
-    return EprDataset(
-        alpha=rows[:, 0],
-        beta=rows[:, 1],
-        x_alpha=rows[:, 2],
-        x_beta=rows[:, 3],
-        seed=seed,
-        angles=angles,
-    )
+    # the rows come from outside, so they take the column constructor's checks
+    return EprDataset(*rows.T, seed=seed, angles=angles)

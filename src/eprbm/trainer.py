@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -23,7 +24,7 @@ from scipy.special import expit
 
 from . import bell
 from .atomic import atomic_write
-from .epr import N_VISIBLE, EprDataset, pattern_index
+from .epr import N_VISIBLE, EprDataset
 from .exact import (
     ExactDistribution,
     bit_patterns,
@@ -48,6 +49,14 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """True for Python integers and floats other than bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """True for a number whose float is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,10 @@ class TrainerConfig:
             value = getattr(self, name)
             if not _is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "weight_init_scale"):
+            value = getattr(self, name)
+            if not _is_finite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.learning_rate_decay <= 1:
             raise ValueError(
                 f"learning_rate_decay must be in (0, 1], got {self.learning_rate_decay}"
@@ -91,10 +102,6 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not _is_int(self.n_epochs) or self.n_epochs < 0:
             raise ValueError(f"n_epochs must be >= 0, got {self.n_epochs!r}")
-        if not np.isfinite(self.weight_init_scale) or self.weight_init_scale < 0:
-            raise ValueError(
-                f"weight_init_scale must be >= 0, got {self.weight_init_scale}"
-            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -396,12 +403,14 @@ def model_expectation_pcd(
     arr = _check_batch(model, chains)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    require_enumerable(model.n_visible, model.n_hidden)
     theta = _pack(model)
-    v_aug, _, ph = _model_tables(theta)
+    v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
-    idx = _pcd_advance(theta, _pattern_index(arr), k, rng.random(n_chains))
+    h_given_v = np.empty((n_patterns, h_aug_t.shape[1]))
+    idx = _pcd_advance(theta, _pattern_index(arr), k, rng.random(n_chains), h_given_v)
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
-    return (*_moments(v_aug, ph, occupancy), v_aug[idx, :-1])
+    return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), v_aug[idx, :-1])
 
 
 def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
@@ -498,8 +507,7 @@ def train(
         raise ValueError("dataset must be non-empty")
     if model_term not in ("pcd", "exact"):
         raise ValueError(f"model_term must be 'pcd' or 'exact', got {model_term!r}")
-    # only the visible pattern of each trial is needed
-    data_idx = pattern_index(dataset)
+    data_idx = dataset.pattern
     n_rows, m = data_idx.size, N_VISIBLE
 
     init_ss, shuffle_ss, chain_ss = np.random.SeedSequence(config.seed).spawn(3)
@@ -533,9 +541,11 @@ def train(
     n_chains = config.n_persistent_chains
     k = config.gibbs_steps_per_update
     data_counts = np.bincount(data_idx, minlength=n_patterns)
-    n_batches = -(-n_rows // config.batch_size)
+    # a batch larger than the data is the whole data, and fits an int64
+    batch_size = min(config.batch_size, n_rows)
+    n_batches = -(-n_rows // batch_size)
     # row r of a shuffled epoch lands in minibatch r // batch_size
-    batch_of_row = np.arange(n_rows) // config.batch_size
+    batch_of_row = np.arange(n_rows) // batch_size
     batch_offsets = batch_of_row * n_patterns
     batch_sizes = np.bincount(batch_of_row)[:, None]
 

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from eprbm import trainer
 from eprbm.bell import CorrelationReport
-from eprbm.epr import EprDataset, encode_dataset
+from eprbm.epr import EprDataset, InsufficientDataError, encode_dataset
 from eprbm.exact import (
     SETTING_PAIRS,
     ExactDistribution,
@@ -92,6 +92,52 @@ def singlet_prob_oracle(
 
     op = np.kron(projector(theta_a, x_a), projector(theta_b, x_b))
     return float(_SINGLET @ op @ _SINGLET)
+
+
+def four_column_trials(
+    angles, n_trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trials epr.generate_dataset draws, as four int64 columns.
+
+    alpha, beta, x_alpha and x_beta are drawn and combined column by column,
+    from the same four blocks of the seeded stream in the same order, with
+    no visible-pattern index anywhere: the oracle for the pattern form.
+    """
+    rng = np.random.default_rng(seed)
+    alpha = rng.integers(0, 2, size=n_trials)
+    beta = rng.integers(0, 2, size=n_trials)
+    x_alpha = 2 * rng.integers(0, 2, size=n_trials) - 1
+    agree_u = rng.random(n_trials)
+    theta_a = np.array([[angles.station_a(0)], [angles.station_a(1)]])
+    theta_b = np.array([angles.station_b(0), angles.station_b(1)])
+    p_same = (1.0 - np.cos(theta_a - theta_b)) / 2.0
+    same = agree_u < p_same[alpha, beta]
+    x_beta = np.where(same, x_alpha, -x_alpha)
+    return alpha, beta, x_alpha, x_beta
+
+
+def masked_mean_correlations(alpha, beta, x_alpha, x_beta) -> CorrelationReport:
+    """epr.empirical_correlations from four columns: per setting pair, the
+    mean of x_alpha * x_beta over the trials a boolean mask selects.
+
+    Raises:
+        InsufficientDataError: naming the setting pairs without trials.
+    """
+    products = x_alpha * x_beta
+    masks = [(alpha == a) & (beta == b) for a, b in SETTING_PAIRS]
+    missing = [pair for pair, mask in zip(SETTING_PAIRS, masks) if not mask.any()]
+    if missing:
+        raise InsufficientDataError(missing)
+    values = [float(products[mask].mean()) for mask in masks]
+    return CorrelationReport.from_correlations(*values, source="empirical")
+
+
+def csv_text(alpha, beta, x_alpha, x_beta) -> str:
+    """The dataset CSV save_dataset writes, rendered line by line."""
+    return "alpha,beta,x_alpha,x_beta\n" + "".join(
+        f"{int(a)},{int(b)},{int(xa)},{int(xb)}\n"
+        for a, b, xa, xb in zip(alpha, beta, x_alpha, x_beta)
+    )
 
 
 def parse_comparison_csv(text: str) -> dict:

@@ -272,6 +272,8 @@ class TestTrain:
             ({"learning_rate": "0.1"}, "learning_rate"),
             ({"learning_rate": True}, "learning_rate"),
             ({"weight_init_scale": False}, "weight_init_scale"),
+            ({"learning_rate": 10**400}, "learning_rate"),
+            ({"weight_init_scale": 10**400}, "weight_init_scale"),
         ],
     )
     def test_bad_config_value_is_data_error(
@@ -284,6 +286,19 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert field in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_batch_larger_than_data_is_one_batch_per_epoch(self, tmp_path, data_csv):
+        # data_csv holds 2000 trials
+        huge, whole = tmp_path / "huge.json", tmp_path / "whole.json"
+        common = ("--data", data_csv, "--seed", 4, "--epochs", 2)
+        assert run("train", *common, "--out", huge,
+                   "--batch-size", "100000000000000000000") == EXIT_OK
+        assert run("train", *common, "--out", whole, "--batch-size", 2000) == EXIT_OK
+        for name in ("visible_bias", "hidden_bias", "weights"):
+            assert load_model(huge)[1][name] == load_model(whole)[1][name]
+        assert (tmp_path / "huge.json.trace.csv").read_bytes() == (
+            tmp_path / "whole.json.trace.csv"
+        ).read_bytes()
 
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         rc = run("train", "--data", tmp_path / "nope.csv",

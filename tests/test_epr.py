@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,17 @@ from eprbm.epr import (
     encode_dataset,
     generate_dataset,
     load_dataset,
-    pattern_index,
     save_dataset,
     sidecar_path,
 )
 from eprbm.exact import bit_patterns
 
-from helpers import singlet_prob_oracle
+from helpers import (
+    csv_text,
+    four_column_trials,
+    masked_mean_correlations,
+    singlet_prob_oracle,
+)
 
 angles_st = st.floats(min_value=-10.0, max_value=10.0)
 outcome_st = st.sampled_from([-1, 1])
@@ -270,7 +275,7 @@ class TestEncoding:
         every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
         dataset = EprDataset(*zip(*every), seed=None, angles=DetectorAngles())
         encoded = encode_dataset(dataset)
-        assert sorted(pattern_index(dataset).tolist()) == list(range(16))
+        assert sorted(dataset.pattern.tolist()) == list(range(16))
         for name, column in decode(encoded).items():
             np.testing.assert_array_equal(column, getattr(dataset, name))
 
@@ -290,7 +295,7 @@ class TestEncoding:
 
     def test_pattern_index_is_row_of_bit_patterns(self):
         dataset = generate_dataset(DetectorAngles(), 2000, seed=13)
-        index = pattern_index(dataset)
+        index = dataset.pattern
         assert index.dtype == np.int64
         np.testing.assert_array_equal(
             bit_patterns(4)[index], encode_dataset(dataset)
@@ -304,6 +309,97 @@ class TestEncoding:
         original = empirical_correlations(dataset)
         recovered = empirical_correlations(rebuilt)
         assert original.correlations() == recovered.correlations()
+
+
+COLUMNS = ("alpha", "beta", "x_alpha", "x_beta")
+# the default angles and three seeded non-default sets
+ORACLE_ANGLES = [DetectorAngles()] + [
+    DetectorAngles(*np.random.default_rng(seed).uniform(-math.pi, math.pi, 4).tolist())
+    for seed in (1, 2, 3)
+]
+
+
+class TestPatternForm:
+    """Each trial is one visible-pattern index; the four columns, the CSV and
+    the correlations must be those of the four-column formulation."""
+
+    @pytest.mark.parametrize("n_trials", [1, 7, 100_000])
+    @pytest.mark.parametrize("angles", ORACLE_ANGLES)
+    def test_matches_four_column_oracle(self, tmp_path, angles, n_trials):
+        path = tmp_path / "trials.csv"
+        for seed in range(6):
+            columns = four_column_trials(angles, n_trials, seed)
+            dataset = generate_dataset(angles, n_trials, seed)
+            for name, column in zip(COLUMNS, columns):
+                got = getattr(dataset, name)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, column, err_msg=name)
+            save_dataset(dataset, path)
+            assert path.read_bytes() == csv_text(*columns).encode()
+            try:
+                want = masked_mean_correlations(*columns)
+            except InsufficientDataError as err:
+                with pytest.raises(InsufficientDataError) as got_err:
+                    empirical_correlations(dataset)
+                assert got_err.value.missing_pairs == err.missing_pairs
+            else:
+                got = empirical_correlations(dataset)
+                assert got.correlations() == want.correlations()
+                assert got.s == want.s
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1]), outcome_st, outcome_st),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, rows):
+        columns = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(4)]
+        dataset = EprDataset(*columns, seed=5, angles=DetectorAngles())
+        for name, column in zip(COLUMNS, columns):
+            np.testing.assert_array_equal(getattr(dataset, name), column)
+        alpha, beta, x_alpha, x_beta = columns
+        want = 8 * alpha + 4 * beta + 2 * (x_alpha == 1) + (x_beta == 1)
+        np.testing.assert_array_equal(dataset.pattern, want)
+        assert dataset.pattern.dtype == np.int64
+        encoded = encode_dataset(dataset)
+        np.testing.assert_array_equal(
+            encoded,
+            np.column_stack([alpha, beta, (x_alpha + 1) // 2, (x_beta + 1) // 2]),
+        )
+        again = EprDataset.from_patterns(dataset.pattern, seed=5, angles=DetectorAngles())
+        for name, column in zip(COLUMNS, columns):
+            np.testing.assert_array_equal(getattr(again, name), column)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trials.csv"
+            save_dataset(dataset, path)
+            assert path.read_bytes() == csv_text(*columns).encode()
+            loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.pattern, dataset.pattern)
+        assert loaded.seed == 5 and loaded.angles == dataset.angles
+
+    def test_from_patterns_checks_indices(self):
+        angles = DetectorAngles()
+        dataset = EprDataset.from_patterns([0, 15, 6.0], seed=None, angles=angles)
+        assert dataset.pattern.tolist() == [0, 15, 6]
+        assert dataset.x_beta.tolist() == [-1, 1, -1]
+        with pytest.raises(ValueError, match="1-d"):
+            EprDataset.from_patterns([[0, 1]], seed=None, angles=angles)
+        with pytest.raises(ValueError, match="integers"):
+            EprDataset.from_patterns([0, 1.5], seed=None, angles=angles)
+        for bad in ([16], [-1], [3, 99]):
+            with pytest.raises(ValueError, match="0..15"):
+                EprDataset.from_patterns(bad, seed=None, angles=angles)
+
+    def test_from_patterns_copies(self):
+        # the dataset's column is read-only; the caller's array is not touched
+        pattern = np.arange(16)
+        dataset = EprDataset.from_patterns(pattern, seed=None, angles=DetectorAngles())
+        pattern[0] = 9
+        assert dataset.pattern[0] == 0 and pattern.flags.writeable
+        with pytest.raises(ValueError):
+            dataset.pattern[0] = 1
 
 
 class TestDatasetValidation:

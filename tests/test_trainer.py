@@ -102,6 +102,10 @@ class TestTrainerConfig:
             {"seed": 0, "learning_rate": "0.1"},
             {"seed": 0, "learning_rate_decay": "0.9"},
             {"seed": 0, "weight_init_scale": None},
+            # an integer too large for a float is no finite rate or scale
+            {"seed": 0, "learning_rate": 10**400},
+            {"seed": 0, "learning_rate_decay": 10**400},
+            {"seed": 0, "weight_init_scale": 10**400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -509,6 +513,22 @@ class TestTrain:
         np.testing.assert_array_equal(model_a.visible_bias, np.zeros(4))
         np.testing.assert_array_equal(model_a.hidden_bias, np.zeros(4))
         assert model_a.weights.shape == (4, 4)
+
+    @pytest.mark.parametrize("model_term", ["pcd", "exact"])
+    def test_batch_larger_than_data_is_one_batch(self, small_dataset, model_term):
+        # a batch size no int64 holds trains as one batch of the whole data
+        results = [
+            train(
+                small_dataset,
+                TrainerConfig(seed=3, n_epochs=2, batch_size=size),
+                model_term=model_term,
+            )
+            for size in (10**20, len(small_dataset))
+        ]
+        (huge, huge_trace), (whole, whole_trace) = results
+        for name in ("visible_bias", "hidden_bias", "weights"):
+            np.testing.assert_array_equal(getattr(huge, name), getattr(whole, name))
+        assert huge_trace == whole_trace
 
     def test_deterministic_for_fixed_seed(self):
         ds = generate_dataset(DetectorAngles(), 2000, seed=13)

@@ -101,7 +101,7 @@ def _decoded(shift: int, outcome: bool, doc: str) -> property:
     return property(column, doc=doc)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class EprDataset:
     """A sequence of trials plus the seed and angles that produced them.
 
@@ -176,6 +176,16 @@ class EprDataset:
     beta = _decoded(2, False, "Station B's setting per trial, 0 (b) or 1 (b').")
     x_alpha = _decoded(1, True, "Station A's outcome per trial, +1 or -1.")
     x_beta = _decoded(0, True, "Station B's outcome per trial, +1 or -1.")
+
+    def __eq__(self, other) -> bool:
+        """Same trials in the same order, same seed and same angles."""
+        if not isinstance(other, EprDataset):
+            return NotImplemented
+        return (
+            self.seed == other.seed
+            and self.angles == other.angles
+            and np.array_equal(self.pattern, other.pattern)
+        )
 
     @property
     def n_trials(self) -> int:
@@ -314,7 +324,13 @@ def load_dataset(path) -> EprDataset:
     seed = meta["seed"]
     if seed is not None:
         seed = int(seed)
-    rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    # loadtxt warns on a file with no rows, so a header-only file skips it
+    if data.partition(b"\n")[2].strip(b"\r\n"):
+        rows = np.loadtxt(
+            io.BytesIO(data), dtype=np.int64, delimiter=",", skiprows=1, ndmin=2
+        )
+    else:
+        rows = np.empty((0, 4), dtype=np.int64)
     if rows.size == 0:
         rows = rows.reshape(0, 4)
     if rows.shape[1] != 4:

@@ -15,7 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    Where exp(-x) overflows to inf (x below about -709.8) the result is 0.0,
+    less than 1e-308 from the exact value, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
@@ -97,8 +106,8 @@ def advance_chains(
     c = model.visible_bias
     d = model.hidden_bias
     for _ in range(n_sweeps):
-        ph = expit(v @ w + d)
+        ph = _logistic(v @ w + d)
         h = (rng.random(ph.shape) < ph).astype(np.float64)
-        pv = expit(h @ w.T + c)
+        pv = _logistic(h @ w.T + c)
         v = (rng.random(pv.shape) < pv).astype(np.float64)
     return v if batched else v[0]

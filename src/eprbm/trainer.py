@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
-from scipy.special import expit
 
 from . import bell
 from .atomic import atomic_write
@@ -31,7 +30,7 @@ from .exact import (
     enumerate_distribution,
     require_enumerable,
 )
-from .rbm import RbmModel
+from .rbm import RbmModel, _logistic
 
 ENCODING_DOC = {
     "v1": "alpha",
@@ -326,7 +325,7 @@ def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     require_enumerable(m, n)
     v_aug = _augmented_patterns(m)
     act = v_aug.dot(theta)
-    ph = expit(act)
+    ph = _logistic(act)
     ph[:, -1] = 1.0
     return v_aug, act.dot(_augmented_patterns(n).T), ph
 

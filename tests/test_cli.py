@@ -12,9 +12,11 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -518,6 +520,14 @@ class TestDiagnose:
         assert "too large for exact inference" in capsys.readouterr().err
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the eprbm under
+    test, installed or not."""
+    src = str(Path(eprbm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestMain:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -525,17 +535,54 @@ class TestMain:
         assert info.value.code == 2
 
     def test_version_via_module_subprocess(self):
-        # the child imports the eprbm under test, installed or not
-        src = str(Path(eprbm.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "eprbm.cli", "--version"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.strip() == __version__
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter that runs
+        # every command must end with no scipy module loaded
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from eprbm.cli import main
+            data, model, table, report = sys.argv[1:]
+            codes = [
+                main(["simulate", "--trials", "200", "--seed", "1", "--out", data]),
+                main(["train", "--data", data, "--out", model, "--seed", "1",
+                      "--epochs", "1"]),
+                main(["eval", "--model", model, "--data", data, "--out", table]),
+                main(["diagnose", "--model", model, "--out", report]),
+            ]
+            scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(json.dumps([codes, scipy]))
+            """
+        )
+        outputs = [
+            str(tmp_path / name)
+            for name in ("trials.csv", "model.json", "eval.csv", "report.json")
+        ]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *outputs],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        codes, scipy = json.loads(result.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * 4
+        assert scipy == []
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", dep)[0] for dep in dependencies] == ["numpy"]
 
     def test_declared_entry_point_resolves_to_main(self):
         # the console script that an install generates calls this target,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +393,23 @@ class TestPatternForm:
             with pytest.raises(ValueError, match="0..15"):
                 EprDataset.from_patterns(bad, seed=None, angles=angles)
 
+    def test_equality(self):
+        angles = DetectorAngles()
+        dataset = generate_dataset(angles, 5, 1)
+        assert dataset == generate_dataset(angles, 5, 1)
+        flipped = dataset.pattern.copy()
+        flipped[2] ^= 1
+        others = [
+            EprDataset.from_patterns(flipped, seed=1, angles=angles),
+            EprDataset.from_patterns(dataset.pattern[:4], seed=1, angles=angles),
+            EprDataset.from_patterns(dataset.pattern, seed=2, angles=angles),
+            EprDataset.from_patterns(dataset.pattern, seed=None, angles=angles),
+            EprDataset.from_patterns(dataset.pattern, seed=1, angles=DetectorAngles(a=0.1)),
+        ]
+        for other in others:
+            assert dataset != other and not dataset == other
+        assert dataset != dataset.pattern.tolist()
+
     def test_from_patterns_copies(self):
         # the dataset's column is read-only; the caller's array is not touched
         pattern = np.arange(16)
@@ -505,6 +523,15 @@ class TestDatasetIO:
             )
         )
         assert path.read_bytes() == expected.encode()
+
+    def test_zero_trials_load_silently(self, tmp_path):
+        dataset = EprDataset.from_patterns([], seed=4, angles=DetectorAngles())
+        path = tmp_path / "trials.csv"
+        save_dataset(dataset, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_dataset(path)
+        assert loaded == dataset and loaded.x_beta.shape == (0,)
 
     def test_truncated_csv_raises(self, tmp_path):
         dataset = generate_dataset(DetectorAngles(), 500, seed=16)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from eprbm.exact import bit_patterns, enumerate_distribution
-from eprbm.rbm import RbmModel, advance_chains
+from eprbm.rbm import RbmModel, _logistic, advance_chains
 from eprbm.trainer import (
     average_log_likelihood,
     data_expectation,
@@ -174,6 +176,32 @@ class TestSigmoid:
             [p_hidden(hidden_bias_model(x), [0])[0] for x in np.linspace(-30, 30, 601)]
         )
         assert np.all((inner > 0) & (inner < 1))
+
+
+class TestLogistic:
+    """rbm._logistic against scipy's expit, which evaluates the same formula
+    with its own exp."""
+
+    def test_matches_expit(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate(
+            [scale * rng.standard_normal(20_000) for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)]
+        )
+        # the two exps may differ in the last bit, and rounding 1 + exp(-x)
+        # can widen that to 2 ulps of the sum; up to 4 ulps of the result
+        # were seen over 10 million draws (near x = -37)
+        np.testing.assert_array_max_ulp(_logistic(x), expit(x), maxulp=4)
+
+    def test_extremes_exact_and_silent(self):
+        x = np.array([0.0, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logistic(x)
+        np.testing.assert_array_max_ulp(got, expit(x), maxulp=1)
+        assert got[0] == 0.5
+        assert got[[1, 3, 5]].tolist() == [1.0, 1.0, 1.0]
+        assert got[[4, 6]].tolist() == [0.0, 0.0]
+        assert 0.0 < got[2] < 1e-307
 
 
 class TestActivationProbs:

@@ -398,8 +398,9 @@ class TestPcdAdvance:
         model = random_model(np.random.default_rng(seed), n=n, scale=scale)
         theta = trainer._pack(model)
         assume(bound_admits(theta))
-        _, log_joint, ph = trainer._model_tables(theta)
+        log_joint = trainer._model_tables(theta)[1]
         assert np.abs(log_joint).max() < trainer._MAX_LOG_JOINT
+        patterns = bit_patterns(4)
         h_pat = bit_patterns(n)
         h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
         h_given_v = np.full((16, h_pat.shape[0]), np.nan)
@@ -407,11 +408,11 @@ class TestPcdAdvance:
         got = trainer._pcd_advance(
             theta, chains, k, np.random.default_rng(k).random(chains.size), h_given_v
         )
-        np.testing.assert_allclose(h_given_v @ h_aug, ph, rtol=0, atol=1e-14)
-        patterns = bit_patterns(4)
+        act = patterns @ model.weights + model.hidden_bias
+        want_ph = np.hstack([expit(act), np.ones((16, 1))])
+        np.testing.assert_allclose(h_given_v @ h_aug, want_ph, rtol=0, atol=1e-14)
         want = _reference_pcd_advance(
-            model.visible_bias, patterns @ model.weights + model.hidden_bias,
-            patterns, h_pat, chains, k, np.random.default_rng(k),
+            model.visible_bias, act, patterns, h_pat, chains, k, np.random.default_rng(k),
         )
         np.testing.assert_array_equal(got, want)
 

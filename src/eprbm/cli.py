@@ -5,8 +5,8 @@ master seed where randomness is involved, and writes a run manifest next to
 its primary output, so any result file can be traced back to the exact
 invocation that made it.
 
-Exit codes: 0 success, 2 usage error, 3 data or layout error, 4 training
-divergence.
+Exit codes: 0 success, 2 usage error, 3 data or layout error (or a
+non-finite diagnostic), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__, bell, exact, trainer
 from .atomic import atomic_write
@@ -229,9 +231,18 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
     model, _ = load_model(args.model)
-    dist = enumerate_distribution(model)
-    residual = exact.locality_check(dist)
-    mi = exact.measurement_independence_check(dist)
+    # a non-finite diagnostic is refused below, so its warnings say nothing more
+    with np.errstate(all="ignore"):
+        dist = enumerate_distribution(model)
+        residual = exact.locality_check(dist)
+        mi = exact.measurement_independence_check(dist)
+    pair_names = [SETTING_PAIR_LABELS[p] for p in mi.setting_pairs]
+    tv_names = [f"TV(P(lambda | {name}), P(lambda))" for name in pair_names]
+    named = [("factorization residual", residual), ("pooled P(lambda)", mi.pooled)]
+    named += [("P(lambda | settings)", mi.conditional), *zip(tv_names, mi.tv_distances)]
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} is not finite; no verdict can be drawn")
     n = model.n_hidden
     # hidden state i is row i of exact.bit_patterns(n), written as bits
     labels = [format(i, f"0{n}b") for i in range(2**n)]
@@ -244,7 +255,6 @@ def cmd_diagnose(args) -> int:
     else:
         print(f"locality FAIL (residual > {LOCALITY_RESIDUAL_BOUND:g})")
     print()
-    pair_names = [SETTING_PAIR_LABELS[p] for p in mi.setting_pairs]
     header = "lambda  " + "  ".join(f"{name:>8s}" for name in pair_names + ["pooled"])
     print("P(lambda | settings):")
     print(header)
@@ -253,8 +263,8 @@ def cmd_diagnose(args) -> int:
         cells.append(f"{mi.pooled[i]:8.5f}")
         print(f"{label:6s}  " + "  ".join(cells))
     print()
-    for name, tv in zip(pair_names, mi.tv_distances):
-        print(f"TV(P(lambda | {name}), P(lambda)) = {tv:.6f}")
+    for name, tv in zip(tv_names, mi.tv_distances):
+        print(f"{name} = {tv:.6f}")
     if mi.max_tv > MI_TV_BOUND:
         print(
             f"measurement independence VIOLATED (max TV = {mi.max_tv:.6f} "
@@ -286,7 +296,7 @@ def cmd_diagnose(args) -> int:
             },
         }
         with atomic_write(args.out) as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
         manifest = RunManifest(
             command="diagnose",

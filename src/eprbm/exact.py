@@ -13,7 +13,7 @@ lexicographic in (v1, v2, ..., vm).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +64,35 @@ def require_enumerable(m: int, n: int) -> None:
         )
 
 
+def _pack(model: RbmModel) -> np.ndarray:
+    """The (m+1, n+1) augmented parameter matrix theta = [[W, c], [d, 0]]."""
+    theta = np.empty((model.n_visible + 1, model.n_hidden + 1))
+    theta[:-1, :-1], theta[:-1, -1] = model.weights, model.visible_bias
+    theta[-1, :-1], theta[-1, -1] = model.hidden_bias, 0.0
+    return theta
+
+
+# one shape at a time: with many units these tables are large
+@lru_cache(maxsize=1)
+def _pattern_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only v_aug and h_aug.T: bit_patterns(m) and bit_patterns(n)
+    with a trailing column of ones, the second transposed. Raises ValueError,
+    as require_enumerable does, for too many joint states."""
+    require_enumerable(m, n)
+    v_aug, h_aug = (np.hstack([bit_patterns(k), np.ones((2**k, 1))]) for k in (m, n))
+    return _read_only(v_aug), _read_only(h_aug.T)
+
+
+def _log_joint(theta: np.ndarray) -> np.ndarray:
+    """The (2^m, 2^n) table of log P(v, h) + log Z over the packed theta.
+
+    v_aug @ theta holds the hidden pre-activations d + v W followed by v . c,
+    and times h_aug.T it gives every negative energy c.v + d.h + v W h.
+    """
+    v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
+    return v_aug.dot(theta).dot(h_aug_t)
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact Boltzmann distribution of a model over all joint configurations.
@@ -79,9 +108,8 @@ class ExactDistribution:
     joint: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.joint, dtype=np.float64)
-        j.setflags(write=False)
-        object.__setattr__(self, "joint", j)
+        joint = _read_only(np.asarray(self.joint, dtype=np.float64))
+        object.__setattr__(self, "joint", joint)
 
     @cached_property
     def _epr_view(self) -> np.ndarray:
@@ -101,23 +129,15 @@ class ExactDistribution:
 def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     """Compute the exact Boltzmann distribution by enumerating every state.
 
-    The negative energies are assembled as a (2^m, 2^n) matrix and the
-    partition function is taken with a max-shifted log-sum-exp, so models
-    whose energies span hundreds of units stay finite.
+    The negative energies are the (2^m, 2^n) log-joint table of the packed
+    parameters and the partition function is taken with a max-shifted
+    log-sum-exp, so models whose energies span hundreds of units stay finite.
 
     Raises:
         ValueError: if m + n exceeds MAX_EXACT_UNITS, too large for exact
             inference.
     """
-    m, n = model.n_visible, model.n_hidden
-    require_enumerable(m, n)
-    v_pat = bit_patterns(m)
-    h_pat = bit_patterns(n)
-    neg_energy = (
-        (v_pat @ model.visible_bias)[:, None]
-        + (h_pat @ model.hidden_bias)[None, :]
-        + v_pat @ model.weights @ h_pat.T
-    )
+    neg_energy = _log_joint(_pack(model))
     shift = neg_energy.max()
     log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
     joint = np.exp(neg_energy - log_partition)
@@ -186,7 +206,7 @@ def measurement_independence_check(
     """
     mass = dist._epr_view.sum(axis=1)  # P(v1, v2, lambda) by setting pair
     conditional = mass / mass.sum(axis=1, keepdims=True)
-    pooled = conditional.mean(axis=0)
+    pooled = conditional.sum(axis=0) / len(SETTING_PAIRS)
     tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)
     return MeasurementIndependenceReport(
         setting_pairs=SETTING_PAIRS,

@@ -31,7 +31,7 @@ def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
     arr = np.array(value, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr!r}")
     arr.setflags(write=False)
     return arr

@@ -26,9 +26,11 @@ from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset
 from .exact import (
     ExactDistribution,
-    bit_patterns,
+    _log_joint,
+    _pack,
+    _pattern_tables,
+    _read_only,
     enumerate_distribution,
-    require_enumerable,
 )
 from .rbm import RbmModel, _logistic
 
@@ -192,27 +194,6 @@ def _pattern_index(rows: np.ndarray) -> np.ndarray:
     return (rows @ powers).astype(np.int64)
 
 
-def _augmented_patterns(k: int) -> np.ndarray:
-    """bit_patterns(k) with a trailing column of ones, shape (2^k, k + 1)."""
-    pat = bit_patterns(k)
-    return np.hstack([pat, np.ones((pat.shape[0], 1))])
-
-
-def _pack(model: RbmModel) -> np.ndarray:
-    """The (m+1, n+1) augmented parameter matrix [[W, c], [d, 0]].
-
-    With visible and hidden patterns augmented by a unit column, v_aug @ theta
-    holds the hidden pre-activations d + v W followed by v . c, and
-    (v_aug @ theta) @ h_aug.T is the table of log P(v, h) + log Z.
-    """
-    return np.block(
-        [
-            [model.weights, model.visible_bias[:, None]],
-            [model.hidden_bias[None, :], np.zeros((1, 1))],
-        ]
-    )
-
-
 def _unpack(theta: np.ndarray) -> RbmModel:
     return RbmModel(
         visible_bias=theta[:-1, -1], hidden_bias=theta[-1, :-1], weights=theta[:-1, :-1]
@@ -238,18 +219,10 @@ def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
     ones take its row and column sums by BLAS, and _cumulative_rows(2^m)
     turns a transition table into the rows each chain draws from.
     """
-    v_aug = _augmented_patterns(shape[0] - 1)
-    h_aug = _augmented_patterns(shape[1] - 1)
-    tables = (
-        v_aug,
-        h_aug.T,
-        np.ones(h_aug.shape[0]),
-        np.ones(v_aug.shape[0]),
-        _cumulative_rows(v_aug.shape[0]),
-    )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
+    ones_h, ones_v = np.ones(h_aug_t.shape[1]), np.ones(v_aug.shape[0])
+    tables = (ones_h, ones_v, _cumulative_rows(v_aug.shape[0]))
+    return (v_aug, h_aug_t, *map(_read_only, tables))
 
 
 # Every log-joint entry v_aug @ theta @ h_aug.T is a sum of a subset of
@@ -321,13 +294,11 @@ def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     forming v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
     augmented matrix laid out like theta, the packed model (see _pack).
     """
-    m, n = theta.shape[0] - 1, theta.shape[1] - 1
-    require_enumerable(m, n)
-    v_aug = _augmented_patterns(m)
+    v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
     act = v_aug.dot(theta)
     ph = _logistic(act)
     ph[:, -1] = 1.0
-    return v_aug, act.dot(_augmented_patterns(n).T), ph
+    return v_aug, act.dot(h_aug_t), ph
 
 
 def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,7 +373,6 @@ def model_expectation_pcd(
     arr = _check_batch(model, chains)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    require_enumerable(model.n_visible, model.n_hidden)
     theta = _pack(model)
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
@@ -529,9 +499,7 @@ def train(
         theta[:-1, :-1] = init_rng.standard_normal((m, n_hidden))
         theta *= config.weight_init_scale
 
-    # the pattern-space kernel and the per-epoch diagnostics both tabulate
-    # all 2^(m+n) joint states
-    require_enumerable(m, n_hidden)
+    # raises if the kernel's 2^(m+n) joint states are too many to tabulate
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
@@ -571,7 +539,7 @@ def train(
                     chains = _pcd_advance(theta, chains, k, uniforms[b], h_given_v)
                     weights = weights - np.bincount(chains, chain_weights, n_patterns)
                 else:
-                    log_joint = v_aug.dot(theta).dot(h_aug_t)
+                    log_joint = _log_joint(theta)
                     p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
                     weights = weights - lr / p_v.sum() * p_v
                     _conditional(log_joint, 1, h_given_v)

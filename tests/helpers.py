@@ -49,6 +49,23 @@ def brute_force_joint(model: RbmModel) -> tuple[np.ndarray, float]:
     return weights / z, math.log(z)
 
 
+def four_matmul_distribution(model: RbmModel) -> ExactDistribution:
+    """exact.enumerate_distribution with the negative energies assembled
+    from the separate parameters: c.v and d.h as two broadcast vectors plus
+    the table v W h, four matrix products in all, with no packed theta."""
+    v_pat = bit_patterns(model.n_visible)
+    h_pat = bit_patterns(model.n_hidden)
+    neg_energy = (
+        (v_pat @ model.visible_bias)[:, None]
+        + (h_pat @ model.hidden_bias)[None, :]
+        + v_pat @ model.weights @ h_pat.T
+    )
+    shift = neg_energy.max()
+    log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
+    joint = np.exp(neg_energy - log_partition)
+    return ExactDistribution(model=model, log_partition=log_partition, joint=joint)
+
+
 def brute_force_moments(
     model: RbmModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -30,7 +31,7 @@ from eprbm.epr import DetectorAngles, empirical_correlations, load_dataset
 from eprbm.rbm import RbmModel
 from eprbm.trainer import load_model, load_reference_model, save_model
 
-from helpers import parse_comparison_csv
+from helpers import parse_comparison_csv, random_model
 
 # Schema of the diagnostics report written by `eprbm diagnose --out`.
 DIAGNOSTICS_REPORT_SCHEMA = {
@@ -505,6 +506,56 @@ class TestDiagnose:
         printed = capsys.readouterr().out
         assert "measurement independence not violated" in printed
         assert "locality PASS" in printed
+
+    @pytest.mark.parametrize("kind", ["reference_hidden_bias_-800", "seed_3_scale_100"])
+    def test_no_verdict_drawn_from_nan(self, tmp_path, capsys, kind):
+        # two finite models whose exact diagnostics have come out NaN: the
+        # command must either refuse to give a verdict (exit 3, no report)
+        # or give finite ones, and must never print a verdict drawn from NaN
+        if kind == "seed_3_scale_100":
+            model = random_model(np.random.default_rng(3), scale=100.0)
+        else:
+            reference = load_reference_model()
+            hidden_bias = reference.hidden_bias.copy()
+            hidden_bias[0] = -800.0
+            model = RbmModel(reference.visible_bias, hidden_bias, reference.weights)
+        model_path, out = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(model_path, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("diagnose", "--model", model_path, "--out", out)
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out.lower()
+        if rc == EXIT_DATA:
+            assert "not finite" in captured.err
+            assert "locality" not in captured.out
+            assert "measurement independence" not in captured.out
+            assert list(tmp_path.iterdir()) == [model_path]
+        else:
+            assert rc == EXIT_OK
+            assert "locality PASS" in captured.out
+
+            def reject(constant):
+                raise ValueError(f"non-standard JSON constant {constant}")
+
+            report = json.loads(out.read_text(), parse_constant=reject)
+            jsonschema.validate(report, DIAGNOSTICS_REPORT_SCHEMA)
+            assert report["locality"]["pass"] is True
+
+    def test_report_refuses_non_finite_values(self, tmp_path, monkeypatch):
+        # the report is written with allow_nan=False: a NaN that slipped past
+        # the checks would stop the write, not land in the file
+        def dump(obj, fh, **kwargs):
+            if "locality" in obj:
+                allow_nan.append(kwargs.get("allow_nan", True))
+            json_dump(obj, fh, **kwargs)
+
+        allow_nan, json_dump = [], json.dump
+        monkeypatch.setattr(json, "dump", dump)
+        model_path, out = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(model_path, load_reference_model())
+        assert run("diagnose", "--model", model_path, "--out", out) == EXIT_OK
+        assert allow_nan == [False]
 
     def test_oversized_model_is_data_error(self, tmp_path, capsys):
         model_path = tmp_path / "huge.json"

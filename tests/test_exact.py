@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eprbm import trainer
 from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
     MAX_EXACT_UNITS,
     SETTING_PAIRS,
+    _log_joint,
+    _pack,
+    _pattern_tables,
     bit_patterns,
     enumerate_distribution,
     locality_check,
@@ -18,6 +24,7 @@ from eprbm.trainer import load_reference_model
 from helpers import (
     brute_force_joint,
     energy,
+    four_matmul_distribution,
     random_model,
     reference_conditional_outcomes,
     reference_correlations,
@@ -169,6 +176,53 @@ class TestEnumerate:
     def test_marginals_sum_to_one(self, reference_dist):
         assert reference_dist.visible_marginal().sum() == pytest.approx(1.0, abs=1e-12)
         assert reference_dist.joint.sum(axis=0).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLogJointBuilder:
+    @pytest.mark.parametrize("m, n", [(4, 4), (4, 1), (3, 5), (0, 2)])
+    def test_pattern_tables_shared_read_only(self, m, n):
+        v_aug, h_aug_t = _pattern_tables(m, n)
+        assert _pattern_tables(m, n)[0] is v_aug
+        assert not v_aug.flags.writeable and not h_aug_t.flags.writeable
+        np.testing.assert_array_equal(v_aug[:, :-1], bit_patterns(m))
+        np.testing.assert_array_equal(h_aug_t.T[:, :-1], bit_patterns(n))
+        assert np.all(v_aug[:, -1] == 1.0) and np.all(h_aug_t[-1] == 1.0)
+
+    def test_pattern_tables_size_guard(self):
+        with pytest.raises(ValueError, match="too large for exact inference"):
+            _pattern_tables(13, 12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_pack_layout(self, n):
+        model = random_model(np.random.default_rng(n), n=n)
+        theta = _pack(model)
+        want = np.block(
+            [
+                [model.weights, model.visible_bias[:, None]],
+                [model.hidden_bias[None, :], np.zeros((1, 1))],
+            ]
+        )
+        assert theta.flags.writeable
+        np.testing.assert_array_equal(theta, want)
+
+    @given(
+        n=st.integers(1, 5),
+        scale=st.floats(0.01, 30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_four_matmul_oracle(self, n, scale, seed):
+        # the packed builder rounds differently from four separate products,
+        # so log Z and every entry not lost to underflow agree to 1e-12
+        model = random_model(np.random.default_rng(seed), n=n, scale=scale)
+        dist = enumerate_distribution(model)
+        want = four_matmul_distribution(model)
+        assert math.isclose(dist.log_partition, want.log_partition, rel_tol=1e-12)
+        kept = want.joint > 1e-300
+        np.testing.assert_allclose(dist.joint[kept], want.joint[kept], rtol=1e-12, atol=0)
+        # the trainer's exact tables come from the same builder, bit for bit
+        theta = _pack(model)
+        assert np.array_equal(trainer._model_tables(theta)[1], _log_joint(theta))
 
 
 class TestConditionalOutcomes:

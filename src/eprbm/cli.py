@@ -25,6 +25,7 @@ from .epr import (
     DetectorAngles,
     InsufficientDataError,
     SETTING_PAIR_LABELS,
+    _read_json_object,
     empirical_correlations,
     generate_dataset,
     load_dataset,
@@ -142,10 +143,7 @@ def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerCon
     A bad flag value is a usage error that names the flag; a bad value read
     from the --config file raises TrainerConfig's ValueError, a data error.
     """
-    values = {}
-    if args.config:
-        with open(args.config) as fh:
-            values.update(json.load(fh))
+    values = _read_json_object(args.config) if args.config else {}
     for dest, key in _TRAINER_FLAGS.items():
         value = getattr(args, dest)
         if value is None:

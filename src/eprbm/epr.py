@@ -41,9 +41,10 @@ SETTING_PAIR_LABELS = {
 class DetectorAngles:
     """Analyzer angles in radians for the two settings of each station.
 
-    The defaults are the standard CHSH-optimal choice: a = 0, a' = pi/2,
-    b = pi/4, b' = -pi/4, for which the quantum prediction reaches
-    S = 2 * sqrt(2).
+    Setting bit 0 selects a at station A and b at station B, bit 1 selects
+    a' and b'. The defaults are the standard CHSH-optimal choice: a = 0,
+    a' = pi/2, b = pi/4, b' = -pi/4, for which the quantum prediction
+    reaches S = 2 * sqrt(2).
     """
 
     a: float = 0.0
@@ -57,18 +58,6 @@ class DetectorAngles:
         for name, value in self.to_dict().items():
             if not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value}")
-
-    def station_a(self, setting: int) -> float:
-        """Angle used by station A for setting bit 0 (a) or 1 (a')."""
-        if setting not in (0, 1):
-            raise ValueError(f"setting must be 0 or 1, got {setting}")
-        return self.a_prime if setting else self.a
-
-    def station_b(self, setting: int) -> float:
-        """Angle used by station B for setting bit 0 (b) or 1 (b')."""
-        if setting not in (0, 1):
-            raise ValueError(f"setting must be 0 or 1, got {setting}")
-        return self.b_prime if setting else self.b
 
     def to_dict(self) -> dict:
         return {
@@ -231,8 +220,8 @@ def generate_dataset(
 
     # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta), per
     # setting pair
-    theta_a = np.array([[angles.station_a(0)], [angles.station_a(1)]])
-    theta_b = np.array([angles.station_b(0), angles.station_b(1)])
+    theta_a = np.array([[angles.a], [angles.a_prime]])
+    theta_b = np.array([angles.b, angles.b_prime])
     p_same = ((1.0 - np.cos(theta_a - theta_b)) / 2.0).ravel()
     same = agree_u < p_same.take(pattern)
     pattern <<= 2
@@ -283,6 +272,16 @@ def sidecar_path(csv_path) -> str:
     return f"{csv_path}.meta.json"
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object a file holds; ValueError naming the file if it holds
+    something else."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return payload
+
+
 def save_dataset(dataset: EprDataset, path) -> None:
     """Write the trials as CSV plus a JSON sidecar with seed/size/angles/hash.
 
@@ -311,15 +310,18 @@ def load_dataset(path) -> EprDataset:
 
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
-        ValueError: on malformed rows or values, a non-finite angle in the
-            sidecar, a row count that differs from the sidecar's n_trials,
-            or a CSV whose SHA-256 is not the one the sidecar records (or a
-            sidecar that records none).
+        ValueError: on malformed rows or values, a sidecar or angles that
+            are not a JSON object, a non-finite angle in the sidecar, a row
+            count that differs from the sidecar's n_trials, or a CSV whose
+            SHA-256 is not the one the sidecar records (or a sidecar that
+            records none).
     """
-    with open(sidecar_path(path)) as fh:
-        meta = json.load(fh)
+    meta_path = sidecar_path(path)
+    meta = _read_json_object(meta_path)
     with open(path, "rb") as fh:
         data = fh.read()
+    if not isinstance(meta["angles"], dict):
+        raise ValueError(f"the angles in {meta_path} must be a JSON object")
     angles = DetectorAngles.from_dict(meta["angles"])
     seed = meta["seed"]
     if seed is not None:
@@ -346,7 +348,7 @@ def load_dataset(path) -> EprDataset:
     if meta.get("csv_sha256") != hashlib.sha256(data).hexdigest():
         raise ValueError(
             f"dataset {path} does not match the SHA-256 recorded in its sidecar "
-            f"{sidecar_path(path)} (or the sidecar records none); re-run "
+            f"{meta_path} (or the sidecar records none); re-run "
             "`eprbm simulate` to write the pair again"
         )
     # the rows come from outside, so they take the column constructor's checks

@@ -55,15 +55,6 @@ def bit_patterns(k: int) -> np.ndarray:
     return _bit_table(k)
 
 
-def require_enumerable(m: int, n: int) -> None:
-    """Raise ValueError if 2^(m+n) joint states are too many to tabulate."""
-    if m + n > MAX_EXACT_UNITS:
-        raise ValueError(
-            f"model with {m} + {n} units is too large for exact inference "
-            f"(limit {MAX_EXACT_UNITS} total units)"
-        )
-
-
 def _pack(model: RbmModel) -> np.ndarray:
     """The (m+1, n+1) augmented parameter matrix theta = [[W, c], [d, 0]]."""
     theta = np.empty((model.n_visible + 1, model.n_hidden + 1))
@@ -76,9 +67,13 @@ def _pack(model: RbmModel) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _pattern_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared read-only v_aug and h_aug.T: bit_patterns(m) and bit_patterns(n)
-    with a trailing column of ones, the second transposed. Raises ValueError,
-    as require_enumerable does, for too many joint states."""
-    require_enumerable(m, n)
+    with a trailing column of ones, the second transposed. Raises ValueError
+    if the 2^(m+n) joint states are too many to tabulate."""
+    if m + n > MAX_EXACT_UNITS:
+        raise ValueError(
+            f"model with {m} + {n} units is too large for exact inference "
+            f"(limit {MAX_EXACT_UNITS} total units)"
+        )
     v_aug, h_aug = (np.hstack([bit_patterns(k), np.ones((2**k, 1))]) for k in (m, n))
     return _read_only(v_aug), _read_only(h_aug.T)
 

@@ -6,9 +6,11 @@ The log-likelihood gradient for a weight is
 
 and analogously for the biases with <v_i> and <h_j>. Both expectations are
 taken over the 2^m visible patterns, each weighted by how often it occurs:
-in the data, among the persistent contrastive divergence chains, or under
-the exact distribution, which doubles as the oracle for validating the
-stochastic estimate.
+in the data, or among the persistent contrastive divergence chains that
+train takes its model term from. exact_gradient and model_expectation_exact
+weight the patterns by the exact P(v) instead, with P(h | v) normalized as
+the chains' kernel normalizes it; they are the oracle for the stochastic
+estimate.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ import numpy as np
 
 from . import bell
 from .atomic import atomic_write
-from .epr import N_VISIBLE, EprDataset
+from .epr import N_VISIBLE, EprDataset, _read_json_object
 from .exact import (
     ExactDistribution,
-    _log_joint,
     _pack,
     _pattern_tables,
     _read_only,
     enumerate_distribution,
 )
-from .rbm import RbmModel, _logistic
+from .rbm import RbmModel
 
 ENCODING_DOC = {
     "v1": "alpha",
@@ -293,12 +294,15 @@ def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Weighting the rows of the last table by pattern frequencies w and
     forming v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
     augmented matrix laid out like theta, the packed model (see _pack).
+    P(h | v) is the log-joint table normalized per row as the PCD kernel
+    normalizes it; the last column is set to exactly 1, the sum its rows
+    reach only up to rounding.
     """
     v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
-    act = v_aug.dot(theta)
-    ph = _logistic(act)
+    log_joint = v_aug.dot(theta).dot(h_aug_t)
+    ph = _conditional(log_joint, 1).dot(h_aug_t.T)
     ph[:, -1] = 1.0
-    return v_aug, act.dot(h_aug_t), ph
+    return v_aug, log_joint, ph
 
 
 def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,7 +322,7 @@ def _frequencies(rows: np.ndarray, n_patterns: int) -> np.ndarray:
 
 
 def _exact_visible(log_joint: np.ndarray) -> np.ndarray:
-    """The model's exact P(v) from its log-joint table, as train's exact term."""
+    """The model's exact P(v) from its log-joint table."""
     p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
     return p_v / p_v.sum()
 
@@ -399,9 +403,10 @@ def exact_gradient(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact ascent direction of the average log-likelihood.
 
-    This is the step train(model_term="exact") takes on a minibatch, before
-    the learning rate: one product over the visible patterns weighted by
-    data frequency minus exact model probability.
+    This is train's step on a minibatch, before the learning rate, with the
+    chains' occupancy replaced by the exact P(v): one product over the
+    visible patterns weighted by data frequency minus exact model
+    probability, with P(h | v) normalized as the PCD kernel normalizes it.
 
     Returns:
         (grad_w, grad_c, grad_d): data moments minus exact model moments for
@@ -441,7 +446,6 @@ def train(
     config: TrainerConfig,
     *,
     n_hidden: int = 4,
-    model_term: str = "pcd",
     initial_model: RbmModel | None = None,
 ) -> tuple[RbmModel, TrainingTrace]:
     """Fit an RBM to the encoded trials by stochastic gradient ascent.
@@ -455,17 +459,16 @@ def train(
         d  += eps * (<h>_data   - <h>_model)
 
     with eps decayed per epoch. The model term comes from persistent
-    contrastive divergence by default; model_term="exact" substitutes the
-    exact moments of the enumerated distribution (test use). After every
-    epoch the exact average log-likelihood and CHSH S are recorded.
+    contrastive divergence (Tieleman, ICML 2008); exact_gradient gives the
+    same step with the exact model term. After every epoch the exact average
+    log-likelihood and CHSH S are recorded.
 
     Data, chains and moments are all kept over the 2^m visible patterns:
     each minibatch is a vector of pattern counts, and the persistent chains
     are pattern indices advanced as in model_expectation_pcd. W, c and d
     live in one augmented matrix theta = [[W, c], [d, 0]], so both moment
     sets of an update, and the step itself, are one product over the
-    patterns weighted by data frequency minus model frequency: the chains'
-    occupancy, or the exact P(v).
+    patterns weighted by data frequency minus the chains' occupancy.
 
     Raises:
         TrainingDivergedError: if any parameter goes non-finite, or the
@@ -474,8 +477,6 @@ def train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    if model_term not in ("pcd", "exact"):
-        raise ValueError(f"model_term must be 'pcd' or 'exact', got {model_term!r}")
     data_idx = dataset.pattern
     n_rows, m = data_idx.size, N_VISIBLE
 
@@ -527,22 +528,15 @@ def train(
         batch_weights = np.bincount(
             cells, minlength=n_batches * n_patterns
         ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
-        if model_term == "pcd":
-            uniforms = chain_rng.random((n_batches, n_chains))
-            # each chain's pattern counts lr / n_chains against the data
-            chain_weights = np.full(n_chains, lr / n_chains)
+        uniforms = chain_rng.random((n_batches, n_chains))
+        # each chain's pattern counts lr / n_chains against the data
+        chain_weights = np.full(n_chains, lr / n_chains)
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for b, weights in enumerate(batch_weights):
-                if model_term == "pcd":
-                    chains = _pcd_advance(theta, chains, k, uniforms[b], h_given_v)
-                    weights = weights - np.bincount(chains, chain_weights, n_patterns)
-                else:
-                    log_joint = _log_joint(theta)
-                    p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
-                    weights = weights - lr / p_v.sum() * p_v
-                    _conditional(log_joint, 1, h_given_v)
+            for weights, u in zip(batch_weights, uniforms):
+                chains = _pcd_advance(theta, chains, k, u, h_given_v)
+                weights = weights - np.bincount(chains, chain_weights, n_patterns)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)
@@ -588,8 +582,7 @@ def save_model(
 
 def load_model(path) -> tuple[RbmModel, dict]:
     """Read a model file; returns the model and the full metadata dict."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json_object(path)
     model = RbmModel(
         visible_bias=payload["visible_bias"],
         hidden_bias=payload["hidden_bias"],

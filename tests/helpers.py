@@ -125,8 +125,8 @@ def four_column_trials(
     beta = rng.integers(0, 2, size=n_trials)
     x_alpha = 2 * rng.integers(0, 2, size=n_trials) - 1
     agree_u = rng.random(n_trials)
-    theta_a = np.array([[angles.station_a(0)], [angles.station_a(1)]])
-    theta_b = np.array([angles.station_b(0), angles.station_b(1)])
+    theta_a = np.array([[angles.a], [angles.a_prime]])
+    theta_b = np.array([angles.b, angles.b_prime])
     p_same = (1.0 - np.cos(theta_a - theta_b)) / 2.0
     same = agree_u < p_same[alpha, beta]
     x_beta = np.where(same, x_alpha, -x_alpha)
@@ -255,16 +255,14 @@ def reference_train(
     config: trainer.TrainerConfig,
     *,
     n_hidden: int = 4,
-    model_term: str = "pcd",
 ) -> tuple[RbmModel, trainer.TrainingTrace]:
     """Plain formulation of trainer.train, the oracle for its packed update.
 
     W, c and d are kept apart and stepped one by one, each update takes its
-    uniforms in its own rng.random(n_chains) call, the chain draw goes
-    through an explicit cumulative sum, and the exact model term comes from
-    the enumerated joint table. The seeded streams are consumed in the same
-    order as in train, so the two agree up to floating-point reassociation.
-    Fresh weights only, and no divergence handling.
+    uniforms in its own rng.random(n_chains) call, and the chain draw goes
+    through an explicit cumulative sum. The seeded streams are consumed in
+    the same order as in train, so the two agree up to floating-point
+    reassociation. Fresh weights only, and no divergence handling.
     """
     encoded = encode_dataset(dataset)
     n_rows, m = encoded.shape
@@ -297,21 +295,11 @@ def reference_train(
         for weights in batch_weights:
             act = v_pat @ w + d
             ph = expit(act)
-            if model_term == "pcd":
-                chains = _reference_pcd_advance(
-                    c, act, v_pat, h_pat, chains, config.gibbs_steps_per_update,
-                    chain_rng,
-                )
-                model_weights = np.bincount(chains, minlength=n_patterns) / n_chains
-                g_w, g_c, g_d = _reference_table_moments(
-                    v_pat, ph, weights - model_weights
-                )
-            else:
-                vh_m, v_m, h_m = trainer.model_expectation_exact(
-                    RbmModel(visible_bias=c, hidden_bias=d, weights=w)
-                )
-                vh_d, v_d, h_d = _reference_table_moments(v_pat, ph, weights)
-                g_w, g_c, g_d = vh_d - vh_m, v_d - v_m, h_d - h_m
+            chains = _reference_pcd_advance(
+                c, act, v_pat, h_pat, chains, config.gibbs_steps_per_update, chain_rng
+            )
+            model_weights = np.bincount(chains, minlength=n_patterns) / n_chains
+            g_w, g_c, g_d = _reference_table_moments(v_pat, ph, weights - model_weights)
             w = w + lr * g_w
             c = c + lr * g_c
             d = d + lr * g_d

@@ -571,6 +571,49 @@ class TestDiagnose:
         assert "too large for exact inference" in capsys.readouterr().err
 
 
+class TestNonObjectJson:
+    # each JSON input parses but holds no object where one is expected; the
+    # command must exit 3 naming the file, before it prints or writes anything
+    @pytest.mark.parametrize(
+        "command, target, payload",
+        [
+            ("eval", "model.json", [1, 2]),
+            ("diagnose", "model.json", [1, 2]),
+            ("eval", "d.csv.meta.json", [1]),
+            ("eval", "d.csv.meta.json", {"angles": [0, 1, 2, 3]}),
+            ("train", "cfg.json", []),
+            ("train", "cfg.json", [["seed", 5]]),
+        ],
+        ids=["eval-model", "diagnose-model", "eval-sidecar", "eval-sidecar-angles",
+             "train-config-empty", "train-config-pairs"],
+    )
+    def test_is_data_error(self, tmp_path, capsys, command, target, payload):
+        data, model, cfg, out = (
+            tmp_path / name for name in ("d.csv", "model.json", "cfg.json", "out")
+        )
+        assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
+        save_model(model, load_reference_model())
+        path = tmp_path / target
+        if isinstance(payload, dict):
+            payload = {**json.loads(path.read_text()), **payload}
+        path.write_text(json.dumps(payload))
+        argv = {
+            "eval": ("--model", model, "--data", data, "--out", out),
+            "diagnose": ("--model", model, "--out", out),
+            "train": ("--data", data, "--config", cfg, "--out", out,
+                      "--seed", 0, "--epochs", 1),
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(command, *argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert target in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def child_env() -> dict:
     """The environment of a child interpreter that imports the eprbm under
     test, installed or not."""

@@ -56,15 +56,6 @@ class TestDetectorAngles:
         assert angles.b == pytest.approx(math.pi / 4)
         assert angles.b_prime == pytest.approx(-math.pi / 4)
 
-    def test_station_lookup(self):
-        angles = DetectorAngles(a=0.1, a_prime=0.2, b=0.3, b_prime=0.4)
-        assert angles.station_a(0) == 0.1
-        assert angles.station_a(1) == 0.2
-        assert angles.station_b(0) == 0.3
-        assert angles.station_b(1) == 0.4
-        with pytest.raises(ValueError):
-            angles.station_a(2)
-
     def test_dict_round_trip(self):
         angles = DetectorAngles(a=1.0, a_prime=-2.0, b=0.25, b_prime=3.5)
         assert DetectorAngles.from_dict(angles.to_dict()) == angles
@@ -155,9 +146,10 @@ class TestGenerateDataset:
             rng.integers(0, 2, size=n)
         agree_u = rng.random(n)
         p_same = np.zeros((2, 2))
+        theta_a, theta_b = (angles.a, angles.a_prime), (angles.b, angles.b_prime)
         for alpha, beta, x in itertools.product((0, 1), (0, 1), (-1, 1)):
             p_same[alpha, beta] += singlet_prob_oracle(
-                angles.station_a(alpha), angles.station_b(beta), x, x
+                theta_a[alpha], theta_b[beta], x, x
             )
         same = agree_u < p_same[dataset.alpha, dataset.beta]
         np.testing.assert_array_equal(

@@ -300,6 +300,29 @@ def bound_admits(theta: np.ndarray) -> bool:
     return flat.dot(flat) * flat.size < trainer._MAX_LOG_JOINT**2
 
 
+def scale_sweep_models(reference_model: RbmModel) -> list[RbmModel]:
+    """Random models at scales 0.01 to 100 with 2 to 6 hidden units, the
+    reference model, and the reference model with -800 on one hidden bias:
+    between them they take the kernel's unshifted path and its fallback."""
+    blocked_bias = reference_model.hidden_bias.copy()
+    blocked_bias[0] = -800.0
+    models = [
+        random_model(np.random.default_rng(seed), n=n, scale=scale)
+        for seed, (n, scale) in enumerate(
+            [(4, s) for s in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0)]
+            + [(2, 1.0), (6, 3.0), (6, 100.0)]
+        )
+    ]
+    return models + [
+        reference_model,
+        RbmModel(
+            visible_bias=reference_model.visible_bias,
+            hidden_bias=blocked_bias,
+            weights=reference_model.weights,
+        ),
+    ]
+
+
 class TestPcdAdvance:
     def test_draws_match_reference_draw_for_draw(self, reference_model):
         # the kernel and the plain cumulative-sum draw compare the same
@@ -346,26 +369,9 @@ class TestPcdAdvance:
         # times the augmented hidden patterns it must give [P(h_j = 1 | v), 1]
         # on the unshifted path and on the per-row/per-column fallback alike,
         # also where the two layers differ in size
-        blocked_bias = reference_model.hidden_bias.copy()
-        blocked_bias[0] = -800.0
-        models = [
-            random_model(np.random.default_rng(seed), n=n, scale=scale)
-            for seed, (n, scale) in enumerate(
-                [(4, s) for s in (0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0)]
-                + [(2, 1.0), (6, 3.0), (6, 100.0)]
-            )
-        ]
-        models += [
-            reference_model,
-            RbmModel(
-                visible_bias=reference_model.visible_bias,
-                hidden_bias=blocked_bias,
-                weights=reference_model.weights,
-            ),
-        ]
         patterns = bit_patterns(4)
         admitted = []
-        for model in models:
+        for model in scale_sweep_models(reference_model):
             theta = trainer._pack(model)
             admitted.append(bound_admits(theta))
             h_pat = bit_patterns(model.n_hidden)
@@ -485,6 +491,64 @@ class TestExactGradient:
         assert grad_c.shape == (4,)
         assert grad_d.shape == (4,)
 
+    def test_full_batch_ascent_is_monotone(self, small_dataset):
+        # from train's initial draw for seed 3, eight full-batch steps of
+        # 0.05 along the exact gradient each raise the likelihood
+        model, _ = train(small_dataset, TrainerConfig(seed=3, n_epochs=0))
+        data = encode_dataset(small_dataset)
+        lls = [average_log_likelihood(model, data)]
+        for _ in range(8):
+            grad_w, grad_c, grad_d = exact_gradient(model, data)
+            model = RbmModel(
+                visible_bias=model.visible_bias + 0.05 * grad_c,
+                hidden_bias=model.hidden_bias + 0.05 * grad_d,
+                weights=model.weights + 0.05 * grad_w,
+            )
+            lls.append(average_log_likelihood(model, data))
+        assert all(b > a for a, b in zip(lls, lls[1:]))
+
+    def test_hidden_relabeling_equivariance(self, small_dataset):
+        # relabeling the hidden units permutes the gradient the same way
+        perm = [2, 0, 3, 1]
+        rng = np.random.default_rng(9)
+        w0 = rng.standard_normal((4, 4)) * 0.1
+        d0 = rng.standard_normal(4) * 0.1
+        model_a = RbmModel(visible_bias=np.zeros(4), hidden_bias=d0, weights=w0)
+        model_b = RbmModel(
+            visible_bias=np.zeros(4), hidden_bias=d0[perm], weights=w0[:, perm]
+        )
+        data = encode_dataset(small_dataset)
+        grad_w_a, grad_c_a, grad_d_a = exact_gradient(model_a, data)
+        grad_w_b, grad_c_b, grad_d_b = exact_gradient(model_b, data)
+        assert np.abs(grad_w_a[:, perm] - grad_w_b).max() <= 1e-12
+        assert np.abs(grad_d_a[perm] - grad_d_b).max() <= 1e-12
+        assert np.abs(grad_c_a - grad_c_b).max() <= 1e-12
+
+    def test_rows_match_pcd_kernel(self, reference_model):
+        # exact_gradient takes its [P(h | v), 1] rows from _model_tables, and
+        # train takes them from the kernel's P(h | v) table: the same
+        # normalization wherever the kernel shifts, within rounding where it
+        # skips the shift, and an exact 1 in the last column either way
+        admitted = []
+        for model in scale_sweep_models(reference_model):
+            theta = trainer._pack(model)
+            admitted.append(bound_admits(theta))
+            h_pat = bit_patterns(model.n_hidden)
+            h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
+            h_given_v = np.full((16, h_pat.shape[0]), np.nan)
+            chains = np.random.default_rng(0).integers(0, 16, 100)
+            trainer._pcd_advance(
+                theta, chains, 5, np.random.default_rng(1).random(100), h_given_v
+            )
+            want = h_given_v @ h_aug
+            rows = trainer._model_tables(theta)[2]
+            message = f"unshifted path {admitted[-1]}"
+            assert np.all(rows[:, -1] == 1.0), message
+            assert np.abs(rows - want).max() <= 1e-15, message
+            if not admitted[-1]:
+                np.testing.assert_array_equal(rows[:, :-1], want[:, :-1], message)
+        assert any(admitted) and not all(admitted)
+
 
 @pytest.fixture(scope="module")
 def small_dataset():
@@ -515,15 +579,10 @@ class TestTrain:
         np.testing.assert_array_equal(model_a.hidden_bias, np.zeros(4))
         assert model_a.weights.shape == (4, 4)
 
-    @pytest.mark.parametrize("model_term", ["pcd", "exact"])
-    def test_batch_larger_than_data_is_one_batch(self, small_dataset, model_term):
+    def test_batch_larger_than_data_is_one_batch(self, small_dataset):
         # a batch size no int64 holds trains as one batch of the whole data
         results = [
-            train(
-                small_dataset,
-                TrainerConfig(seed=3, n_epochs=2, batch_size=size),
-                model_term=model_term,
-            )
+            train(small_dataset, TrainerConfig(seed=3, n_epochs=2, batch_size=size))
             for size in (10**20, len(small_dataset))
         ]
         (huge, huge_trace), (whole, whole_trace) = results
@@ -583,66 +642,14 @@ class TestTrain:
         assert isinstance(info.value.trace, TrainingTrace)
         assert len(info.value.trace) == 0
 
-    def test_divergence_on_exact_path(self, small_dataset):
-        with pytest.raises(TrainingDivergedError):
-            train(
-                small_dataset,
-                TrainerConfig(
-                    seed=1, n_epochs=2, learning_rate=1e308, batch_size=1000
-                ),
-                model_term="exact",
-            )
-
-    def test_exact_term_full_batch_is_monotone(self, small_dataset):
-        _, trace = train(
-            small_dataset,
-            TrainerConfig(
-                seed=3,
-                n_epochs=8,
-                learning_rate=0.05,
-                learning_rate_decay=1.0,
-                batch_size=1000,
-            ),
-            model_term="exact",
-        )
-        lls = [r.avg_log_likelihood for r in trace.records]
-        assert all(b > a for a, b in zip(lls, lls[1:]))
-
-    def test_hidden_relabeling_equivariance(self, small_dataset):
-        # relabeling hidden units permutes the trained parameters the same
-        # way when the model term is exact (the stochastic term would consume
-        # its uniforms in a different order)
-        perm = [2, 0, 3, 1]
-        rng = np.random.default_rng(9)
-        w0 = rng.standard_normal((4, 4)) * 0.1
-        d0 = rng.standard_normal(4) * 0.1
-        init_a = RbmModel(visible_bias=np.zeros(4), hidden_bias=d0, weights=w0)
-        init_b = RbmModel(
-            visible_bias=np.zeros(4), hidden_bias=d0[perm], weights=w0[:, perm]
-        )
-        cfg = TrainerConfig(
-            seed=4, n_epochs=3, learning_rate=0.05, learning_rate_decay=1.0,
-            batch_size=500,
-        )
-        model_a, _ = train(small_dataset, cfg, model_term="exact", initial_model=init_a)
-        model_b, _ = train(small_dataset, cfg, model_term="exact", initial_model=init_b)
-        assert np.abs(model_a.weights[:, perm] - model_b.weights).max() <= 1e-12
-        assert np.abs(model_a.hidden_bias[perm] - model_b.hidden_bias).max() <= 1e-12
-        assert np.abs(model_a.visible_bias - model_b.visible_bias).max() <= 1e-12
-
-    @pytest.mark.parametrize("model_term", ["pcd", "exact"])
     @pytest.mark.parametrize("n_hidden", [2, 3, 4])
-    def test_matches_reference_loop(self, small_dataset, n_hidden, model_term):
+    def test_matches_reference_loop(self, small_dataset, n_hidden):
         # the same draws give the same model up to reassociated sums, which
         # stay below 1e-15 here; one flipped chain draw moves the parameters
         # by about 1e-3
         cfg = TrainerConfig(seed=3, n_epochs=3)
-        model, trace = train(
-            small_dataset, cfg, n_hidden=n_hidden, model_term=model_term
-        )
-        ref_model, ref_trace = reference_train(
-            small_dataset, cfg, n_hidden=n_hidden, model_term=model_term
-        )
+        model, trace = train(small_dataset, cfg, n_hidden=n_hidden)
+        ref_model, ref_trace = reference_train(small_dataset, cfg, n_hidden=n_hidden)
         for name in ("weights", "visible_bias", "hidden_bias"):
             np.testing.assert_allclose(
                 getattr(model, name), getattr(ref_model, name), rtol=0, atol=1e-10
@@ -677,8 +684,6 @@ class TestTrain:
                 TrainerConfig(seed=0, n_epochs=1),
                 initial_model=random_model(np.random.default_rng(0), m=3, n=2),
             )
-        with pytest.raises(ValueError, match="model_term"):
-            train(small_dataset, TrainerConfig(seed=0, n_epochs=1), model_term="cd")
         with pytest.raises(ValueError, match="n_hidden"):
             train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=0)
         with pytest.raises(ValueError, match="too large for exact inference"):

@@ -37,6 +37,24 @@ SETTING_PAIR_LABELS = {
 }
 
 
+def _is_int(value) -> bool:
+    """True for Python integers other than bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """True for Python integers and floats other than bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """True for a number whose float is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class DetectorAngles:
     """Analyzer angles in radians for the two settings of each station.
@@ -54,10 +72,11 @@ class DetectorAngles:
 
     def __post_init__(self):
         # cos of a NaN or infinite angle is NaN, and every trial would then
-        # come out anticorrelated
+        # come out anticorrelated; a bool or a string is no angle at all
         for name, value in self.to_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"angle {name} must be finite, got {value}")
+            if not (_is_number(value) and _is_finite(value)):
+                raise ValueError(f"angle {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     def to_dict(self) -> dict:
         return {
@@ -69,28 +88,12 @@ class DetectorAngles:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorAngles":
-        return cls(
-            a=float(data["a"]),
-            a_prime=float(data["a_prime"]),
-            b=float(data["b"]),
-            b_prime=float(data["b_prime"]),
-        )
+        """The angles to_dict gives, read back from a dict such as a JSON
+        object; the constructor rejects a value that is not a finite number."""
+        return cls(data["a"], data["a_prime"], data["b"], data["b_prime"])
 
 
-def _decoded(shift: int, outcome: bool, doc: str) -> property:
-    """A read-only column decoded from bit `shift` of each trial's pattern:
-    the bit itself for a setting, 2 * bit - 1 for an outcome."""
-
-    def column(self) -> np.ndarray:
-        bits = (self.pattern >> shift) & 1
-        values = 2 * bits - 1 if outcome else bits
-        values.setflags(write=False)
-        return values
-
-    return property(column, doc=doc)
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class EprDataset:
     """A sequence of trials plus the seed and angles that produced them.
 
@@ -100,71 +103,28 @@ class EprDataset:
         pattern = 8 * alpha + 4 * beta + 2 * [x_alpha = +1] + [x_beta = +1]
 
     which is the row of exact.bit_patterns(4) that encode_dataset gives the
-    trial. alpha, beta, x_alpha and x_beta are decoded from it on access as
-    read-only int64 columns. seed is None for datasets not produced by
-    generate_dataset (for example hand-written files).
+    trial. The constructor stores a read-only int64 copy of any 1-d sequence
+    of integers in 0..15. seed is None for trials generate_dataset did not draw.
     """
 
     pattern: np.ndarray
     seed: int | None
     angles: DetectorAngles
 
-    def __init__(self, alpha, beta, x_alpha, x_beta, seed, angles):
-        """Trials from four aligned columns: settings 0 or 1, outcomes +1 or -1."""
-        cols = {}
-        for name, values in zip(
-            ("alpha", "beta", "x_alpha", "x_beta"), (alpha, beta, x_alpha, x_beta)
-        ):
-            raw = np.asarray(values)
-            if raw.ndim != 1:
-                raise ValueError(f"{name} must be a 1-d column, got {raw.shape}")
-            # check integrality before the cast truncates fractions away;
-            # integer and bool columns hold no fractions
-            if raw.dtype.kind not in "biu" and not np.all(raw == np.floor(raw)):
-                raise ValueError(f"{name} entries must be integers")
-            cols[name] = raw.astype(np.int64)
-        n = cols["alpha"].size
-        if any(c.size != n for c in cols.values()):
-            raise ValueError("trial columns must all have the same length")
-        for name in ("alpha", "beta"):
-            if not np.all((cols[name] == 0) | (cols[name] == 1)):
-                raise ValueError(f"{name} entries must be 0 or 1")
-        for name in ("x_alpha", "x_beta"):
-            if not np.all((cols[name] == 1) | (cols[name] == -1)):
-                raise ValueError(f"{name} entries must be +1 or -1")
-        pattern = (
-            8 * cols["alpha"]
-            + 4 * cols["beta"]
-            + 2 * (cols["x_alpha"] > 0)
-            + (cols["x_beta"] > 0)
-        )
-        self._store(pattern, seed, angles)
-
-    @classmethod
-    def from_patterns(cls, pattern, seed, angles) -> "EprDataset":
-        """Trials given directly as visible-pattern indices, integers in 0..15."""
-        raw = np.asarray(pattern)
+    def __post_init__(self):
+        raw = np.asarray(self.pattern)
         if raw.ndim != 1:
             raise ValueError(f"pattern must be a 1-d column, got {raw.shape}")
+        # check integrality before the cast truncates fractions away;
+        # integer and bool columns hold no fractions
         if raw.dtype.kind not in "biu" and not np.all(raw == np.floor(raw)):
             raise ValueError("pattern entries must be integers")
         if raw.size and not (raw.min() >= 0 and raw.max() < N_PATTERNS):
             raise ValueError(f"pattern entries must lie in 0..{N_PATTERNS - 1}")
-        dataset = object.__new__(cls)
         # astype copies, so the caller's array stays writable and unshared
-        dataset._store(raw.astype(np.int64), seed, angles)
-        return dataset
-
-    def _store(self, pattern: np.ndarray, seed, angles) -> None:
+        pattern = raw.astype(np.int64)
         pattern.setflags(write=False)
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "angles", angles)
-
-    alpha = _decoded(3, False, "Station A's setting per trial, 0 (a) or 1 (a').")
-    beta = _decoded(2, False, "Station B's setting per trial, 0 (b) or 1 (b').")
-    x_alpha = _decoded(1, True, "Station A's outcome per trial, +1 or -1.")
-    x_beta = _decoded(0, True, "Station B's outcome per trial, +1 or -1.")
 
     def __eq__(self, other) -> bool:
         """Same trials in the same order, same seed and same angles."""
@@ -176,12 +136,8 @@ class EprDataset:
             and np.array_equal(self.pattern, other.pattern)
         )
 
-    @property
-    def n_trials(self) -> int:
-        return self.pattern.size
-
     def __len__(self) -> int:
-        return self.n_trials
+        return self.pattern.size
 
 
 class InsufficientDataError(ValueError):
@@ -228,7 +184,7 @@ def generate_dataset(
     pattern += 2 * x_alpha_up
     # x_beta is +1 when it agrees with an x_alpha of +1 or differs from a -1
     pattern += same == x_alpha_up
-    return EprDataset.from_patterns(pattern, seed=seed, angles=angles)
+    return EprDataset(pattern, seed, angles)
 
 
 def empirical_correlations(dataset: EprDataset) -> CorrelationReport:
@@ -265,6 +221,9 @@ _CSV_LINES = np.array(
     ],
     dtype=object,
 )
+_CSV_HEADER = "alpha,beta,x_alpha,x_beta\n"
+# The pattern index of each CSV line, keyed by the line's bytes as read back.
+_PATTERN_OF_LINE = {line.encode("ascii"): i for i, line in enumerate(_CSV_LINES)}
 
 
 def sidecar_path(csv_path) -> str:
@@ -291,12 +250,12 @@ def save_dataset(dataset: EprDataset, path) -> None:
     files are replaced one after the other, so a run killed in between would
     otherwise leave new rows under an old sidecar.
     """
-    text = "alpha,beta,x_alpha,x_beta\n" + "".join(_CSV_LINES.take(dataset.pattern))
+    text = _CSV_HEADER + "".join(_CSV_LINES.take(dataset.pattern))
     with atomic_write(path, newline="") as fh:
         fh.write(text)
     meta = {
         "seed": dataset.seed,
-        "n_trials": dataset.n_trials,
+        "n_trials": len(dataset),
         "angles": dataset.angles.to_dict(),
         "csv_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
     }
@@ -308,13 +267,17 @@ def save_dataset(dataset: EprDataset, path) -> None:
 def load_dataset(path) -> EprDataset:
     """Read a dataset CSV and its JSON sidecar back into an EprDataset.
 
+    The CSV must hold exactly the bytes save_dataset writes: the header,
+    then per trial one of the 16 lines of _CSV_LINES, "\\n" included.
+
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
-        ValueError: on malformed rows or values, a sidecar or angles that
-            are not a JSON object, a non-finite angle in the sidecar, a row
-            count that differs from the sidecar's n_trials, or a CSV whose
-            SHA-256 is not the one the sidecar records (or a sidecar that
-            records none).
+        ValueError: naming the file, on a sidecar or angles that are not a
+            JSON object, a seed that is not null or an int >= 0, an n_trials
+            that is not an int, or an angle that is not a finite number; on
+            a wrong header or a line that is not a trial line (naming its
+            1-based number); on a row count other than n_trials; or on a CSV
+            whose SHA-256 is not the one the sidecar records (or none).
     """
     meta_path = sidecar_path(path)
     meta = _read_json_object(meta_path)
@@ -322,28 +285,29 @@ def load_dataset(path) -> EprDataset:
         data = fh.read()
     if not isinstance(meta["angles"], dict):
         raise ValueError(f"the angles in {meta_path} must be a JSON object")
-    angles = DetectorAngles.from_dict(meta["angles"])
-    seed = meta["seed"]
-    if seed is not None:
-        seed = int(seed)
-    # loadtxt warns on a file with no rows, so a header-only file skips it
-    if data.partition(b"\n")[2].strip(b"\r\n"):
-        rows = np.loadtxt(
-            io.BytesIO(data), dtype=np.int64, delimiter=",", skiprows=1, ndmin=2
-        )
-    else:
-        rows = np.empty((0, 4), dtype=np.int64)
-    if rows.size == 0:
-        rows = rows.reshape(0, 4)
-    if rows.shape[1] != 4:
+    try:
+        angles = DetectorAngles.from_dict(meta["angles"])
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: {err}") from None
+    seed, n_trials = meta["seed"], meta["n_trials"]
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"{meta_path}: seed must be null or an int >= 0, got {seed!r}")
+    if not _is_int(n_trials):
+        raise ValueError(f"{meta_path}: n_trials must be an int, got {n_trials!r}")
+    lines = io.BytesIO(data)
+    if lines.readline() != _CSV_HEADER.encode("ascii"):
+        raise ValueError(f"{path}: line 1 must be the header {_CSV_HEADER!r}")
+    # -1 marks a line that is not one of the 16
+    pattern = np.fromiter(
+        map(_PATTERN_OF_LINE.get, lines, itertools.repeat(-1)), dtype=np.int64
+    )
+    bad = np.flatnonzero(pattern < 0)
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 2} is not a row like '0,1,-1,1\\n'")
+    if pattern.size != n_trials:
         raise ValueError(
-            f"dataset rows must have 4 columns alpha,beta,x_alpha,x_beta, "
-            f"got {rows.shape[1]}"
-        )
-    if rows.shape[0] != meta["n_trials"]:
-        raise ValueError(
-            f"dataset has {rows.shape[0]} rows but its sidecar records "
-            f"n_trials = {meta['n_trials']}; the file may be truncated"
+            f"dataset {path} has {pattern.size} rows but its sidecar records "
+            f"n_trials = {n_trials}; the file may be truncated"
         )
     if meta.get("csv_sha256") != hashlib.sha256(data).hexdigest():
         raise ValueError(
@@ -351,5 +315,4 @@ def load_dataset(path) -> EprDataset:
             f"{meta_path} (or the sidecar records none); re-run "
             "`eprbm simulate` to write the pair again"
         )
-    # the rows come from outside, so they take the column constructor's checks
-    return EprDataset(*rows.T, seed=seed, angles=angles)
+    return EprDataset(pattern, seed, angles)

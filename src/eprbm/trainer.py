@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -26,6 +25,7 @@ import numpy as np
 from . import bell
 from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset, _read_json_object
+from .epr import _is_finite, _is_int, _is_number
 from .exact import (
     ExactDistribution,
     _pack,
@@ -41,24 +41,6 @@ ENCODING_DOC = {
     "v3": "x_alpha(+1↔1)",
     "v4": "x_beta(+1↔1)",
 }
-
-
-def _is_int(value) -> bool:
-    """True for Python integers other than bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """True for Python integers and floats other than bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """True for a number whose float is finite; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -581,8 +563,22 @@ def save_model(
 
 
 def load_model(path) -> tuple[RbmModel, dict]:
-    """Read a model file; returns the model and the full metadata dict."""
+    """Read a model file; returns the model and the full metadata dict.
+
+    Raises ValueError naming the file and the field if m or n is not an int,
+    or if visible_bias and hidden_bias (lists) or weights (a list of rows)
+    hold anything but finite JSON numbers: no bool, string or object.
+    """
     payload = _read_json_object(path)
+    for name in ("m", "n"):
+        if not _is_int(payload[name]):
+            raise ValueError(f"{path}: {name} must be an int, got {payload[name]!r}")
+    for name, ndim in (("visible_bias", 1), ("hidden_bias", 1), ("weights", 2)):
+        # an object array keeps bools, strings and objects apart from numbers
+        values = np.array(payload[name], dtype=object)
+        numbers = all(_is_number(x) and _is_finite(x) for x in values.flat)
+        if values.ndim != ndim or not numbers:
+            raise ValueError(f"{path}: {name} must be {ndim}-d lists of finite numbers")
     model = RbmModel(
         visible_bias=payload["visible_bias"],
         hidden_bias=payload["hidden_bias"],

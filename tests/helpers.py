@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from eprbm import trainer
 from eprbm.bell import CorrelationReport
-from eprbm.epr import EprDataset, InsufficientDataError, encode_dataset
+from eprbm.epr import DetectorAngles, EprDataset, InsufficientDataError, encode_dataset
 from eprbm.exact import (
     SETTING_PAIRS,
     ExactDistribution,
@@ -131,6 +131,37 @@ def four_column_trials(
     same = agree_u < p_same[alpha, beta]
     x_beta = np.where(same, x_alpha, -x_alpha)
     return alpha, beta, x_alpha, x_beta
+
+
+# The four values of each trial, alpha, beta, x_alpha and x_beta, listed in
+# the order of the 16 visible patterns: settings first, outcome -1 before +1.
+TRIAL_ROWS = tuple(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
+
+
+def four_column_dataset(
+    alpha, beta, x_alpha, x_beta, seed=None, angles=DetectorAngles()
+) -> EprDataset:
+    """An EprDataset from four aligned columns, settings 0 or 1 and outcomes
+    +1 or -1: each trial's pattern is the position of its row in TRIAL_ROWS.
+
+    Raises:
+        ValueError: on a row that is not one of the 16, or columns of
+            different lengths.
+    """
+    index = {row: i for i, row in enumerate(TRIAL_ROWS)}
+    columns = [np.asarray(column).tolist() for column in (alpha, beta, x_alpha, x_beta)]
+    pattern = []
+    for row in zip(*columns, strict=True):
+        if row not in index:
+            raise ValueError(f"{row} is not a trial: settings 0 or 1, outcomes +1 or -1")
+        pattern.append(index[row])
+    return EprDataset(np.array(pattern, dtype=np.int64), seed, angles)
+
+
+def trial_columns(dataset: EprDataset) -> tuple[np.ndarray, ...]:
+    """alpha, beta, x_alpha and x_beta of every trial, as four int64 columns
+    read from TRIAL_ROWS at each trial's pattern."""
+    return tuple(np.array(TRIAL_ROWS, dtype=np.int64)[dataset.pattern].T)
 
 
 def masked_mean_correlations(alpha, beta, x_alpha, x_beta) -> CorrelationReport:

@@ -68,6 +68,7 @@ def test_criterion_1_reference_model_regression():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_2_end_to_end_training():
     started = time.perf_counter()
     passes = 0

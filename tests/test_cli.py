@@ -571,6 +571,37 @@ class TestDiagnose:
         assert "too large for exact inference" in capsys.readouterr().err
 
 
+def assert_data_error_naming(tmp_path, capsys, command, target, payload, named=""):
+    """Run command on a fresh dataset, model and config after writing payload
+    to target (merged into the JSON already there when it is a dict): the
+    command must exit 3 with one error line naming target and `named`, before
+    it prints or writes anything."""
+    data, model, cfg, out = (
+        tmp_path / name for name in ("d.csv", "model.json", "cfg.json", "out")
+    )
+    assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
+    save_model(model, load_reference_model())
+    path = tmp_path / target
+    if isinstance(payload, dict):
+        payload = {**json.loads(path.read_text()), **payload}
+    path.write_text(json.dumps(payload))
+    argv = {
+        "eval": ("--model", model, "--data", data, "--out", out),
+        "diagnose": ("--model", model, "--out", out),
+        "train": ("--data", data, "--config", cfg, "--out", out,
+                  "--seed", 0, "--epochs", 1),
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(command, *argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert target in captured.err and named in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestNonObjectJson:
     # each JSON input parses but holds no object where one is expected; the
     # command must exit 3 naming the file, before it prints or writes anything
@@ -588,30 +619,52 @@ class TestNonObjectJson:
              "train-config-empty", "train-config-pairs"],
     )
     def test_is_data_error(self, tmp_path, capsys, command, target, payload):
-        data, model, cfg, out = (
-            tmp_path / name for name in ("d.csv", "model.json", "cfg.json", "out")
+        assert_data_error_naming(tmp_path, capsys, command, target, payload)
+
+
+def _angles(**changed) -> dict:
+    return {"angles": {**DetectorAngles().to_dict(), **changed}}
+
+
+class TestMistypedJson:
+    # each field holds a JSON value of the wrong type: the command must exit
+    # 3 naming the file and the field, never crash or take the value as is
+    @pytest.mark.parametrize(
+        "command, target, payload, field",
+        [
+            ("eval", "d.csv.meta.json", {"seed": [1]}, "seed"),
+            ("eval", "d.csv.meta.json", {"seed": 1.5}, "seed"),
+            ("eval", "d.csv.meta.json", {"seed": True}, "seed"),
+            ("eval", "d.csv.meta.json", {"seed": -1}, "seed"),
+            ("eval", "d.csv.meta.json", {"n_trials": "200"}, "n_trials"),
+            ("eval", "d.csv.meta.json", {"n_trials": 200.0}, "n_trials"),
+            ("eval", "d.csv.meta.json", _angles(a=[1]), "angle a"),
+            ("eval", "d.csv.meta.json", _angles(a_prime="0.5"), "angle a_prime"),
+            ("eval", "d.csv.meta.json", _angles(b=True), "angle b"),
+            ("eval", "d.csv.meta.json", _angles(b_prime=10**400), "angle b_prime"),
+            ("diagnose", "model.json", {"visible_bias": {"a": 1}}, "visible_bias"),
+            ("diagnose", "model.json", {"hidden_bias": ["1", "0", "0", "0"]},
+             "hidden_bias"),
+            ("diagnose", "model.json", {"weights": [[10**400] * 4] * 4}, "weights"),
+            ("diagnose", "model.json", {"n": "4"}, "n"),
+            ("eval", "model.json", {"visible_bias": [True, False, True, False]},
+             "visible_bias"),
+            ("eval", "model.json", {"weights": [[True, False, True, True]] * 4},
+             "weights"),
+            ("eval", "model.json", {"weights": [1.0, 2.0, 3.0, 4.0]}, "weights"),
+            ("eval", "model.json", {"m": 4.0}, "m"),
+        ],
+        ids=["seed-list", "seed-fraction", "seed-bool", "seed-negative",
+             "n_trials-string", "n_trials-float", "angle-list", "angle-string",
+             "angle-bool", "angle-huge-int", "diagnose-bias-object",
+             "diagnose-bias-strings", "diagnose-weights-huge-int",
+             "diagnose-n-string", "eval-bias-bools", "eval-weights-bools",
+             "eval-weights-flat", "eval-m-float"],
+    )
+    def test_is_data_error(self, tmp_path, capsys, command, target, payload, field):
+        assert_data_error_naming(
+            tmp_path, capsys, command, target, payload, f"{field} must"
         )
-        assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
-        save_model(model, load_reference_model())
-        path = tmp_path / target
-        if isinstance(payload, dict):
-            payload = {**json.loads(path.read_text()), **payload}
-        path.write_text(json.dumps(payload))
-        argv = {
-            "eval": ("--model", model, "--data", data, "--out", out),
-            "diagnose": ("--model", model, "--out", out),
-            "train": ("--data", data, "--config", cfg, "--out", out,
-                      "--seed", 0, "--epochs", 1),
-        }[command]
-        before = sorted(tmp_path.iterdir())
-        capsys.readouterr()
-        assert run(command, *argv) == EXIT_DATA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert target in captured.err
-        assert "Traceback" not in captured.err
-        assert sorted(tmp_path.iterdir()) == before
 
 
 def child_env() -> dict:

@@ -28,9 +28,11 @@ from eprbm.exact import bit_patterns
 
 from helpers import (
     csv_text,
+    four_column_dataset,
     four_column_trials,
     masked_mean_correlations,
     singlet_prob_oracle,
+    trial_columns,
 )
 
 angles_st = st.floats(min_value=-10.0, max_value=10.0)
@@ -38,14 +40,23 @@ outcome_st = st.sampled_from([-1, 1])
 
 
 def one_trial(alpha, beta, x_alpha, x_beta) -> EprDataset:
-    return EprDataset(
-        alpha=[alpha],
-        beta=[beta],
-        x_alpha=[x_alpha],
-        x_beta=[x_beta],
-        seed=None,
-        angles=DetectorAngles(),
-    )
+    return four_column_dataset([alpha], [beta], [x_alpha], [x_beta])
+
+
+def write_csv(tmp_path, text: str) -> Path:
+    """A dataset CSV holding exactly text, under a sidecar that records its
+    line count after the header and its SHA-256, so only the CSV's own lines
+    can be at fault."""
+    path = tmp_path / "trials.csv"
+    path.write_bytes(text.encode())
+    meta = {
+        "seed": None,
+        "n_trials": len(text.splitlines()) - 1,
+        "angles": DetectorAngles().to_dict(),
+        "csv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+    }
+    Path(sidecar_path(path)).write_text(json.dumps(meta))
+    return path
 
 
 class TestDetectorAngles:
@@ -74,7 +85,7 @@ class TestEprTrial:
 
     def test_valid(self):
         trial = one_trial(alpha=1, beta=0, x_alpha=-1, x_beta=1)
-        assert trial.alpha.tolist() == [1]
+        assert trial_columns(trial)[0].tolist() == [1]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,9 +96,12 @@ class TestEprTrial:
             dict(alpha=0, beta=0, x_alpha=1, x_beta=2),
         ],
     )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            one_trial(**kwargs)
+    def test_invalid(self, tmp_path, kwargs):
+        # trials enter from outside only as CSV rows
+        row = "{alpha},{beta},{x_alpha},{x_beta}\n".format(**kwargs)
+        path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n" + row)
+        with pytest.raises(ValueError, match="line 2"):
+            load_dataset(path)
 
 
 class TestSingletJointProbability:
@@ -151,16 +165,15 @@ class TestGenerateDataset:
             p_same[alpha, beta] += singlet_prob_oracle(
                 theta_a[alpha], theta_b[beta], x, x
             )
-        same = agree_u < p_same[dataset.alpha, dataset.beta]
-        np.testing.assert_array_equal(
-            dataset.x_beta, np.where(same, dataset.x_alpha, -dataset.x_alpha)
-        )
+        alpha, beta, x_alpha, x_beta = trial_columns(dataset)
+        same = agree_u < p_same[alpha, beta]
+        np.testing.assert_array_equal(x_beta, np.where(same, x_alpha, -x_alpha))
 
     def test_deterministic(self):
         a = generate_dataset(DetectorAngles(), 1000, seed=42)
         b = generate_dataset(DetectorAngles(), 1000, seed=42)
-        for name in ("alpha", "beta", "x_alpha", "x_beta"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        for column_a, column_b in zip(trial_columns(a), trial_columns(b)):
+            np.testing.assert_array_equal(column_a, column_b)
         assert a.seed == 42
 
     def test_empirical_correlations_near_theory(self):
@@ -171,18 +184,22 @@ class TestGenerateDataset:
             assert c == pytest.approx(e, abs=0.01)
 
     def test_setting_pair_counts(self):
-        dataset = generate_dataset(DetectorAngles(), 100_000, seed=8)
+        alpha, beta, _, _ = trial_columns(
+            generate_dataset(DetectorAngles(), 100_000, seed=8)
+        )
         for a, b in itertools.product((0, 1), repeat=2):
-            count = int(((dataset.alpha == a) & (dataset.beta == b)).sum())
+            count = int(((alpha == a) & (beta == b)).sum())
             assert abs(count - 25_000) <= 500
 
     def test_outcome_marginals_unbiased(self):
         # no signaling in the data: mean outcome is 0 for every setting
-        dataset = generate_dataset(DetectorAngles(), 100_000, seed=9)
+        alpha, beta, x_alpha, x_beta = trial_columns(
+            generate_dataset(DetectorAngles(), 100_000, seed=9)
+        )
         bound = 3.0 / math.sqrt(20_000)
         for setting in (0, 1):
-            assert abs(dataset.x_alpha[dataset.alpha == setting].mean()) < bound
-            assert abs(dataset.x_beta[dataset.beta == setting].mean()) < bound
+            assert abs(x_alpha[alpha == setting].mean()) < bound
+            assert abs(x_beta[beta == setting].mean()) < bound
 
     def test_large_sample_convergence(self):
         dataset = generate_dataset(DetectorAngles(), 1_000_000, seed=10)
@@ -193,13 +210,13 @@ class TestGenerateDataset:
     def test_custom_angles(self):
         # equal angles everywhere: perfect anticorrelation in every pair
         angles = DetectorAngles(a=0.3, a_prime=0.3, b=0.3, b_prime=0.3)
-        dataset = generate_dataset(angles, 2000, seed=11)
-        assert np.all(dataset.x_alpha == -dataset.x_beta)
+        _, _, x_alpha, x_beta = trial_columns(generate_dataset(angles, 2000, seed=11))
+        assert np.all(x_alpha == -x_beta)
 
 
 class TestEmpiricalCorrelations:
     def test_two_trial_example(self):
-        dataset = EprDataset(
+        dataset = four_column_dataset(
             alpha=[0, 0],
             beta=[0, 0],
             x_alpha=[1, -1],
@@ -215,7 +232,7 @@ class TestEmpiricalCorrelations:
         assert excinfo.value.missing_pairs == [(0, 1), (1, 0), (1, 1)]
 
     def test_perfect_correlation_value(self):
-        dataset = EprDataset(
+        dataset = four_column_dataset(
             alpha=[0, 0, 0, 1, 1],
             beta=[0, 1, 0, 0, 1],
             x_alpha=[1, 1, -1, 1, -1],
@@ -231,7 +248,7 @@ class TestEmpiricalCorrelations:
     def test_fair_coin_outcomes_uncorrelated(self):
         rng = np.random.default_rng(12)
         n = 50_000
-        dataset = EprDataset(
+        dataset = four_column_dataset(
             alpha=rng.integers(0, 2, n),
             beta=rng.integers(0, 2, n),
             x_alpha=2 * rng.integers(0, 2, n) - 1,
@@ -266,24 +283,20 @@ class TestEncoding:
 
     def test_round_trip_all_sixteen(self):
         every = list(itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1)))
-        dataset = EprDataset(*zip(*every), seed=None, angles=DetectorAngles())
+        dataset = four_column_dataset(*zip(*every), seed=None, angles=DetectorAngles())
         encoded = encode_dataset(dataset)
         assert sorted(dataset.pattern.tolist()) == list(range(16))
-        for name, column in decode(encoded).items():
-            np.testing.assert_array_equal(column, getattr(dataset, name))
+        for column, want in zip(decode(encoded).values(), trial_columns(dataset)):
+            np.testing.assert_array_equal(column, want)
 
     def test_encode_dataset_matches_rows(self):
         dataset = generate_dataset(DetectorAngles(), 200, seed=13)
         encoded = encode_dataset(dataset)
         assert encoded.shape == (200, 4)
         assert encoded.dtype == np.float64
+        alpha, beta, x_alpha, x_beta = trial_columns(dataset)
         for i in (0, 57, 199):
-            expected = [
-                dataset.alpha[i],
-                dataset.beta[i],
-                (dataset.x_alpha[i] + 1) // 2,
-                (dataset.x_beta[i] + 1) // 2,
-            ]
+            expected = [alpha[i], beta[i], (x_alpha[i] + 1) // 2, (x_beta[i] + 1) // 2]
             np.testing.assert_array_equal(encoded[i], expected)
 
     def test_pattern_index_is_row_of_bit_patterns(self):
@@ -296,7 +309,7 @@ class TestEncoding:
 
     def test_round_trip_preserves_correlations(self):
         dataset = generate_dataset(DetectorAngles(), 5000, seed=14)
-        rebuilt = EprDataset(
+        rebuilt = four_column_dataset(
             **decode(encode_dataset(dataset)), seed=dataset.seed, angles=dataset.angles
         )
         original = empirical_correlations(dataset)
@@ -323,8 +336,7 @@ class TestPatternForm:
         for seed in range(6):
             columns = four_column_trials(angles, n_trials, seed)
             dataset = generate_dataset(angles, n_trials, seed)
-            for name, column in zip(COLUMNS, columns):
-                got = getattr(dataset, name)
+            for name, got, column in zip(COLUMNS, trial_columns(dataset), columns):
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, column, err_msg=name)
             save_dataset(dataset, path)
@@ -349,9 +361,9 @@ class TestPatternForm:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, rows):
         columns = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(4)]
-        dataset = EprDataset(*columns, seed=5, angles=DetectorAngles())
-        for name, column in zip(COLUMNS, columns):
-            np.testing.assert_array_equal(getattr(dataset, name), column)
+        dataset = four_column_dataset(*columns, seed=5, angles=DetectorAngles())
+        for got, column in zip(trial_columns(dataset), columns):
+            np.testing.assert_array_equal(got, column)
         alpha, beta, x_alpha, x_beta = columns
         want = 8 * alpha + 4 * beta + 2 * (x_alpha == 1) + (x_beta == 1)
         np.testing.assert_array_equal(dataset.pattern, want)
@@ -361,9 +373,9 @@ class TestPatternForm:
             encoded,
             np.column_stack([alpha, beta, (x_alpha + 1) // 2, (x_beta + 1) // 2]),
         )
-        again = EprDataset.from_patterns(dataset.pattern, seed=5, angles=DetectorAngles())
-        for name, column in zip(COLUMNS, columns):
-            np.testing.assert_array_equal(getattr(again, name), column)
+        again = EprDataset(dataset.pattern, seed=5, angles=DetectorAngles())
+        for got, column in zip(trial_columns(again), columns):
+            np.testing.assert_array_equal(got, column)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trials.csv"
             save_dataset(dataset, path)
@@ -372,18 +384,18 @@ class TestPatternForm:
         np.testing.assert_array_equal(loaded.pattern, dataset.pattern)
         assert loaded.seed == 5 and loaded.angles == dataset.angles
 
-    def test_from_patterns_checks_indices(self):
+    def test_constructor_checks_indices(self):
         angles = DetectorAngles()
-        dataset = EprDataset.from_patterns([0, 15, 6.0], seed=None, angles=angles)
+        dataset = EprDataset([0, 15, 6.0], seed=None, angles=angles)
         assert dataset.pattern.tolist() == [0, 15, 6]
-        assert dataset.x_beta.tolist() == [-1, 1, -1]
+        assert trial_columns(dataset)[3].tolist() == [-1, 1, -1]
         with pytest.raises(ValueError, match="1-d"):
-            EprDataset.from_patterns([[0, 1]], seed=None, angles=angles)
+            EprDataset([[0, 1]], seed=None, angles=angles)
         with pytest.raises(ValueError, match="integers"):
-            EprDataset.from_patterns([0, 1.5], seed=None, angles=angles)
+            EprDataset([0, 1.5], seed=None, angles=angles)
         for bad in ([16], [-1], [3, 99]):
             with pytest.raises(ValueError, match="0..15"):
-                EprDataset.from_patterns(bad, seed=None, angles=angles)
+                EprDataset(bad, seed=None, angles=angles)
 
     def test_equality(self):
         angles = DetectorAngles()
@@ -392,20 +404,20 @@ class TestPatternForm:
         flipped = dataset.pattern.copy()
         flipped[2] ^= 1
         others = [
-            EprDataset.from_patterns(flipped, seed=1, angles=angles),
-            EprDataset.from_patterns(dataset.pattern[:4], seed=1, angles=angles),
-            EprDataset.from_patterns(dataset.pattern, seed=2, angles=angles),
-            EprDataset.from_patterns(dataset.pattern, seed=None, angles=angles),
-            EprDataset.from_patterns(dataset.pattern, seed=1, angles=DetectorAngles(a=0.1)),
+            EprDataset(flipped, seed=1, angles=angles),
+            EprDataset(dataset.pattern[:4], seed=1, angles=angles),
+            EprDataset(dataset.pattern, seed=2, angles=angles),
+            EprDataset(dataset.pattern, seed=None, angles=angles),
+            EprDataset(dataset.pattern, seed=1, angles=DetectorAngles(a=0.1)),
         ]
         for other in others:
             assert dataset != other and not dataset == other
         assert dataset != dataset.pattern.tolist()
 
-    def test_from_patterns_copies(self):
+    def test_constructor_copies(self):
         # the dataset's column is read-only; the caller's array is not touched
         pattern = np.arange(16)
-        dataset = EprDataset.from_patterns(pattern, seed=None, angles=DetectorAngles())
+        dataset = EprDataset(pattern, seed=None, angles=DetectorAngles())
         pattern[0] = 9
         assert dataset.pattern[0] == 0 and pattern.flags.writeable
         with pytest.raises(ValueError):
@@ -413,68 +425,27 @@ class TestPatternForm:
 
 
 class TestDatasetValidation:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            EprDataset(
-                alpha=[0, 2],
-                beta=[0, 0],
-                x_alpha=[1, 1],
-                x_beta=[1, 1],
-                seed=None,
-                angles=DetectorAngles(),
-            )
+    # trials enter from outside only as CSV rows, each one of the 16 lines
+    def test_rejects_bad_settings(self, tmp_path):
+        path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n0,0,1,1\n2,0,1,1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_dataset(path)
 
-    def test_rejects_bad_outcomes(self):
-        with pytest.raises(ValueError):
-            EprDataset(
-                alpha=[0, 1],
-                beta=[0, 0],
-                x_alpha=[1, 0],
-                x_beta=[1, 1],
-                seed=None,
-                angles=DetectorAngles(),
-            )
+    def test_rejects_bad_outcomes(self, tmp_path):
+        path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n0,0,1,1\n1,0,0,1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_dataset(path)
 
-    def test_rejects_fractional_entries(self):
-        with pytest.raises(ValueError, match="integers"):
-            EprDataset(
-                alpha=[0.0, 0.5],
-                beta=[0, 0],
-                x_alpha=[1, 1],
-                x_beta=[1, 1],
-                seed=None,
-                angles=DetectorAngles(),
-            )
-        whole = EprDataset(
-            alpha=[0.0, 1.0],
-            beta=[True, False],
-            x_alpha=[1.0, -1.0],
-            x_beta=[1, -1],
-            seed=None,
-            angles=DetectorAngles(),
-        )
-        assert whole.alpha.tolist() == [0, 1] and whole.beta.tolist() == [1, 0]
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="same length"):
-            EprDataset(
-                alpha=[0, 1],
-                beta=[0],
-                x_alpha=[1, 1],
-                x_beta=[1, 1],
-                seed=None,
-                angles=DetectorAngles(),
-            )
+    def test_rejects_fractional_entries(self, tmp_path):
+        # a whole number written as a float is not a line save_dataset writes
+        for row in ("0.5,0,1,1\n", "0.0,1,1,-1\n"):
+            path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n" + row)
+            with pytest.raises(ValueError, match="line 2"):
+                load_dataset(path)
 
     def test_indexing(self):
-        # trials are indexed through the columns: read-only int64 arrays
         dataset = generate_dataset(DetectorAngles(), 10, seed=15)
         assert len(dataset) == 10
-        for name in ("alpha", "beta", "x_alpha", "x_beta"):
-            column = getattr(dataset, name)
-            assert column.dtype == np.int64 and column.shape == (10,)
-            with pytest.raises(ValueError):
-                column[3] = 0
 
 
 class TestDatasetIO:
@@ -483,15 +454,13 @@ class TestDatasetIO:
         path = tmp_path / "trials.csv"
         save_dataset(dataset, path)
         loaded = load_dataset(path)
-        for name in ("alpha", "beta", "x_alpha", "x_beta"):
-            np.testing.assert_array_equal(
-                getattr(loaded, name), getattr(dataset, name)
-            )
+        for got, want in zip(trial_columns(loaded), trial_columns(dataset)):
+            np.testing.assert_array_equal(got, want)
         assert loaded.seed == 16
         assert loaded.angles == dataset.angles
 
     def test_csv_format(self, tmp_path):
-        dataset = EprDataset(
+        dataset = four_column_dataset(
             alpha=[0, 1],
             beta=[1, 0],
             x_alpha=[1, -1],
@@ -510,20 +479,18 @@ class TestDatasetIO:
         save_dataset(dataset, path)
         expected = "alpha,beta,x_alpha,x_beta\n" + "".join(
             f"{int(a)},{int(b)},{int(xa)},{int(xb)}\n"
-            for a, b, xa, xb in zip(
-                dataset.alpha, dataset.beta, dataset.x_alpha, dataset.x_beta
-            )
+            for a, b, xa, xb in zip(*trial_columns(dataset))
         )
         assert path.read_bytes() == expected.encode()
 
     def test_zero_trials_load_silently(self, tmp_path):
-        dataset = EprDataset.from_patterns([], seed=4, angles=DetectorAngles())
+        dataset = EprDataset([], seed=4, angles=DetectorAngles())
         path = tmp_path / "trials.csv"
         save_dataset(dataset, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = load_dataset(path)
-        assert loaded == dataset and loaded.x_beta.shape == (0,)
+        assert loaded == dataset and loaded.pattern.shape == (0,)
 
     def test_truncated_csv_raises(self, tmp_path):
         dataset = generate_dataset(DetectorAngles(), 500, seed=16)
@@ -591,17 +558,42 @@ class TestDatasetIO:
             load_dataset(path)
 
     def test_malformed_rows_raise(self, tmp_path):
-        path = tmp_path / "trials.csv"
-        path.write_text("alpha,beta,x_alpha,x_beta\n0,0,1\n")
-        (tmp_path / "trials.csv.meta.json").write_text(
-            json.dumps(
-                {
-                    "seed": None,
-                    "n_trials": 1,
-                    "angles": DetectorAngles().to_dict(),
-                    "csv_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                }
-            )
-        )
+        path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n0,0,1\n")
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0,0,+1,1\n", "0,2,1,1\n", "0,0,1.0,1\n", "0,0,1\n", "0,0,1,1,1\n",
+         "0, 0,1,1\n", "0,0,1,1 \n", "0,0,1,1\r\n", "\n", "0,0,1,1"],
+        ids=["plus-sign", "two", "float", "short", "long", "space", "trailing-space",
+             "crlf", "blank", "no-final-newline"],
+    )
+    def test_line_not_written_by_save_raises_naming_it(self, tmp_path, line):
+        # the bad line is the third, behind a good one; the sidecar matches
+        # the file, so only the line itself is at fault
+        path = write_csv(tmp_path, "alpha,beta,x_alpha,x_beta\n1,0,-1,1\n" + line)
+        with pytest.raises(ValueError, match=r"trials\.csv: line 3 "):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["alpha,beta,x_a,x_b\n", "alpha,beta,x_alpha,x_beta\r\n",
+         "alpha, beta, x_alpha, x_beta\n", "0,0,1,1\n", ""],
+        ids=["names", "crlf", "spaces", "missing", "empty-file"],
+    )
+    def test_wrong_header_raises(self, tmp_path, header):
+        path = write_csv(tmp_path, header + "0,0,1,1\n" if header else "")
+        with pytest.raises(ValueError, match="line 1 must be the header"):
+            load_dataset(path)
+
+    def test_all_sixteen_lines_round_trip(self, tmp_path):
+        lines = [f"{a},{b},{xa},{xb}\n" for a, b, xa, xb in
+                 itertools.product((0, 1), (0, 1), (-1, 1), (-1, 1))]
+        text = "alpha,beta,x_alpha,x_beta\n" + "".join(lines + lines[::-1])
+        loaded = load_dataset(write_csv(tmp_path, text))
+        want = list(range(16)) + list(range(15, -1, -1))
+        assert loaded.pattern.tolist() == want
+        path = tmp_path / "again.csv"
+        save_dataset(loaded, path)
+        assert path.read_bytes() == text.encode()

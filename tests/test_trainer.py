@@ -688,14 +688,7 @@ class TestTrain:
             train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=0)
         with pytest.raises(ValueError, match="too large for exact inference"):
             train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=21)
-        empty = EprDataset(
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            seed=None,
-            angles=DetectorAngles(),
-        )
+        empty = EprDataset(np.array([], dtype=np.int64), seed=None, angles=DetectorAngles())
         with pytest.raises(ValueError, match="non-empty"):
             train(empty, TrainerConfig(seed=0, n_epochs=1))
 

@@ -6,7 +6,8 @@ its primary output, so any result file can be traced back to the exact
 invocation that made it.
 
 Exit codes: 0 success, 2 usage error, 3 data or layout error (or a
-non-finite diagnostic), 4 training divergence.
+non-finite diagnostic, or an array too large to allocate), 4 training
+divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,9 @@ from .epr import (
     save_dataset,
     sidecar_path,
 )
-from .exact import enumerate_distribution
 from .trainer import TrainerConfig, TrainingDivergedError, load_model, save_model
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
@@ -44,33 +42,21 @@ LOCALITY_RESIDUAL_BOUND = 1e-10
 MI_TV_BOUND = 1e-3
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI run: what was asked, with what seeds, what came out."""
-
-    command: str
-    config: dict
-    seeds: dict
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-    duration_seconds: float = 0.0
-
-    def write(self, primary_output) -> str:
-        path = f"{primary_output}.manifest.json"
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": [str(p) for p in self.inputs],
-            "outputs": [str(p) for p in self.outputs],
-            "duration_seconds": self.duration_seconds,
-        }
-        with atomic_write(path) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return path
+def _write_manifest(args, *, config, inputs, outputs, seed=None) -> None:
+    """Write <args.out>.manifest.json, the record of one run: what was asked,
+    with what master seed (if any), what came out, and how long it took."""
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "config": config,
+        "seeds": {} if seed is None else {"master": seed},
+        "inputs": inputs,
+        "outputs": outputs,
+        "duration_seconds": time.perf_counter() - args.started,
+    }
+    with atomic_write(f"{args.out}.manifest.json") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_angles(text: str) -> DetectorAngles:
@@ -79,8 +65,7 @@ def _parse_angles(text: str) -> DetectorAngles:
         raise ValueError(
             f"--angles needs 4 comma-separated radians a,a',b,b', got {text!r}"
         )
-    values = [float(p) for p in parts]
-    return DetectorAngles(*values)
+    return DetectorAngles(*map(float, parts))
 
 
 def _print_report(report: bell.CorrelationReport) -> None:
@@ -95,32 +80,33 @@ def _bell_verdict(s: float) -> str:
     return f"S = {s:.3f} (<= 2: does not violate CHSH bound)"
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    angles = args.angles if args.angles is not None else DetectorAngles()
+def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
+    try:
+        angles = DetectorAngles() if args.angles is None else _parse_angles(args.angles)
+    except ValueError as err:
+        parser.error(str(err))
     dataset = generate_dataset(angles, args.trials, args.seed)
     save_dataset(dataset, args.out)
     try:
-        report = empirical_correlations(dataset)
+        _print_report(empirical_correlations(dataset))
     except InsufficientDataError as err:
         print(f"correlation report unavailable: {err}")
-        report = None
-    if report is not None:
-        _print_report(report)
-    manifest = RunManifest(
-        command="simulate",
+    _write_manifest(
+        args,
         config={
             "trials": args.trials,
             "seed": args.seed,
             "angles": angles.to_dict(),
-            "out": str(args.out),
+            "out": args.out,
         },
-        seeds={"master": args.seed},
         inputs=[],
-        outputs=[str(args.out), sidecar_path(args.out)],
-        duration_seconds=time.perf_counter() - started,
+        outputs=[args.out, sidecar_path(args.out)],
+        seed=args.seed,
     )
-    manifest.write(args.out)
     return EXIT_OK
 
 
@@ -160,10 +146,9 @@ def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerCon
 
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
-    started = time.perf_counter()
     config = _resolve_trainer_config(args, parser)
     dataset = load_dataset(args.data)
-    trace_path = args.trace if args.trace else f"{args.out}.trace.csv"
+    trace_path = args.trace or f"{args.out}.trace.csv"
     try:
         model, trace = trainer.train(dataset, config)
     except TrainingDivergedError as err:
@@ -176,25 +161,22 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     print(f"trained model written to {args.out}")
     _print_report(report)
     print(_bell_verdict(report.s))
-    manifest = RunManifest(
-        command="train",
+    _write_manifest(
+        args,
         config={
-            "data": str(args.data),
-            "out": str(args.out),
-            "trace": str(trace_path),
+            "data": args.data,
+            "out": args.out,
+            "trace": trace_path,
             "trainer": config.to_dict(),
         },
-        seeds={"master": config.seed},
-        inputs=[str(args.data), sidecar_path(args.data)],
-        outputs=[str(args.out), str(trace_path)],
-        duration_seconds=time.perf_counter() - started,
+        inputs=[args.data, sidecar_path(args.data)],
+        outputs=[args.out, trace_path],
+        seed=config.seed,
     )
-    manifest.write(args.out)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
+def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     model, _ = load_model(args.model)
     angles = DetectorAngles()
     data_report = None
@@ -210,28 +192,20 @@ def cmd_eval(args) -> int:
     if args.out:
         with atomic_write(args.out, newline="") as fh:
             fh.write(bell.comparison_table(theory, data_report, model_report, csv=True))
-        manifest = RunManifest(
-            command="eval",
-            config={
-                "model": str(args.model),
-                "data": str(args.data) if args.data else None,
-                "out": str(args.out),
-            },
-            seeds={},
-            inputs=[str(args.model)] + ([str(args.data)] if args.data else []),
-            outputs=[str(args.out)],
-            duration_seconds=time.perf_counter() - started,
+        _write_manifest(
+            args,
+            config={"model": args.model, "data": args.data or None, "out": args.out},
+            inputs=[args.model, args.data] if args.data else [args.model],
+            outputs=[args.out],
         )
-        manifest.write(args.out)
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    started = time.perf_counter()
+def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
     model, _ = load_model(args.model)
     # a non-finite diagnostic is refused below, so its warnings say nothing more
     with np.errstate(all="ignore"):
-        dist = enumerate_distribution(model)
+        dist = exact.enumerate_distribution(model)
         residual = exact.locality_check(dist)
         mi = exact.measurement_independence_check(dist)
     pair_names = [SETTING_PAIR_LABELS[p] for p in mi.setting_pairs]
@@ -248,10 +222,9 @@ def cmd_diagnose(args) -> int:
     # below 1e-12 the residual is rounding noise; --out keeps the exact value
     shown = "< 1e-12" if residual < 1e-12 else f"= {residual:.3e}"
     print(f"max factorization residual {shown}")
-    if residual <= LOCALITY_RESIDUAL_BOUND:
-        print(f"locality PASS (residual <= {LOCALITY_RESIDUAL_BOUND:g})")
-    else:
-        print(f"locality FAIL (residual > {LOCALITY_RESIDUAL_BOUND:g})")
+    passed = residual <= LOCALITY_RESIDUAL_BOUND
+    verdict, relation = ("PASS", "<=") if passed else ("FAIL", ">")
+    print(f"locality {verdict} (residual {relation} {LOCALITY_RESIDUAL_BOUND:g})")
     print()
     header = "lambda  " + "  ".join(f"{name:>8s}" for name in pair_names + ["pooled"])
     print("P(lambda | settings):")
@@ -263,24 +236,20 @@ def cmd_diagnose(args) -> int:
     print()
     for name, tv in zip(tv_names, mi.tv_distances):
         print(f"{name} = {tv:.6f}")
-    if mi.max_tv > MI_TV_BOUND:
-        print(
-            f"measurement independence VIOLATED (max TV = {mi.max_tv:.6f} "
-            f"> {MI_TV_BOUND:g})"
-        )
-    else:
-        print(
-            f"measurement independence not violated (max TV = {mi.max_tv:.6f} "
-            f"<= {MI_TV_BOUND:g})"
-        )
+    violated = mi.max_tv > MI_TV_BOUND
+    verdict, relation = ("VIOLATED", ">") if violated else ("not violated", "<=")
+    print(
+        f"measurement independence {verdict} (max TV = {mi.max_tv:.6f} "
+        f"{relation} {MI_TV_BOUND:g})"
+    )
 
     if args.out:
         report = {
-            "model": str(args.model),
+            "model": args.model,
             "locality": {
                 "max_residual": residual,
                 "threshold": LOCALITY_RESIDUAL_BOUND,
-                "pass": bool(residual <= LOCALITY_RESIDUAL_BOUND),
+                "pass": passed,
             },
             "measurement_independence": {
                 "setting_pairs": [list(p) for p in mi.setting_pairs],
@@ -290,21 +259,18 @@ def cmd_diagnose(args) -> int:
                 "tv_distances": mi.tv_distances.tolist(),
                 "max_tv": mi.max_tv,
                 "threshold": MI_TV_BOUND,
-                "violated": bool(mi.max_tv > MI_TV_BOUND),
+                "violated": violated,
             },
         }
         with atomic_write(args.out) as fh:
             json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
-        manifest = RunManifest(
-            command="diagnose",
-            config={"model": str(args.model), "out": str(args.out)},
-            seeds={},
-            inputs=[str(args.model)],
-            outputs=[str(args.out)],
-            duration_seconds=time.perf_counter() - started,
+        _write_manifest(
+            args,
+            config={"model": args.model, "out": args.out},
+            inputs=[args.model],
+            outputs=[args.out],
         )
-        manifest.write(args.out)
     return EXIT_OK
 
 
@@ -329,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="detector angles a,a',b,b' in radians (default: 0,pi/2,pi/4,-pi/4)",
     )
     p_sim.add_argument("--out", required=True, help="dataset CSV path")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_train = sub.add_parser("train", help="train a model on a dataset")
     p_train.add_argument("--data", required=True, help="dataset CSV from simulate")
@@ -343,17 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--chains", type=int, default=None)
     p_train.add_argument("--gibbs-steps", type=int, default=None)
     p_train.add_argument("--init-scale", type=float, default=None)
+    p_train.set_defaults(run=cmd_train)
 
     p_eval = sub.add_parser("eval", help="compare theory/data/model correlations")
     p_eval.add_argument("--model", required=True, help="model JSON path")
     p_eval.add_argument("--data", default=None, help="optional dataset CSV")
     p_eval.add_argument("--out", default=None, help="optional comparison CSV path")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_diag = sub.add_parser(
         "diagnose", help="run locality and measurement-independence checks"
     )
     p_diag.add_argument("--model", required=True, help="model JSON path")
     p_diag.add_argument("--out", default=None, help="optional JSON report path")
+    p_diag.set_defaults(run=cmd_diagnose)
 
     return parser
 
@@ -361,33 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        if args.trials < 1:
-            parser.error(f"--trials must be at least 1, got {args.trials}")
-        if args.seed < 0:
-            parser.error(f"--seed must be non-negative, got {args.seed}")
-        if args.angles is not None:
-            try:
-                args.angles = _parse_angles(args.angles)
-            except ValueError as err:
-                parser.error(str(err))
+    # each command's manifest times its run from here
+    args.started = time.perf_counter()
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "train":
-            return cmd_train(args, parser)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "diagnose":
-            return cmd_diagnose(args)
-        parser.error(f"unknown command {args.command!r}")
-    except TrainingDivergedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        return args.run(args, parser)
+    except (OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

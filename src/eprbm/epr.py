@@ -37,6 +37,15 @@ SETTING_PAIR_LABELS = {
 }
 
 
+def _fields(payload: dict, names: tuple[str, ...], what: str) -> list:
+    """payload[name] for each of names; ValueError naming `what` and the
+    first name that payload lacks."""
+    for name in names:
+        if name not in payload:
+            raise ValueError(f"{what} {name} is missing")
+    return [payload[name] for name in names]
+
+
 def _is_int(value) -> bool:
     """True for Python integers other than bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -89,8 +98,9 @@ class DetectorAngles:
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorAngles":
         """The angles to_dict gives, read back from a dict such as a JSON
-        object; the constructor rejects a value that is not a finite number."""
-        return cls(data["a"], data["a_prime"], data["b"], data["b_prime"])
+        object; ValueError if one is missing, and the constructor rejects a
+        value that is not a finite number."""
+        return cls(*_fields(data, ("a", "a_prime", "b", "b_prime"), "angle"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,23 +283,25 @@ def load_dataset(path) -> EprDataset:
     Raises:
         FileNotFoundError: if the CSV or its sidecar is missing.
         ValueError: naming the file, on a sidecar or angles that are not a
-            JSON object, a seed that is not null or an int >= 0, an n_trials
-            that is not an int, or an angle that is not a finite number; on
-            a wrong header or a line that is not a trial line (naming its
-            1-based number); on a row count other than n_trials; or on a CSV
-            whose SHA-256 is not the one the sidecar records (or none).
+            JSON object, a missing field or angle, a seed that is not null
+            or an int >= 0, an n_trials that is not an int, or an angle that
+            is not a finite number; on a wrong header or a line that is not
+            a trial line (naming its 1-based number); on a row count other
+            than n_trials; or on a CSV whose SHA-256 is not the one the
+            sidecar records (or none).
     """
     meta_path = sidecar_path(path)
     meta = _read_json_object(meta_path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if not isinstance(meta["angles"], dict):
+    names = ("seed", "n_trials", "angles")
+    seed, n_trials, angles = _fields(meta, names, f"{meta_path}: field")
+    if not isinstance(angles, dict):
         raise ValueError(f"the angles in {meta_path} must be a JSON object")
     try:
-        angles = DetectorAngles.from_dict(meta["angles"])
+        angles = DetectorAngles.from_dict(angles)
     except ValueError as err:
         raise ValueError(f"{meta_path}: {err}") from None
-    seed, n_trials = meta["seed"], meta["n_trials"]
     if seed is not None and not (_is_int(seed) and seed >= 0):
         raise ValueError(f"{meta_path}: seed must be null or an int >= 0, got {seed!r}")
     if not _is_int(n_trials):

@@ -32,27 +32,17 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _bit_table(k: int) -> np.ndarray:
-    idx = np.arange(2**k)[:, None]
-    shifts = np.arange(k - 1, -1, -1)
-    return ((idx >> shifts) & 1).astype(np.float64)
-
-
-_SHARED_BIT_PATTERNS = tuple(_read_only(_bit_table(k)) for k in range(9))
-
-
 def bit_patterns(k: int) -> np.ndarray:
-    """All 2^k binary vectors of length k as a (2^k, k) float array.
+    """All 2^k binary vectors of length k as a new (2^k, k) float array.
 
     Row i is the binary expansion of i with the first column as the most
-    significant bit, so rows are in lexicographic order. For k <= 8 the
-    table is a shared read-only array; larger tables are built per call.
+    significant bit, so rows are in lexicographic order.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if k < len(_SHARED_BIT_PATTERNS):
-        return _SHARED_BIT_PATTERNS[k]
-    return _bit_table(k)
+    idx = np.arange(2**k)[:, None]
+    shifts = np.arange(k - 1, -1, -1)
+    return ((idx >> shifts) & 1).astype(np.float64)
 
 
 def _pack(model: RbmModel) -> np.ndarray:

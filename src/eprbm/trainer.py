@@ -25,7 +25,7 @@ import numpy as np
 from . import bell
 from .atomic import atomic_write
 from .epr import N_VISIBLE, EprDataset, _read_json_object
-from .epr import _is_finite, _is_int, _is_number
+from .epr import _fields, _is_finite, _is_int, _is_number
 from .exact import (
     ExactDistribution,
     _pack,
@@ -428,13 +428,12 @@ def train(
     config: TrainerConfig,
     *,
     n_hidden: int = 4,
-    initial_model: RbmModel | None = None,
 ) -> tuple[RbmModel, TrainingTrace]:
     """Fit an RBM to the encoded trials by stochastic gradient ascent.
 
     Weights start from a zero-mean normal draw scaled by weight_init_scale
-    and biases start at zero (or from initial_model if given). Each epoch
-    shuffles the encoded data and applies one update per minibatch:
+    and biases start at zero. Each epoch shuffles the encoded data and
+    applies one update per minibatch:
 
         W  += eps * (<v h>_data - <v h>_model)
         c  += eps * (<v>_data   - <v>_model)
@@ -467,20 +466,11 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_ss)
     chain_rng = np.random.default_rng(chain_ss)
 
-    if initial_model is not None:
-        if initial_model.n_visible != m:
-            raise ValueError(
-                f"initial_model has {initial_model.n_visible} visible units, "
-                f"data has {m}"
-            )
-        n_hidden = initial_model.n_hidden
-        theta = _pack(initial_model)
-    else:
-        if n_hidden < 1:
-            raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
-        theta = np.zeros((m + 1, n_hidden + 1))
-        theta[:-1, :-1] = init_rng.standard_normal((m, n_hidden))
-        theta *= config.weight_init_scale
+    if n_hidden < 1:
+        raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
+    theta = np.zeros((m + 1, n_hidden + 1))
+    theta[:-1, :-1] = init_rng.standard_normal((m, n_hidden))
+    theta *= config.weight_init_scale
 
     # raises if the kernel's 2^(m+n) joint states are too many to tabulate
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
@@ -565,28 +555,27 @@ def save_model(
 def load_model(path) -> tuple[RbmModel, dict]:
     """Read a model file; returns the model and the full metadata dict.
 
-    Raises ValueError naming the file and the field if m or n is not an int,
-    or if visible_bias and hidden_bias (lists) or weights (a list of rows)
-    hold anything but finite JSON numbers: no bool, string or object.
+    Raises ValueError naming the file and the field if a field is missing,
+    if m or n is not an int, or if visible_bias and hidden_bias (lists) or
+    weights (a list of rows) hold anything but finite JSON numbers: no bool,
+    string or object.
     """
     payload = _read_json_object(path)
-    for name in ("m", "n"):
-        if not _is_int(payload[name]):
-            raise ValueError(f"{path}: {name} must be an int, got {payload[name]!r}")
-    for name, ndim in (("visible_bias", 1), ("hidden_bias", 1), ("weights", 2)):
+    names = ("m", "n", "visible_bias", "hidden_bias", "weights")
+    m, n, *arrays = _fields(payload, names, f"{path}: field")
+    for name, value in (("m", m), ("n", n)):
+        if not _is_int(value):
+            raise ValueError(f"{path}: {name} must be an int, got {value!r}")
+    for name, ndim, value in zip(names[2:], (1, 1, 2), arrays):
         # an object array keeps bools, strings and objects apart from numbers
-        values = np.array(payload[name], dtype=object)
+        values = np.array(value, dtype=object)
         numbers = all(_is_number(x) and _is_finite(x) for x in values.flat)
         if values.ndim != ndim or not numbers:
             raise ValueError(f"{path}: {name} must be {ndim}-d lists of finite numbers")
-    model = RbmModel(
-        visible_bias=payload["visible_bias"],
-        hidden_bias=payload["hidden_bias"],
-        weights=payload["weights"],
-    )
-    if model.n_visible != payload["m"] or model.n_hidden != payload["n"]:
+    model = RbmModel(*arrays)
+    if model.n_visible != m or model.n_hidden != n:
         raise ValueError(
-            f"model file shape fields (m={payload['m']}, n={payload['n']}) do not "
+            f"model file shape fields (m={m}, n={n}) do not "
             f"match arrays ({model.n_visible}, {model.n_hidden})"
         )
     return model, payload

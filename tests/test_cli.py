@@ -29,7 +29,7 @@ from eprbm import __version__, bell, exact
 from eprbm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from eprbm.epr import DetectorAngles, empirical_correlations, load_dataset
 from eprbm.rbm import RbmModel
-from eprbm.trainer import load_model, load_reference_model, save_model
+from eprbm.trainer import TrainerConfig, load_model, load_reference_model, save_model
 
 from helpers import parse_comparison_csv, random_model
 
@@ -187,6 +187,16 @@ class TestSimulate:
                 "--out", tmp_path / "x.csv")
         assert info.value.code == 2
         assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trial_count_too_large_to_allocate_is_data_error(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB request outright, so nothing is allocated
+        rc = run("simulate", "--trials", 10**15, "--seed", 0,
+                 "--out", tmp_path / "x.csv")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_custom_angles_recorded_in_sidecar(self, tmp_path):
@@ -571,18 +581,99 @@ class TestDiagnose:
         assert "too large for exact inference" in capsys.readouterr().err
 
 
+MANIFEST_KEYS = [
+    "command", "version", "config", "seeds", "inputs", "outputs", "duration_seconds",
+]
+
+
+class TestManifest:
+    # each command's manifest, key by key and in order, for a run in tmp_path
+    @pytest.fixture
+    def files(self, tmp_path):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
+        save_model(model, load_reference_model())
+        return str(data), str(model)
+
+    def expected(self, tmp_path, command, data, model):
+        out = str(tmp_path / "out")
+        if command == "simulate":
+            argv = ("--trials", 300, "--seed", 4, "--angles", "0.1,0.2,0.3,0.4")
+            config = {
+                "trials": 300,
+                "seed": 4,
+                "angles": DetectorAngles(0.1, 0.2, 0.3, 0.4).to_dict(),
+                "out": out,
+            }
+            return argv, config, {"master": 4}, [], [out, f"{out}.meta.json"]
+        if command == "train":
+            argv = ("--data", data, "--seed", 6, "--epochs", 1)
+            config = {
+                "data": data,
+                "out": out,
+                "trace": f"{out}.trace.csv",
+                "trainer": TrainerConfig(seed=6, n_epochs=1).to_dict(),
+            }
+            inputs = [data, f"{data}.meta.json"]
+            return argv, config, {"master": 6}, inputs, [out, f"{out}.trace.csv"]
+        if command == "eval":
+            argv = ("--model", model, "--data", data)
+            config = {"model": model, "data": data, "out": out}
+            return argv, config, {}, [model, data], [out]
+        if command == "eval-no-data":
+            config = {"model": model, "data": None, "out": out}
+            return ("--model", model), config, {}, [model], [out]
+        config = {"model": model, "out": out}
+        return ("--model", model), config, {}, [model], [out]
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "train", "eval", "eval-no-data", "diagnose"]
+    )
+    def test_keys_and_values(self, tmp_path, files, command):
+        argv, config, seeds, inputs, outputs = self.expected(tmp_path, command, *files)
+        out = tmp_path / "out"
+        assert run(command.split("-")[0], *argv, "--out", out) == EXIT_OK
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == command.split("-")[0]
+        assert manifest["version"] == __version__
+        assert list(manifest["config"].items()) == list(config.items())
+        assert manifest["seeds"] == seeds
+        assert manifest["inputs"] == inputs
+        assert manifest["outputs"] == outputs
+        assert isinstance(manifest["duration_seconds"], float)
+        assert manifest["duration_seconds"] >= 0.0
+
+    def test_explicit_trace_path_recorded(self, tmp_path, files):
+        data = files[0]
+        out, trace = tmp_path / "m2.json", tmp_path / "t.csv"
+        assert run("train", "--data", data, "--out", out, "--trace", trace,
+                   "--seed", 1, "--epochs", 1) == EXIT_OK
+        manifest = json.loads((tmp_path / "m2.json.manifest.json").read_text())
+        assert manifest["config"]["trace"] == str(trace)
+        assert manifest["outputs"] == [str(out), str(trace)]
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_none_without_out(self, tmp_path, files, command):
+        before = sorted(tmp_path.iterdir())
+        assert run(command, "--model", files[1]) == EXIT_OK
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def assert_data_error_naming(tmp_path, capsys, command, target, payload, named=""):
     """Run command on a fresh dataset, model and config after writing payload
-    to target (merged into the JSON already there when it is a dict): the
-    command must exit 3 with one error line naming target and `named`, before
-    it prints or writes anything."""
+    to target (merged into the JSON already there when it is a dict, applied
+    to it when it is a function): the command must exit 3 with one error line
+    naming target and `named`, before it prints or writes anything."""
     data, model, cfg, out = (
         tmp_path / name for name in ("d.csv", "model.json", "cfg.json", "out")
     )
     assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
     save_model(model, load_reference_model())
     path = tmp_path / target
-    if isinstance(payload, dict):
+    if callable(payload):
+        payload = payload(json.loads(path.read_text()))
+    elif isinstance(payload, dict):
         payload = {**json.loads(path.read_text()), **payload}
     path.write_text(json.dumps(payload))
     argv = {
@@ -664,6 +755,45 @@ class TestMistypedJson:
     def test_is_data_error(self, tmp_path, capsys, command, target, payload, field):
         assert_data_error_naming(
             tmp_path, capsys, command, target, payload, f"{field} must"
+        )
+
+
+def _without(name, within=None):
+    """A payload edit that deletes the field name (from the object under
+    within, if given)."""
+
+    def edit(payload):
+        target = payload[within] if within else payload
+        del target[name]
+        return payload
+
+    return edit
+
+
+class TestMissingField:
+    # each field is deleted from a file that save_dataset or save_model wrote:
+    # the command must exit 3 naming the file and the field
+    @pytest.mark.parametrize(
+        "command, target, edit, named",
+        [
+            ("eval", "d.csv.meta.json", _without("seed"), "field seed"),
+            ("eval", "d.csv.meta.json", _without("n_trials"), "field n_trials"),
+            ("eval", "d.csv.meta.json", _without("angles"), "field angles"),
+            *[
+                ("eval", "d.csv.meta.json", _without(angle, "angles"), f"angle {angle}")
+                for angle in ("a", "a_prime", "b", "b_prime")
+            ],
+            *[
+                ("diagnose", "model.json", _without(name), f"field {name}")
+                for name in ("m", "n", "visible_bias", "hidden_bias", "weights")
+            ],
+        ],
+        ids=["seed", "n_trials", "angles", "a", "a_prime", "b", "b_prime",
+             "m", "n", "visible_bias", "hidden_bias", "weights"],
+    )
+    def test_is_data_error(self, tmp_path, capsys, command, target, edit, named):
+        assert_data_error_naming(
+            tmp_path, capsys, command, target, edit, f"{named} is missing"
         )
 
 

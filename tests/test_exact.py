@@ -60,21 +60,17 @@ class TestBitPatterns:
         with pytest.raises(ValueError):
             bit_patterns(-1)
 
-    @pytest.mark.parametrize("k", [0, 4, 8])
-    def test_small_tables_shared_read_only(self, k):
-        table = bit_patterns(k)
-        assert bit_patterns(k) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-
     def test_large_tables_built_per_call(self):
-        first, second = bit_patterns(9), bit_patterns(9)
-        assert first is not second
-        assert first.flags.writeable
-        assert first.shape == (512, 9)
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(first[:256, 1:], bit_patterns(8))
+        # every table, small or large, is a new writable array
+        for k in (0, 1, 4, 8, 9):
+            first, second = bit_patterns(k), bit_patterns(k)
+            assert first is not second
+            assert first.flags.writeable
+            assert first.shape == (2**k, k)
+            np.testing.assert_array_equal(first, second)
+            if k:
+                half = 2 ** (k - 1)
+                np.testing.assert_array_equal(first[:half, 1:], bit_patterns(k - 1))
 
 
 class TestEnumerate:

@@ -557,12 +557,17 @@ def small_dataset():
 
 class TestTrain:
     def test_zero_learning_rate_is_identity(self, small_dataset):
-        init = random_model(np.random.default_rng(9), scale=0.3)
+        # the same seed draws the same initial model, which no epoch moves
+        init, _ = train(
+            small_dataset, TrainerConfig(seed=8, n_epochs=0, weight_init_scale=0.3)
+        )
         model, trace = train(
             small_dataset,
-            TrainerConfig(seed=8, n_epochs=2, learning_rate=0.0),
-            initial_model=init,
+            TrainerConfig(
+                seed=8, n_epochs=2, learning_rate=0.0, weight_init_scale=0.3
+            ),
         )
+        assert np.abs(init.weights).max() > 0.1
         np.testing.assert_array_equal(model.weights, init.weights)
         np.testing.assert_array_equal(model.visible_bias, init.visible_bias)
         np.testing.assert_array_equal(model.hidden_bias, init.hidden_bias)
@@ -660,16 +665,6 @@ class TestTrain:
             assert abs(rec.avg_log_likelihood - ref.avg_log_likelihood) <= 1e-10
             assert abs(rec.s - ref.s) <= 1e-10
 
-    def test_initial_model_sets_hidden_width(self, small_dataset):
-        init = random_model(np.random.default_rng(2), m=4, n=3, scale=0.1)
-        model, _ = train(
-            small_dataset,
-            TrainerConfig(seed=0, n_epochs=1),
-            n_hidden=7,
-            initial_model=init,
-        )
-        assert model.n_hidden == 3
-
     def test_custom_hidden_count(self, small_dataset):
         model, trace = train(
             small_dataset, TrainerConfig(seed=0, n_epochs=2), n_hidden=2
@@ -678,12 +673,6 @@ class TestTrain:
         assert len(trace) == 2
 
     def test_rejects_bad_arguments(self, small_dataset):
-        with pytest.raises(ValueError, match="visible units"):
-            train(
-                small_dataset,
-                TrainerConfig(seed=0, n_epochs=1),
-                initial_model=random_model(np.random.default_rng(0), m=3, n=2),
-            )
         with pytest.raises(ValueError, match="n_hidden"):
             train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=0)
         with pytest.raises(ValueError, match="too large for exact inference"):

@@ -8,6 +8,7 @@ Windows, so readers see either the old file or the complete new one.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager, suppress
 
@@ -35,3 +36,12 @@ def atomic_write(path, newline: str | None = None):
         with suppress(FileNotFoundError):
             os.remove(temp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Write payload to path through atomic_write as JSON indented by 2, with
+    a final newline. A NaN or infinity raises ValueError rather than land in
+    the file as a constant that standard JSON readers refuse."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")

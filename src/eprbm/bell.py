@@ -12,7 +12,7 @@ S <= 2; the singlet state reaches 2 * sqrt(2) at the standard angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,47 +52,25 @@ def chsh(
 class CorrelationReport:
     """The four setting-pair correlations, their CHSH statistic, and origin.
 
-    source identifies how the numbers were obtained: "theory" (singlet
-    prediction), "empirical" (dataset average) or "model-exact"
-    (enumeration).
+    s is derived from the four correlations by chsh, which also checks that
+    each lies in [-1, 1]. source identifies how the numbers were obtained:
+    "theory" (singlet prediction), "empirical" (dataset average) or
+    "model-exact" (enumeration).
     """
 
     c_ab: float
     c_ab_prime: float
     c_a_prime_b: float
     c_a_prime_b_prime: float
-    s: float
+    s: float = field(init=False)
     source: str
 
     def __post_init__(self):
-        expected_s = chsh(
-            self.c_ab, self.c_ab_prime, self.c_a_prime_b, self.c_a_prime_b_prime
-        )
-        if not math.isclose(self.s, expected_s, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(
-                f"s = {self.s} is inconsistent with the correlations "
-                f"(expected {expected_s})"
-            )
-        if not 0.0 <= self.s <= 4.0:
-            raise ValueError(f"s must lie in [0, 4], got {self.s}")
+        object.__setattr__(self, "s", chsh(*self.correlations()))
         if self.source not in VALID_SOURCES:
             raise ValueError(
                 f"source must be one of {VALID_SOURCES}, got {self.source!r}"
             )
-
-    @classmethod
-    def from_correlations(
-        cls,
-        c_ab: float,
-        c_ab_prime: float,
-        c_a_prime_b: float,
-        c_a_prime_b_prime: float,
-        source: str,
-    ) -> "CorrelationReport":
-        """Build a report, deriving s from the four correlations."""
-        # chsh's formula alone: __post_init__ runs chsh, range checks included
-        s = abs(c_ab + c_ab_prime + c_a_prime_b - c_a_prime_b_prime)
-        return cls(c_ab, c_ab_prime, c_a_prime_b, c_a_prime_b_prime, s, source)
 
     def correlations(self) -> tuple[float, float, float, float]:
         return (self.c_ab, self.c_ab_prime, self.c_a_prime_b, self.c_a_prime_b_prime)
@@ -108,7 +86,7 @@ def theory_correlations(angles) -> CorrelationReport:
     def c(theta_a: float, theta_b: float) -> float:
         return -math.cos(theta_a - theta_b)
 
-    return CorrelationReport.from_correlations(
+    return CorrelationReport(
         c_ab=c(angles.a, angles.b),
         c_ab_prime=c(angles.a, angles.b_prime),
         c_a_prime_b=c(angles.a_prime, angles.b),
@@ -117,9 +95,7 @@ def theory_correlations(angles) -> CorrelationReport:
     )
 
 
-def correlations_from_distribution(
-    dist: ExactDistribution, source: str = "model-exact"
-) -> CorrelationReport:
+def correlations_from_distribution(dist: ExactDistribution) -> CorrelationReport:
     """Setting-pair correlations from an exact distribution's outcome tables.
 
     For each setting pair, C = sum over outcome bits of
@@ -131,7 +107,7 @@ def correlations_from_distribution(
         if total <= 0:
             raise ValueError(f"settings {pair} have zero probability")
     values = (mass / totals[:, None] * OUTCOME_SIGNS).sum(axis=1)
-    return CorrelationReport.from_correlations(*values.tolist(), source=source)
+    return CorrelationReport(*values.tolist(), source="model-exact")
 
 
 def model_correlations_exact(model: RbmModel) -> CorrelationReport:

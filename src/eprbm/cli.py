@@ -13,14 +13,13 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
 from . import __version__, bell, exact, trainer
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .epr import (
     DetectorAngles,
     InsufficientDataError,
@@ -54,9 +53,7 @@ def _write_manifest(args, *, config, inputs, outputs, seed=None) -> None:
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - args.started,
     }
-    with atomic_write(f"{args.out}.manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(f"{args.out}.manifest.json", manifest)
 
 
 def _parse_angles(text: str) -> DetectorAngles:
@@ -65,7 +62,10 @@ def _parse_angles(text: str) -> DetectorAngles:
         raise ValueError(
             f"--angles needs 4 comma-separated radians a,a',b,b', got {text!r}"
         )
-    return DetectorAngles(*map(float, parts))
+    try:
+        return DetectorAngles(*map(float, parts))
+    except ValueError as err:
+        raise ValueError(f"--angles: {err}") from None
 
 
 def _print_report(report: bell.CorrelationReport) -> None:
@@ -89,7 +89,10 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         angles = DetectorAngles() if args.angles is None else _parse_angles(args.angles)
     except ValueError as err:
         parser.error(str(err))
-    dataset = generate_dataset(angles, args.trials, args.seed)
+    try:
+        dataset = generate_dataset(angles, args.trials, args.seed)
+    except (ValueError, MemoryError) as err:
+        raise ValueError(f"{err} (--trials {args.trials} is too large)") from None
     save_dataset(dataset, args.out)
     try:
         _print_report(empirical_correlations(dataset))
@@ -110,15 +113,15 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK
 
 
-# the TrainerConfig field each train flag sets, keyed by the flag's dest
+# the TrainerConfig field each train flag sets, by the flag's dest, in --help order
 _TRAINER_FLAGS = {
     "seed": "seed",
     "learning_rate": "learning_rate",
     "lr_decay": "learning_rate_decay",
+    "epochs": "n_epochs",
     "batch_size": "batch_size",
     "chains": "n_persistent_chains",
     "gibbs_steps": "gibbs_steps_per_update",
-    "epochs": "n_epochs",
     "init_scale": "weight_init_scale",
 }
 
@@ -262,9 +265,7 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
                 "violated": violated,
             },
         }
-        with atomic_write(args.out) as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(args.out, report)
         _write_manifest(
             args,
             config={"model": args.model, "out": args.out},
@@ -302,14 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="model JSON path")
     p_train.add_argument("--trace", default=None, help="trace CSV path")
     p_train.add_argument("--config", default=None, help="trainer config JSON path")
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--learning-rate", type=float, default=None)
-    p_train.add_argument("--lr-decay", type=float, default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
-    p_train.add_argument("--chains", type=int, default=None)
-    p_train.add_argument("--gibbs-steps", type=int, default=None)
-    p_train.add_argument("--init-scale", type=float, default=None)
+    defaults = TrainerConfig(seed=0)
+    for dest, key in _TRAINER_FLAGS.items():
+        kind = type(getattr(defaults, key))  # int or float, as the field's default
+        p_train.add_argument(f"--{dest.replace('_', '-')}", type=kind)
     p_train.set_defaults(run=cmd_train)
 
     p_eval = sub.add_parser("eval", help="compare theory/data/model correlations")

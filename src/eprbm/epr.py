@@ -17,11 +17,11 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .bell import OUTCOME_SIGNS, CorrelationReport
 from .exact import SETTING_PAIRS, bit_patterns
 
@@ -88,19 +88,14 @@ class DetectorAngles:
             object.__setattr__(self, name, float(value))
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "a_prime": self.a_prime,
-            "b": self.b,
-            "b_prime": self.b_prime,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorAngles":
         """The angles to_dict gives, read back from a dict such as a JSON
         object; ValueError if one is missing, and the constructor rejects a
         value that is not a finite number."""
-        return cls(*_fields(data, ("a", "a_prime", "b", "b_prime"), "angle"))
+        return cls(*_fields(data, tuple(f.name for f in fields(cls)), "angle"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +206,7 @@ def empirical_correlations(dataset: EprDataset) -> CorrelationReport:
     if missing:
         raise InsufficientDataError(missing)
     values = counts.dot(OUTCOME_SIGNS) / totals
-    return CorrelationReport.from_correlations(*values.tolist(), source="empirical")
+    return CorrelationReport(*values.tolist(), source="empirical")
 
 
 def encode_dataset(dataset: EprDataset) -> np.ndarray:
@@ -269,9 +264,7 @@ def save_dataset(dataset: EprDataset, path) -> None:
         "angles": dataset.angles.to_dict(),
         "csv_sha256": hashlib.sha256(text.encode("ascii")).hexdigest(),
     }
-    with atomic_write(sidecar_path(path)) as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(sidecar_path(path), meta)
 
 
 def load_dataset(path) -> EprDataset:

@@ -16,24 +16,27 @@ estimate.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
 
 import numpy as np
 
 from . import bell
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .epr import N_VISIBLE, EprDataset, _read_json_object
 from .epr import _fields, _is_finite, _is_int, _is_number
 from .exact import (
     ExactDistribution,
+    _log_joint,
     _pack,
     _pattern_tables,
     _read_only,
     enumerate_distribution,
 )
 from .rbm import RbmModel
+
+# the number of hidden units of every machine train fits
+N_HIDDEN = 4
 
 ENCODING_DOC = {
     "v1": "alpha",
@@ -121,7 +124,7 @@ class TrainingTrace:
                 raise ValueError(
                     f"epoch numbers must run 1..n, got {rec.epoch} at position {pos}"
                 )
-            if not (np.isfinite(rec.avg_log_likelihood) and np.isfinite(rec.s)):
+            if not np.isfinite(astuple(rec)).all():
                 raise ValueError(f"non-finite trace entry at epoch {rec.epoch}")
 
     def __len__(self) -> int:
@@ -129,9 +132,9 @@ class TrainingTrace:
 
     def to_csv(self, path) -> None:
         with atomic_write(path, newline="") as fh:
-            fh.write("epoch,avg_log_likelihood,s\n")
+            fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
             for rec in self.records:
-                fh.write(f"{rec.epoch},{rec.avg_log_likelihood!r},{rec.s!r}\n")
+                fh.write(",".join(map(repr, astuple(rec))) + "\n")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -281,7 +284,7 @@ def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     reach only up to rounding.
     """
     v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
-    log_joint = v_aug.dot(theta).dot(h_aug_t)
+    log_joint = _log_joint(theta)
     ph = _conditional(log_joint, 1).dot(h_aug_t.T)
     ph[:, -1] = 1.0
     return v_aug, log_joint, ph
@@ -401,18 +404,21 @@ def exact_gradient(
 
 
 def _epoch_diagnostics(
-    model: RbmModel, counts: np.ndarray, epoch: int
+    theta: np.ndarray, counts: np.ndarray, epoch: int
 ) -> EpochRecord | None:
-    """Exact trace entry for one epoch, or None if the model has blown up.
+    """Exact trace entry for one epoch, or None if theta has blown up.
 
-    counts holds how often each visible pattern occurs in the data. Parameters
-    can stay finite while being large enough that the 2^(m+n) enumeration
-    overflows, so the overflow and log-of-zero warnings are silenced here and
-    any non-finite or degenerate result is reported as None for the caller to
-    turn into a divergence error.
+    theta holds the packed parameters (see _pack) and counts how often each
+    visible pattern occurs in the data. Parameters can stay finite while
+    being large enough that the 2^(m+n) enumeration overflows, so the
+    overflow and log-of-zero warnings are silenced here and a non-finite
+    theta, or any non-finite or degenerate result, is reported as None for
+    the caller to turn into a divergence error.
     """
+    if not np.all(np.isfinite(theta)):
+        return None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dist = enumerate_distribution(model)
+        dist = enumerate_distribution(_unpack(theta))
         avg_ll = _mean_log_likelihood(dist, counts)
         try:
             s = bell.correlations_from_distribution(dist).s
@@ -423,13 +429,8 @@ def _epoch_diagnostics(
     return EpochRecord(epoch=epoch, avg_log_likelihood=avg_ll, s=s)
 
 
-def train(
-    dataset: EprDataset,
-    config: TrainerConfig,
-    *,
-    n_hidden: int = 4,
-) -> tuple[RbmModel, TrainingTrace]:
-    """Fit an RBM to the encoded trials by stochastic gradient ascent.
+def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, TrainingTrace]:
+    """Fit a 4x4 RBM to the encoded trials by stochastic gradient ascent.
 
     Weights start from a zero-mean normal draw scaled by weight_init_scale
     and biases start at zero. Each epoch shuffles the encoded data and
@@ -466,13 +467,10 @@ def train(
     shuffle_rng = np.random.default_rng(shuffle_ss)
     chain_rng = np.random.default_rng(chain_ss)
 
-    if n_hidden < 1:
-        raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
-    theta = np.zeros((m + 1, n_hidden + 1))
-    theta[:-1, :-1] = init_rng.standard_normal((m, n_hidden))
+    theta = np.zeros((m + 1, N_HIDDEN + 1))
+    theta[:-1, :-1] = init_rng.standard_normal((m, N_HIDDEN))
     theta *= config.weight_init_scale
 
-    # raises if the kernel's 2^(m+n) joint states are too many to tabulate
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
@@ -512,12 +510,10 @@ def train(
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)
-        if not np.all(np.isfinite(theta)):
-            raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
-        record = _epoch_diagnostics(_unpack(theta), data_counts, epoch)
+        record = _epoch_diagnostics(theta, data_counts, epoch)
         if record is None:
-            # parameters are finite but so extreme that the enumeration
-            # overflows; that is divergence in all but name
+            # parameters that are non-finite, or finite but so extreme that
+            # the enumeration overflows: divergence in all but name
             raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
         records.append(record)
 
@@ -547,9 +543,7 @@ def save_model(
         "trainer": trainer_config.to_dict() if trainer_config else None,
         "dataset_seed": dataset_seed,
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> tuple[RbmModel, dict]:

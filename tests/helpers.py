@@ -21,6 +21,7 @@ from eprbm.exact import (
     SETTING_PAIRS,
     ExactDistribution,
     MeasurementIndependenceReport,
+    _pack,
     bit_patterns,
 )
 from eprbm.rbm import RbmModel
@@ -177,7 +178,7 @@ def masked_mean_correlations(alpha, beta, x_alpha, x_beta) -> CorrelationReport:
     if missing:
         raise InsufficientDataError(missing)
     values = [float(products[mask].mean()) for mask in masks]
-    return CorrelationReport.from_correlations(*values, source="empirical")
+    return CorrelationReport(*values, source="empirical")
 
 
 def csv_text(alpha, beta, x_alpha, x_beta) -> str:
@@ -282,10 +283,7 @@ def _reference_table_moments(v_pat, ph, weights):
 
 
 def reference_train(
-    dataset: EprDataset,
-    config: trainer.TrainerConfig,
-    *,
-    n_hidden: int = 4,
+    dataset: EprDataset, config: trainer.TrainerConfig
 ) -> tuple[RbmModel, trainer.TrainingTrace]:
     """Plain formulation of trainer.train, the oracle for its packed update.
 
@@ -297,6 +295,7 @@ def reference_train(
     """
     encoded = encode_dataset(dataset)
     n_rows, m = encoded.shape
+    n_hidden = 4  # train fits 4x4 machines only
     data_idx = trainer._pattern_index(encoded)
     init_ss, shuffle_ss, chain_ss = np.random.SeedSequence(config.seed).spawn(3)
     init_rng = np.random.default_rng(init_ss)
@@ -334,11 +333,8 @@ def reference_train(
             w = w + lr * g_w
             c = c + lr * g_c
             d = d + lr * g_d
-        records.append(
-            trainer._epoch_diagnostics(
-                RbmModel(visible_bias=c, hidden_bias=d, weights=w), data_counts, epoch
-            )
-        )
+        theta = _pack(RbmModel(visible_bias=c, hidden_bias=d, weights=w))
+        records.append(trainer._epoch_diagnostics(theta, data_counts, epoch))
     final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
     return final, trainer.TrainingTrace(tuple(records))
 
@@ -383,7 +379,7 @@ def reference_correlations(dist: ExactDistribution) -> CorrelationReport:
     for pair in SETTING_PAIRS:
         table = reference_conditional_outcomes(dist, pair)
         values.append(float((signs * table).sum()))
-    return CorrelationReport.from_correlations(*values, source="model-exact")
+    return CorrelationReport(*values, source="model-exact")
 
 
 def reference_locality_check(dist: ExactDistribution) -> float:

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from eprbm import atomic
-from eprbm.atomic import atomic_write
+from eprbm.atomic import atomic_write, write_json
 from eprbm.cli import EXIT_DATA, main
 from eprbm.epr import DetectorAngles, generate_dataset, save_dataset
 from eprbm.trainer import (
@@ -68,6 +68,22 @@ class TestAtomicWrite:
             fh.write("x")
         mode = os.stat(tmp_path / "atomic.txt").st_mode & 0o777
         assert mode == os.stat(plain).st_mode & 0o777
+
+
+class TestWriteJson:
+    def test_format(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(path, {"a": [1, 2.5], "b": None})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": null\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_refused(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        path.write_bytes(OLD)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(path, {"x": [value]})
+        assert path.read_bytes() == OLD
+        assert os.listdir(tmp_path) == ["x.json"]
 
 
 def test_partial_json_dump_leaves_model_unwritten(tmp_path, monkeypatch):

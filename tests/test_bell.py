@@ -70,34 +70,25 @@ class TestChsh:
 
 
 class TestCorrelationReport:
-    def test_from_correlations_derives_s(self):
-        report = CorrelationReport.from_correlations(
-            -0.5, -0.5, -0.5, 0.5, source="theory"
-        )
+    def test_constructor_derives_s(self):
+        report = CorrelationReport(-0.5, -0.5, -0.5, 0.5, source="theory")
         assert report.s == 2.0
 
-    def test_inconsistent_s_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            CorrelationReport(
-                c_ab=-0.5,
-                c_ab_prime=-0.5,
-                c_a_prime_b=-0.5,
-                c_a_prime_b_prime=0.5,
-                s=1.0,
-                source="theory",
-            )
+    def test_s_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 's'"):
+            CorrelationReport(-0.5, -0.5, -0.5, 0.5, s=2.0, source="theory")
 
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="source"):
-            CorrelationReport.from_correlations(0, 0, 0, 0, source="guess")
+            CorrelationReport(0, 0, 0, 0, source="guess")
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationReport.from_correlations(-1.2, 0, 0, 0, source="theory")
+            CorrelationReport(-1.2, 0, 0, 0, source="theory")
 
     @given(corr_st, corr_st, corr_st, corr_st)
     def test_any_valid_input_accepted(self, a, b, c, d):
-        report = CorrelationReport.from_correlations(a, b, c, d, source="empirical")
+        report = CorrelationReport(a, b, c, d, source="empirical")
         assert 0.0 <= report.s <= 4.0
 
 
@@ -188,15 +179,9 @@ class TestModelCorrelationsSampled:
 
 
 def _reference_reports():
-    theory = CorrelationReport.from_correlations(
-        *SINGLET_THEORY_COLUMN, source="theory"
-    )
-    data = CorrelationReport.from_correlations(
-        *REFERENCE_DATA_COLUMN, source="empirical"
-    )
-    model = CorrelationReport.from_correlations(
-        *REFERENCE_MODEL_COLUMN, source="model-exact"
-    )
+    theory = CorrelationReport(*SINGLET_THEORY_COLUMN, source="theory")
+    data = CorrelationReport(*REFERENCE_DATA_COLUMN, source="empirical")
+    model = CorrelationReport(*REFERENCE_MODEL_COLUMN, source="model-exact")
     return theory, data, model
 
 
@@ -221,7 +206,7 @@ class TestComparisonTable:
     def test_identical_values_give_zero_differences(self):
         values = (-0.6, -0.6, -0.6, 0.6)
         reports = [
-            CorrelationReport.from_correlations(*values, source=src)
+            CorrelationReport(*values, source=src)
             for src in ("theory", "empirical", "model-exact")
         ]
         parsed = parse_comparison_csv(comparison_table(*reports, csv=True))
@@ -241,14 +226,14 @@ class TestComparisonCsv:
         rng = np.random.default_rng(34)
         values = np.round(rng.uniform(-1, 1, 4), 3)
         theory = theory_correlations(DetectorAngles())
-        model = CorrelationReport.from_correlations(*values, source="model-exact")
+        model = CorrelationReport(*values, source="model-exact")
         text = comparison_table(theory, None, model, csv=True)
         parsed = parse_comparison_csv(text)
         assert parsed["c_ab"]["model"] == pytest.approx(values[0], abs=5e-4)
         assert parsed["s"]["model"] == pytest.approx(model.s, abs=5e-4)
         assert parsed["c_ab"]["data"] is None
         # a second render of the parsed values is identical
-        model2 = CorrelationReport.from_correlations(
+        model2 = CorrelationReport(
             parsed["c_ab"]["model"],
             parsed["c_ab_prime"]["model"],
             parsed["c_a_prime_b"]["model"],

@@ -196,7 +196,28 @@ class TestSimulate:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate")
+        assert f"--trials {10**15} is too large" in err
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trial_count_beyond_array_dimension_is_data_error(self, tmp_path, capsys):
+        # numpy refuses a dimension this large before it allocates anything
+        rc = run("simulate", "--trials", 10**20, "--seed", 0,
+                 "--out", tmp_path / "x.csv")
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: Maximum allowed dimension exceeded "
+            f"(--trials {10**20} is too large)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unparseable_angle_names_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("simulate", "--trials", 10, "--seed", 0,
+                "--angles", "x,0,0,0", "--out", tmp_path / "x.csv")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --angles: could not convert string to float: 'x'" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_custom_angles_recorded_in_sidecar(self, tmp_path):

@@ -647,14 +647,13 @@ class TestTrain:
         assert isinstance(info.value.trace, TrainingTrace)
         assert len(info.value.trace) == 0
 
-    @pytest.mark.parametrize("n_hidden", [2, 3, 4])
-    def test_matches_reference_loop(self, small_dataset, n_hidden):
+    def test_matches_reference_loop(self, small_dataset):
         # the same draws give the same model up to reassociated sums, which
         # stay below 1e-15 here; one flipped chain draw moves the parameters
         # by about 1e-3
         cfg = TrainerConfig(seed=3, n_epochs=3)
-        model, trace = train(small_dataset, cfg, n_hidden=n_hidden)
-        ref_model, ref_trace = reference_train(small_dataset, cfg, n_hidden=n_hidden)
+        model, trace = train(small_dataset, cfg)
+        ref_model, ref_trace = reference_train(small_dataset, cfg)
         for name in ("weights", "visible_bias", "hidden_bias"):
             np.testing.assert_allclose(
                 getattr(model, name), getattr(ref_model, name), rtol=0, atol=1e-10
@@ -665,18 +664,7 @@ class TestTrain:
             assert abs(rec.avg_log_likelihood - ref.avg_log_likelihood) <= 1e-10
             assert abs(rec.s - ref.s) <= 1e-10
 
-    def test_custom_hidden_count(self, small_dataset):
-        model, trace = train(
-            small_dataset, TrainerConfig(seed=0, n_epochs=2), n_hidden=2
-        )
-        assert model.weights.shape == (4, 2)
-        assert len(trace) == 2
-
-    def test_rejects_bad_arguments(self, small_dataset):
-        with pytest.raises(ValueError, match="n_hidden"):
-            train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=0)
-        with pytest.raises(ValueError, match="too large for exact inference"):
-            train(small_dataset, TrainerConfig(seed=0, n_epochs=1), n_hidden=21)
+    def test_rejects_bad_arguments(self):
         empty = EprDataset(np.array([], dtype=np.int64), seed=None, angles=DetectorAngles())
         with pytest.raises(ValueError, match="non-empty"):
             train(empty, TrainerConfig(seed=0, n_epochs=1))

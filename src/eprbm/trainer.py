@@ -177,7 +177,7 @@ def init_chains(
 def _pattern_index(rows: np.ndarray) -> np.ndarray:
     """Index of each binary row among bit_patterns(m), first column most significant."""
     powers = 2 ** np.arange(rows.shape[1] - 1, -1, -1)
-    return (rows @ powers).astype(np.int64)
+    return rows.dot(powers).astype(np.int64)
 
 
 def _unpack(theta: np.ndarray) -> RbmModel:
@@ -186,14 +186,14 @@ def _unpack(theta: np.ndarray) -> RbmModel:
     )
 
 
-def _cumulative_rows(n_patterns: int) -> np.ndarray:
-    """Lower-triangular ones without the last row: column j of it @ T.T
-    holds the cumulative sums of row j of T, without the last one.
+def _cumulative_columns(n_patterns: int) -> np.ndarray:
+    """Upper-triangular ones without the last column: T @ it holds the
+    cumulative sums of each row of T, without the last one.
 
-    The last row is left out so that rounding in the row sums can never
+    The last column is left out so that rounding in the row sums can never
     push a draw past the last pattern.
     """
-    return np.tril(np.ones((n_patterns, n_patterns)))[:-1]
+    return np.triu(np.ones((n_patterns, n_patterns - 1)))
 
 
 # one shape at a time: with many hidden units these tables are large
@@ -202,12 +202,13 @@ def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Shared read-only tables for a packed theta of the given shape.
 
     v_aug and h_aug.T turn theta into the log-joint table, two vectors of
-    ones take its row and column sums by BLAS, and _cumulative_rows(2^m)
-    turns a transition table into the rows each chain draws from.
+    ones take its row and column sums by BLAS, _cumulative_columns(2^m)
+    turns a transition table into the rows each chain draws from, and a
+    third vector of ones counts the entries of a row below a uniform.
     """
     v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
-    ones_h, ones_v = np.ones(h_aug_t.shape[1]), np.ones(v_aug.shape[0])
-    tables = (ones_h, ones_v, _cumulative_rows(v_aug.shape[0]))
+    n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
+    tables = (np.ones(n_h), np.ones(n_v), np.ones(n_v - 1), _cumulative_columns(n_v))
     return (v_aug, h_aug_t, *map(_read_only, tables))
 
 
@@ -231,46 +232,60 @@ def _conditional(log_joint, axis, out=None) -> np.ndarray:
     return table
 
 
-def _pcd_advance(theta, chains, k, u, h_given_v=None) -> np.ndarray:
-    """Advance pattern-index chains by k block-Gibbs sweeps, one draw per chain.
+def _pcd_kernel(shape, k, n_chains):
+    """The PCD kernel for n_chains chains, k sweeps and a packed theta of the
+    given shape: advance(theta, chains, u), and the P(h | v) table that
+    every call of advance rewrites.
 
-    With the visible layer confined to its 2^m patterns, a block-Gibbs sweep
-    is a Markov chain over those patterns with transition matrix
-    T = P(h | v) @ P(v | h); both conditionals come from the one
+    advance moves pattern-index chains by k block-Gibbs sweeps, one draw
+    per chain. With the visible layer confined to its 2^m patterns, a
+    block-Gibbs sweep is a Markov chain over those patterns with transition
+    matrix T = P(h | v) @ P(v | h).T; both conditionals come from the one
     (2^m, 2^n) table v_aug @ theta @ h_aug.T of unnormalized
     log-probabilities, with theta the packed parameters (see _pack). Each
     chain then takes a single categorical draw from its row of T^k, which
     has exactly the law of k sweeps: u holds one uniform per chain, shape
-    (n_chains,).
+    (n_chains, 1), and the new chains come back as an int64 vector.
 
     The table is exponentiated unshifted when the bound _MAX_LOG_JOINT
-    holds for theta, and shifted per row and per column otherwise. The
-    cumulative table is kept transposed, cumulative @ (T.T)^k with (T.T)^k
-    built by repeated squaring, so that each chain's column is compared with
-    its uniform. The normalized P(h | v) table is written to h_given_v when
-    one is given: h_given_v @ h_aug holds the rows [P(h | v), 1] that the
-    moments are formed from.
+    holds for theta, and shifted per row and per column otherwise. T^k is
+    built by square-and-multiply from T, and T^k @ _cumulative_columns(2^m)
+    holds the cumulative rows that each chain compares with its uniform.
+    h_given_v @ h_aug holds the rows [P(h | v), 1] that the moments are
+    formed from. The exponential, both conditionals and the comparison are
+    written into buffers allocated here, once.
     """
-    v_aug, h_aug_t, ones_h, ones_v, cumulative = _kernel_tables(theta.shape)
-    log_joint = v_aug.dot(theta).dot(h_aug_t)
-    flat = theta.ravel()
-    if flat.dot(flat) * flat.size < _MAX_LOG_JOINT**2:
-        both = np.exp(log_joint)
-        h_given_v = np.divide(both, both.dot(ones_h)[:, None], out=h_given_v)
-        v_given_h = both / ones_v.dot(both)
-    else:
-        h_given_v = _conditional(log_joint, 1, h_given_v)
-        v_given_h = _conditional(log_joint, 0)
-    step = v_given_h.dot(h_given_v.T)
-    table = cumulative
-    while True:
-        if k & 1:
-            table = table.dot(step)
-        k >>= 1
-        if not k:
-            break
-        step = step.dot(step)
-    return (table.take(chains, axis=1) < u).sum(axis=0)
+    v_aug, h_aug_t, ones_h, ones_v, ones_draw, cumulative = _kernel_tables(shape)
+    n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
+    h_given_v, v_given_h = np.empty((n_v, n_h)), np.empty((n_v, n_h))
+    v_given_h_t = v_given_h.T
+    below = np.empty((n_chains, n_v - 1), dtype=bool)
+    # after the leading bit of k, each bit squares the power, and a set bit
+    # multiplies it by T once more
+    bits = bin(k)[3:]
+
+    def advance(theta, chains, u):
+        log_joint = v_aug.dot(theta).dot(h_aug_t)
+        flat = theta.ravel()
+        if flat.dot(flat) * flat.size < _MAX_LOG_JOINT**2:
+            # the exponential is normalized into P(h | v) in place, after
+            # P(v | h) has been taken from it
+            both = np.exp(log_joint, out=h_given_v)
+            np.divide(both, ones_v.dot(both), out=v_given_h)
+            np.divide(both, both.dot(ones_h)[:, None], out=h_given_v)
+        else:
+            _conditional(log_joint, 1, h_given_v)
+            _conditional(log_joint, 0, v_given_h)
+        step = h_given_v.dot(v_given_h_t)
+        power = step
+        for bit in bits:
+            power = power.dot(power)
+            if bit == "1":
+                power = power.dot(step)
+        np.less(power.dot(cumulative).take(chains, axis=0), u, out=below)
+        return below.dot(ones_draw).astype(np.int64)
+
+    return advance, h_given_v
 
 
 def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,10 +380,11 @@ def model_expectation_pcd(
     theta = _pack(model)
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
-    h_given_v = np.empty((n_patterns, h_aug_t.shape[1]))
-    idx = _pcd_advance(theta, _pattern_index(arr), k, rng.random(n_chains), h_given_v)
+    advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
+    idx = advance(theta, _pattern_index(arr), rng.random((n_chains, 1)))
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
-    return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), v_aug[idx, :-1])
+    rows = v_aug.take(idx, 0)[:, :-1]
+    return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), rows)
 
 
 def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
@@ -471,21 +487,22 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     theta[:-1, :-1] = init_rng.standard_normal((m, N_HIDDEN))
     theta *= config.weight_init_scale
 
+    n_chains, k = config.n_persistent_chains, config.gibbs_steps_per_update
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
-    h_given_v = np.empty((n_patterns, h_aug.shape[0]))
-    chains = _pattern_index(init_chains(config.n_persistent_chains, m, chain_rng))
-    n_chains = config.n_persistent_chains
-    k = config.gibbs_steps_per_update
+    advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
+    chains = _pattern_index(chain_rng.random((n_chains, m)) < 0.5)
     data_counts = np.bincount(data_idx, minlength=n_patterns)
     # a batch larger than the data is the whole data, and fits an int64
     batch_size = min(config.batch_size, n_rows)
     n_batches = -(-n_rows // batch_size)
-    # row r of a shuffled epoch lands in minibatch r // batch_size
-    batch_of_row = np.arange(n_rows) // batch_size
-    batch_offsets = batch_of_row * n_patterns
-    batch_sizes = np.bincount(batch_of_row)[:, None]
+    # row r of a shuffled epoch lands in minibatch r // batch_size; the
+    # last minibatch takes what is left
+    batch_starts = np.arange(0, n_batches * n_patterns, n_patterns)
+    batch_offsets = np.repeat(batch_starts, batch_size)[:n_rows]
+    batch_sizes = np.full((n_batches, 1), batch_size)
+    batch_sizes[-1] = n_rows - (n_batches - 1) * batch_size
 
     records = []
     for epoch in range(1, config.n_epochs + 1):
@@ -498,14 +515,14 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         batch_weights = np.bincount(
             cells, minlength=n_batches * n_patterns
         ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
-        uniforms = chain_rng.random((n_batches, n_chains))
+        uniforms = chain_rng.random((n_batches, n_chains, 1))
         # each chain's pattern counts lr / n_chains against the data
         chain_weights = np.full(n_chains, lr / n_chains)
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for weights, u in zip(batch_weights, uniforms):
-                chains = _pcd_advance(theta, chains, k, u, h_given_v)
+                chains = advance(theta, chains, u)
                 weights = weights - np.bincount(chains, chain_weights, n_patterns)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere

@@ -9,6 +9,7 @@ slow brute-force summation.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -294,8 +295,18 @@ class TestModelExpectationPcd:
             init_chains(0, 4, rng)
 
 
+def pcd_draw(theta, chains, k, seed):
+    """One call of a fresh PCD kernel, with one uniform per chain from
+    default_rng(seed): the new chains and the P(h | v) table it wrote over
+    NaNs."""
+    advance, h_given_v = trainer._pcd_kernel(theta.shape, k, chains.size)
+    h_given_v[:] = np.nan
+    u = np.random.default_rng(seed).random((chains.size, 1))
+    return advance(theta, chains, u), h_given_v
+
+
 def bound_admits(theta: np.ndarray) -> bool:
-    """Whether _pcd_advance takes its unshifted path for theta."""
+    """Whether the PCD kernel takes its unshifted path for theta."""
     flat = theta.ravel()
     return flat.dot(flat) * flat.size < trainer._MAX_LOG_JOINT**2
 
@@ -352,15 +363,46 @@ class TestPcdAdvance:
             act = patterns @ model.weights + model.hidden_bias
             for k in (1, 2, 3, 4, 5, 8):
                 chains = np.random.default_rng(k).integers(0, 16, 32_000)
-                got = trainer._pcd_advance(
-                    theta, chains, k, np.random.default_rng(100 + k).random(chains.size)
-                )
+                got = pcd_draw(theta, chains, k, 100 + k)[0]
                 want = _reference_pcd_advance(
                     model.visible_bias, act, patterns, patterns, chains, k,
                     np.random.default_rng(100 + k),
                 )
                 np.testing.assert_array_equal(
                     got, want, err_msg=f"unshifted path {admitted[-1]}, k={k}"
+                )
+        assert any(admitted) and not all(admitted)
+
+    @pytest.mark.parametrize(
+        "n_chains, start, k",
+        [(1, None, 5), (4_000, 9, 5), (4_000, None, 1)],
+        ids=["one_chain", "one_pattern", "no_squaring"],
+    )
+    def test_edge_cases_match_reference(self, reference_model, n_chains, start, k):
+        # a single chain, every chain on one pattern, and k = 1 where T^k is
+        # T itself: still the reference's draws, returned as int64 indices,
+        # on the unshifted path and on the fallback
+        patterns = bit_patterns(4)
+        admitted = []
+        for model in scale_sweep_models(reference_model):
+            theta = trainer._pack(model)
+            admitted.append(bound_admits(theta))
+            act = patterns @ model.weights + model.hidden_bias
+            h_pat = bit_patterns(model.n_hidden)
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                if start is None:
+                    chains = rng.integers(0, 16, n_chains)
+                else:
+                    chains = np.full(n_chains, start)
+                got = pcd_draw(theta, chains, k, 100 + seed)[0]
+                want = _reference_pcd_advance(
+                    model.visible_bias, act, patterns, h_pat, chains, k,
+                    np.random.default_rng(100 + seed),
+                )
+                assert got.dtype == np.int64 and got.shape == (n_chains,)
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"unshifted path {admitted[-1]}, seed {seed}"
                 )
         assert any(admitted) and not all(admitted)
 
@@ -379,11 +421,8 @@ class TestPcdAdvance:
             want = np.hstack(
                 [expit(patterns @ model.weights + model.hidden_bias), np.ones((16, 1))]
             )
-            h_given_v = np.full((16, h_pat.shape[0]), np.nan)
             chains = np.random.default_rng(0).integers(0, 16, 100)
-            trainer._pcd_advance(
-                theta, chains, 5, np.random.default_rng(1).random(100), h_given_v
-            )
+            h_given_v = pcd_draw(theta, chains, 5, 1)[1]
             np.testing.assert_allclose(
                 h_given_v @ h_aug, want, rtol=0, atol=1e-14,
                 err_msg=f"unshifted path {admitted[-1]}",
@@ -409,11 +448,8 @@ class TestPcdAdvance:
         patterns = bit_patterns(4)
         h_pat = bit_patterns(n)
         h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
-        h_given_v = np.full((16, h_pat.shape[0]), np.nan)
         chains = np.random.default_rng(seed).integers(0, 16, 2_000)
-        got = trainer._pcd_advance(
-            theta, chains, k, np.random.default_rng(k).random(chains.size), h_given_v
-        )
+        got, h_given_v = pcd_draw(theta, chains, k, k)
         act = patterns @ model.weights + model.hidden_bias
         want_ph = np.hstack([expit(act), np.ones((16, 1))])
         np.testing.assert_allclose(h_given_v @ h_aug, want_ph, rtol=0, atol=1e-14)
@@ -535,11 +571,8 @@ class TestExactGradient:
             admitted.append(bound_admits(theta))
             h_pat = bit_patterns(model.n_hidden)
             h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
-            h_given_v = np.full((16, h_pat.shape[0]), np.nan)
             chains = np.random.default_rng(0).integers(0, 16, 100)
-            trainer._pcd_advance(
-                theta, chains, 5, np.random.default_rng(1).random(100), h_given_v
-            )
+            h_given_v = pcd_draw(theta, chains, 5, 1)[1]
             want = h_given_v @ h_aug
             rows = trainer._model_tables(theta)[2]
             message = f"unshifted path {admitted[-1]}"
@@ -548,6 +581,20 @@ class TestExactGradient:
             if not admitted[-1]:
                 np.testing.assert_array_equal(rows[:, :-1], want[:, :-1], message)
         assert any(admitted) and not all(admitted)
+
+
+def assert_matches_reference_train(dataset, cfg):
+    model, trace = train(dataset, cfg)
+    ref_model, ref_trace = reference_train(dataset, cfg)
+    for name in ("weights", "visible_bias", "hidden_bias"):
+        np.testing.assert_allclose(
+            getattr(model, name), getattr(ref_model, name), rtol=0, atol=1e-10
+        )
+    assert len(trace) == len(ref_trace) == cfg.n_epochs
+    for rec, ref in zip(trace.records, ref_trace.records):
+        assert rec.epoch == ref.epoch
+        assert abs(rec.avg_log_likelihood - ref.avg_log_likelihood) <= 1e-10
+        assert abs(rec.s - ref.s) <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -651,18 +698,30 @@ class TestTrain:
         # the same draws give the same model up to reassociated sums, which
         # stay below 1e-15 here; one flipped chain draw moves the parameters
         # by about 1e-3
-        cfg = TrainerConfig(seed=3, n_epochs=3)
-        model, trace = train(small_dataset, cfg)
-        ref_model, ref_trace = reference_train(small_dataset, cfg)
-        for name in ("weights", "visible_bias", "hidden_bias"):
-            np.testing.assert_allclose(
-                getattr(model, name), getattr(ref_model, name), rtol=0, atol=1e-10
-            )
-        assert len(trace) == len(ref_trace) == 3
-        for rec, ref in zip(trace.records, ref_trace.records):
-            assert rec.epoch == ref.epoch
-            assert abs(rec.avg_log_likelihood - ref.avg_log_likelihood) <= 1e-10
-            assert abs(rec.s - ref.s) <= 1e-10
+        assert_matches_reference_train(small_dataset, TrainerConfig(seed=3, n_epochs=3))
+
+    def test_short_last_batch_matches_reference_loop(self, small_dataset):
+        # batches of 300 leave the last of the 1000 rows' minibatches short
+        cfg = TrainerConfig(seed=3, n_epochs=3, batch_size=300)
+        assert_matches_reference_train(small_dataset, cfg)
+
+    def test_runs_leave_no_state_behind(self, small_dataset, reference_model):
+        # the kernel writes into buffers that are reused update after update:
+        # a run of another seed and a model_expectation_pcd on another model
+        # between two runs of one seed must leave the second run
+        # byte-identical to the first
+        def run(seed):
+            model, trace = train(small_dataset, TrainerConfig(seed=seed, n_epochs=3))
+            return [
+                np.asarray(x).tobytes()
+                for x in (*astuple(model), [astuple(r) for r in trace.records])
+            ]
+
+        first = run(0)
+        rng = np.random.default_rng(4)
+        model_expectation_pcd(reference_model, init_chains(100, 4, rng), 5, rng)
+        other = run(1)
+        assert run(0) == first != other
 
     def test_rejects_bad_arguments(self):
         empty = EprDataset(np.array([], dtype=np.int64), seed=None, angles=DetectorAngles())

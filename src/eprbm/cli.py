@@ -13,6 +13,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -150,14 +151,23 @@ def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerCon
 
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     config = _resolve_trainer_config(args, parser)
-    dataset = load_dataset(args.data)
     trace_path = args.trace or f"{args.out}.trace.csv"
+    # an output that cannot be written is refused before the fit, not after
+    for path in (args.out, trace_path):
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"{path}: {parent} is not a directory")
+    dataset = load_dataset(args.data)
     try:
         model, trace = trainer.train(dataset, config)
     except TrainingDivergedError as err:
         err.trace.to_csv(trace_path)
         print(f"{err} (partial trace kept at {trace_path})", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as err:
+        # the data has loaded, so what train cannot allocate is sized by the chains
+        n_chains = config.n_persistent_chains
+        raise MemoryError(f"{err} (--chains {n_chains} is too large)") from None
     save_model(args.out, model, trainer_config=config, dataset_seed=dataset.seed)
     trace.to_csv(trace_path)
     report = bell.model_correlations_exact(model)

@@ -186,29 +186,23 @@ def _unpack(theta: np.ndarray) -> RbmModel:
     )
 
 
-def _cumulative_columns(n_patterns: int) -> np.ndarray:
-    """Upper-triangular ones without the last column: T @ it holds the
-    cumulative sums of each row of T, without the last one.
-
-    The last column is left out so that rounding in the row sums can never
-    push a draw past the last pattern.
-    """
-    return np.triu(np.ones((n_patterns, n_patterns - 1)))
-
-
 # one shape at a time: with many hidden units these tables are large
 @functools.lru_cache(maxsize=1)
 def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Shared read-only tables for a packed theta of the given shape.
 
-    v_aug and h_aug.T turn theta into the log-joint table, two vectors of
-    ones take its row and column sums by BLAS, _cumulative_columns(2^m)
-    turns a transition table into the rows each chain draws from, and a
-    third vector of ones counts the entries of a row below a uniform.
+    v_aug and h_aug.T turn theta into the log-joint table, a column and a
+    vector of ones take its row and column sums by BLAS, and the draw table
+    turns a transition table T into the rows each chain draws from: T @ it
+    holds the cumulative sums of each row of T, except that the last, the
+    row sum, is replaced by a sentinel of about 2, so that rounding in the
+    row sums can never push a draw past the last pattern.
     """
     v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
     n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
-    tables = (np.ones(n_h), np.ones(n_v), np.ones(n_v - 1), _cumulative_columns(n_v))
+    draw = np.triu(np.ones((n_v, n_v)))
+    draw[:, -1] = 2.0
+    tables = (np.ones((n_h, 1)), np.ones(n_v), draw)
     return (v_aug, h_aug_t, *map(_read_only, tables))
 
 
@@ -249,17 +243,18 @@ def _pcd_kernel(shape, k, n_chains):
 
     The table is exponentiated unshifted when the bound _MAX_LOG_JOINT
     holds for theta, and shifted per row and per column otherwise. T^k is
-    built by square-and-multiply from T, and T^k @ _cumulative_columns(2^m)
-    holds the cumulative rows that each chain compares with its uniform.
-    h_given_v @ h_aug holds the rows [P(h | v), 1] that the moments are
-    formed from. The exponential, both conditionals and the comparison are
-    written into buffers allocated here, once.
+    built by square-and-multiply from T, and T^k times the draw table of
+    _kernel_tables holds the cumulative rows, each ending in a sentinel,
+    that the chains compare with their uniforms. h_given_v @ h_aug holds
+    the rows [P(h | v), 1] that the moments are formed from. The
+    exponential, both conditionals and the comparison are written into
+    buffers allocated here, once.
     """
-    v_aug, h_aug_t, ones_h, ones_v, ones_draw, cumulative = _kernel_tables(shape)
+    v_aug, h_aug_t, ones_h, ones_v, cumulative = _kernel_tables(shape)
     n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
     h_given_v, v_given_h = np.empty((n_v, n_h)), np.empty((n_v, n_h))
     v_given_h_t = v_given_h.T
-    below = np.empty((n_chains, n_v - 1), dtype=bool)
+    below = np.empty((n_chains, n_v), dtype=bool)
     # after the leading bit of k, each bit squares the power, and a set bit
     # multiplies it by T once more
     bits = bin(k)[3:]
@@ -270,9 +265,9 @@ def _pcd_kernel(shape, k, n_chains):
         if flat.dot(flat) * flat.size < _MAX_LOG_JOINT**2:
             # the exponential is normalized into P(h | v) in place, after
             # P(v | h) has been taken from it
-            both = np.exp(log_joint, out=h_given_v)
-            np.divide(both, ones_v.dot(both), out=v_given_h)
-            np.divide(both, both.dot(ones_h)[:, None], out=h_given_v)
+            both = np.exp(log_joint, h_given_v)
+            np.divide(both, ones_v.dot(both), v_given_h)
+            np.divide(both, both.dot(ones_h), h_given_v)
         else:
             _conditional(log_joint, 1, h_given_v)
             _conditional(log_joint, 0, v_given_h)
@@ -282,8 +277,18 @@ def _pcd_kernel(shape, k, n_chains):
             power = power.dot(power)
             if bit == "1":
                 power = power.dot(step)
-        np.less(power.dot(cumulative).take(chains, axis=0), u, out=below)
-        return below.dot(ones_draw).astype(np.int64)
+        # Each chain lands on the first entry of its cumulative row that is
+        # not below its uniform: the first False, which argmin finds (argmax
+        # over >= finds the same index, more slowly). Every row of
+        # T^k @ cumulative sums nonnegative terms in one fixed order, so it
+        # never decreases, and that first index is the count of entries
+        # below u. The sentinel, about 2 and above any u, is the answer only
+        # when every real entry is below u, and it then stands for the last
+        # pattern, as the count does. A row of NaN, which only a non-finite
+        # log-joint gives, draws 0 as the count does, and that update's NaN
+        # ends the epoch in TrainingDivergedError.
+        np.less(power.dot(cumulative).take(chains, 0), u, below)
+        return below.argmin(1)
 
     return advance, h_given_v
 
@@ -491,7 +496,12 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
-    advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
+    try:
+        advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
+    except ValueError as err:
+        # numpy refuses a chain buffer past its largest dimension with a
+        # ValueError rather than a MemoryError
+        raise MemoryError(str(err)) from None
     chains = _pattern_index(chain_rng.random((n_chains, m)) < 0.5)
     data_counts = np.bincount(data_idx, minlength=n_patterns)
     # a batch larger than the data is the whole data, and fits an int64
@@ -523,7 +533,8 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for weights, u in zip(batch_weights, uniforms):
                 chains = advance(theta, chains, u)
-                weights = weights - np.bincount(chains, chain_weights, n_patterns)
+                # the row is this epoch's own, so it is overwritten in place
+                weights -= np.bincount(chains, chain_weights, n_patterns)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)

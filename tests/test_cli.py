@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import eprbm
-from eprbm import __version__, bell, exact
+from eprbm import __version__, bell, exact, trainer
 from eprbm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from eprbm.epr import DetectorAngles, empirical_correlations, load_dataset
 from eprbm.rbm import RbmModel
@@ -339,6 +339,52 @@ class TestTrain:
                  "--out", tmp_path / "m.json", "--seed", 0, "--epochs", 1)
         assert rc == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "outputs, missing",
+        [
+            (["--out", "nodir/m.json"], "nodir/m.json"),
+            (["--out", "m.json", "--trace", "nodir/t.csv"], "nodir/t.csv"),
+        ],
+        ids=["out", "trace"],
+    )
+    def test_missing_output_directory_refused_before_training(
+        self, tmp_path, data_csv, capsys, monkeypatch, outputs, missing
+    ):
+        # a default fit takes seconds, so an output it could not write is
+        # refused before the fit starts, and nothing is written
+        def fail(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(trainer, "train", fail)
+        argv = [tmp_path / a if a.endswith((".json", ".csv")) else a for a in outputs]
+        rc = run("train", "--data", data_csv, "--seed", 0, *argv)
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / missing}: {tmp_path / 'nodir'} is not a directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "chains, refusal",
+        [
+            (10**15, "Unable to allocate"),
+            (10**20, "Maximum allowed dimension exceeded"),
+        ],
+        ids=["unallocatable", "beyond_array_dimension"],
+    )
+    def test_chain_count_too_large_is_data_error(
+        self, tmp_path, data_csv, capsys, chains, refusal
+    ):
+        # numpy refuses both chain buffers before it allocates anything
+        rc = run("train", "--data", data_csv, "--out", tmp_path / "m.json",
+                 "--seed", 0, "--chains", chains)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refusal}")
+        assert err.endswith(f" (--chains {chains} is too large)\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_sidecar_angle_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -406,6 +406,31 @@ class TestPcdAdvance:
                 )
         assert any(admitted) and not all(admitted)
 
+    def test_draw_at_extreme_uniforms(self, reference_model):
+        # u = 0 lands every chain on pattern 0, and the largest u below 1 on
+        # some pattern of the table: the sentinel column stands for the last
+        # pattern, never for an index past it. A draw is the inverse of the
+        # chain's cumulative row, so it never falls as u rises past 0.5. On
+        # both paths, for k = 1 where T^k is T itself and for k = 5
+        chains = np.random.default_rng(0).integers(0, 16, 4_000)
+        admitted = []
+        for model in scale_sweep_models(reference_model):
+            theta = trainer._pack(model)
+            admitted.append(bound_admits(theta))
+            for k in (1, 5):
+                advance = trainer._pcd_kernel(theta.shape, k, chains.size)[0]
+                previous = np.zeros_like(chains)
+                for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                    got = advance(theta, chains, np.full((chains.size, 1), u))
+                    msg = f"unshifted path {admitted[-1]}, k={k}, u={u!r}"
+                    assert got.dtype == np.int64 and got.shape == chains.shape, msg
+                    assert 0 <= got.min() and got.max() <= 15, msg
+                    assert np.all(got >= previous), msg
+                    if u == 0.0:
+                        assert not got.any(), msg
+                    previous = got
+        assert any(admitted) and not all(admitted)
+
     def test_moment_table_matches_expit(self, reference_model):
         # train forms its moments from the P(h | v) table the kernel writes:
         # times the augmented hidden patterns it must give [P(h_j = 1 | v), 1]

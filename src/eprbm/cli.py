@@ -42,6 +42,24 @@ LOCALITY_RESIDUAL_BOUND = 1e-10
 MI_TV_BOUND = 1e-3
 
 
+def _manifest_path(out) -> str:
+    return f"{out}.manifest.json"
+
+
+def _check_outputs(args, *others) -> None:
+    """Refuse, before any work, an output that could not be written: one
+    whose directory is missing, or that is a directory itself. The outputs
+    are --out, if given, its manifest and the others."""
+    if not args.out:
+        return
+    for path in (args.out, _manifest_path(args.out), *others):
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"{path}: {parent} is not a directory")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+
+
 def _write_manifest(args, *, config, inputs, outputs, seed=None) -> None:
     """Write <args.out>.manifest.json, the record of one run: what was asked,
     with what master seed (if any), what came out, and how long it took."""
@@ -54,7 +72,7 @@ def _write_manifest(args, *, config, inputs, outputs, seed=None) -> None:
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - args.started,
     }
-    write_json(f"{args.out}.manifest.json", manifest)
+    write_json(_manifest_path(args.out), manifest)
 
 
 def _parse_angles(text: str) -> DetectorAngles:
@@ -90,6 +108,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         angles = DetectorAngles() if args.angles is None else _parse_angles(args.angles)
     except ValueError as err:
         parser.error(str(err))
+    _check_outputs(args, sidecar_path(args.out))
     try:
         dataset = generate_dataset(angles, args.trials, args.seed)
     except (ValueError, MemoryError) as err:
@@ -152,11 +171,7 @@ def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerCon
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     config = _resolve_trainer_config(args, parser)
     trace_path = args.trace or f"{args.out}.trace.csv"
-    # an output that cannot be written is refused before the fit, not after
-    for path in (args.out, trace_path):
-        parent = os.path.dirname(path) or os.curdir
-        if not os.path.isdir(parent):
-            raise FileNotFoundError(f"{path}: {parent} is not a directory")
+    _check_outputs(args, trace_path)
     dataset = load_dataset(args.data)
     try:
         model, trace = trainer.train(dataset, config)
@@ -190,6 +205,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
+    _check_outputs(args)
     model, _ = load_model(args.model)
     angles = DetectorAngles()
     data_report = None
@@ -215,6 +231,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
+    _check_outputs(args)
     model, _ = load_model(args.model)
     # a non-finite diagnostic is refused below, so its warnings say nothing more
     with np.errstate(all="ignore"):

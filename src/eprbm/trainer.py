@@ -16,6 +16,7 @@ estimate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
 
@@ -213,6 +214,30 @@ def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 # conditional is below e^-600 over its row or column length: normal doubles
 # throughout, so both conditionals can be normalized from one unshifted table.
 _MAX_LOG_JOINT = 600.0
+# a bound below this certifies the updates that follow (see _bound_test)
+_CERTIFIED_BOUND = _MAX_LOG_JOINT - 1.0
+
+
+def _bound_test(theta, lr=math.inf) -> tuple[bool, float]:
+    """Whether theta admits the PCD kernel's unshifted path, and how many
+    train updates of learning rate lr after it are certain to admit it too.
+
+    An update adds to every entry of theta a sum over the patterns of a
+    weight times entries of v_aug and of [P(h | v), 1], all in [0, 1], and
+    the weights' magnitudes sum to at most 2 lr: lr for the data row and lr
+    for the chains. So the bound sqrt(theta.size) ||theta||_F grows by at
+    most 2 lr theta.size an update; 1 + 1e-9 on that covers the rounding of
+    the weights, and the unit between _CERTIFIED_BOUND and _MAX_LOG_JOINT
+    the rounding of the test and of the steps over any epoch that fits in
+    memory. A non-finite theta admits nothing and certifies no update.
+    """
+    flat = theta.ravel()
+    squared = flat.dot(flat) * flat.size
+    if squared < _CERTIFIED_BOUND**2:
+        growth = 2 * lr * flat.size * (1 + 1e-9)
+        slack = _CERTIFIED_BOUND - math.sqrt(squared)
+        return True, slack // growth if growth else math.inf
+    return squared < _MAX_LOG_JOINT**2, 0.0
 
 
 def _conditional(log_joint, axis, out=None) -> np.ndarray:
@@ -228,8 +253,8 @@ def _conditional(log_joint, axis, out=None) -> np.ndarray:
 
 def _pcd_kernel(shape, k, n_chains):
     """The PCD kernel for n_chains chains, k sweeps and a packed theta of the
-    given shape: advance(theta, chains, u), and the P(h | v) table that
-    every call of advance rewrites.
+    given shape: advance(theta, chains, u, admitted), and the P(h | v) table
+    that every call of advance rewrites.
 
     advance moves pattern-index chains by k block-Gibbs sweeps, one draw
     per chain. With the visible layer confined to its 2^m patterns, a
@@ -241,13 +266,13 @@ def _pcd_kernel(shape, k, n_chains):
     has exactly the law of k sweeps: u holds one uniform per chain, shape
     (n_chains, 1), and the new chains come back as an int64 vector.
 
-    The table is exponentiated unshifted when the bound _MAX_LOG_JOINT
-    holds for theta, and shifted per row and per column otherwise. T^k is
-    built by square-and-multiply from T, and T^k times the draw table of
-    _kernel_tables holds the cumulative rows, each ending in a sentinel,
-    that the chains compare with their uniforms. h_given_v @ h_aug holds
-    the rows [P(h | v), 1] that the moments are formed from. The
-    exponential, both conditionals and the comparison are written into
+    The table is exponentiated unshifted when admitted, the first result of
+    _bound_test for theta, is true, and shifted per row and per column
+    otherwise. T^k is built by square-and-multiply from T, and T^k times
+    the draw table of _kernel_tables holds the cumulative rows, each ending
+    in a sentinel, that the chains compare with their uniforms. h_given_v @
+    h_aug holds the rows [P(h | v), 1] that the moments are formed from.
+    The exponential, both conditionals and the comparison are written into
     buffers allocated here, once.
     """
     v_aug, h_aug_t, ones_h, ones_v, cumulative = _kernel_tables(shape)
@@ -259,10 +284,9 @@ def _pcd_kernel(shape, k, n_chains):
     # multiplies it by T once more
     bits = bin(k)[3:]
 
-    def advance(theta, chains, u):
+    def advance(theta, chains, u, admitted):
         log_joint = v_aug.dot(theta).dot(h_aug_t)
-        flat = theta.ravel()
-        if flat.dot(flat) * flat.size < _MAX_LOG_JOINT**2:
+        if admitted:
             # the exponential is normalized into P(h | v) in place, after
             # P(v | h) has been taken from it
             both = np.exp(log_joint, h_given_v)
@@ -386,7 +410,8 @@ def model_expectation_pcd(
     v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
     advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
-    idx = advance(theta, _pattern_index(arr), rng.random((n_chains, 1)))
+    u = rng.random((n_chains, 1))
+    idx = advance(theta, _pattern_index(arr), u, _bound_test(theta)[0])
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
     rows = v_aug.take(idx, 0)[:, :-1]
     return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), rows)
@@ -528,11 +553,18 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         uniforms = chain_rng.random((n_batches, n_chains, 1))
         # each chain's pattern counts lr / n_chains against the data
         chain_weights = np.full(n_chains, lr / n_chains)
+        # one bound test covers the updates it certifies, and the update
+        # after them tests again
+        unchecked = 0.0
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for weights, u in zip(batch_weights, uniforms):
-                chains = advance(theta, chains, u)
+                if unchecked:
+                    unchecked -= 1
+                else:
+                    admitted, unchecked = _bound_test(theta, lr)
+                chains = advance(theta, chains, u, admitted)
                 # the row is this epoch's own, so it is overwritten in place
                 weights -= np.bincount(chains, chain_weights, n_patterns)
                 # the corner of theta collects the rounding of sum(weights),

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import eprbm
-from eprbm import __version__, bell, exact, trainer
+from eprbm import __version__, bell, cli, exact, trainer
 from eprbm.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from eprbm.epr import DetectorAngles, empirical_correlations, load_dataset
 from eprbm.rbm import RbmModel
@@ -725,6 +725,68 @@ class TestManifest:
         before = sorted(tmp_path.iterdir())
         assert run(command, "--model", files[1]) == EXIT_OK
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestOutputPaths:
+    # every command refuses an output it could not write before it reads or
+    # computes anything: a path that is a directory, or one whose directory
+    # is missing. Both fail the atomic rename at the end, after the work
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        # simulate starts by generating, train by loading the data, and
+        # eval and diagnose by loading the model
+        for name in ("generate_dataset", "load_dataset", "load_model"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def argv(self, command, data_csv, model_file):
+        return {
+            "simulate": ["simulate", "--seed", 0],
+            "train": ["train", "--data", data_csv, "--seed", 0],
+            "eval": ["eval", "--model", model_file, "--data", data_csv],
+            "diagnose": ["diagnose", "--model", model_file],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, outputs, refused",
+        [
+            ("simulate", ["--out", "outdir"], "outdir"),
+            ("train", ["--out", "outdir"], "outdir"),
+            ("train", ["--out", "m.json", "--trace", "outdir"], "outdir"),
+            ("train", ["--out", "outdir.json"], "outdir.json.manifest.json"),
+            ("simulate", ["--out", "outdir.csv"], "outdir.csv.meta.json"),
+            ("eval", ["--out", "outdir"], "outdir"),
+            ("diagnose", ["--out", "outdir"], "outdir"),
+        ],
+        ids=["simulate", "train_out", "train_trace", "train_manifest",
+             "simulate_sidecar", "eval", "diagnose"],
+    )
+    def test_directory_refused_before_work(
+        self, tmp_path, data_csv, reference_model_file, capsys,
+        command, outputs, refused,
+    ):
+        (tmp_path / refused).mkdir()
+        argv = [a if a.startswith("--") else tmp_path / a for a in outputs]
+        rc = run(*self.argv(command, data_csv, reference_model_file), *argv)
+        assert rc == EXIT_DATA
+        assert capsys.readouterr() == ("", f"error: {tmp_path / refused} is a directory\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / refused]
+
+    # TestTrain::test_missing_output_directory_refused_before_training
+    # covers train
+    @pytest.mark.parametrize("command", ["simulate", "eval", "diagnose"])
+    def test_missing_directory_refused_before_work(
+        self, tmp_path, data_csv, reference_model_file, capsys, command
+    ):
+        out = tmp_path / "nodir" / "out"
+        rc = run(*self.argv(command, data_csv, reference_model_file), "--out", out)
+        assert rc == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: {out}: {tmp_path / 'nodir'} is not a directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 def assert_data_error_naming(tmp_path, capsys, command, target, payload, named=""):

@@ -296,13 +296,13 @@ class TestModelExpectationPcd:
 
 
 def pcd_draw(theta, chains, k, seed):
-    """One call of a fresh PCD kernel, with one uniform per chain from
-    default_rng(seed): the new chains and the P(h | v) table it wrote over
-    NaNs."""
+    """One call of a fresh PCD kernel, on the path bound_admits picks, with
+    one uniform per chain from default_rng(seed): the new chains and the
+    P(h | v) table it wrote over NaNs."""
     advance, h_given_v = trainer._pcd_kernel(theta.shape, k, chains.size)
     h_given_v[:] = np.nan
     u = np.random.default_rng(seed).random((chains.size, 1))
-    return advance(theta, chains, u), h_given_v
+    return advance(theta, chains, u, bound_admits(theta)), h_given_v
 
 
 def bound_admits(theta: np.ndarray) -> bool:
@@ -421,7 +421,8 @@ class TestPcdAdvance:
                 advance = trainer._pcd_kernel(theta.shape, k, chains.size)[0]
                 previous = np.zeros_like(chains)
                 for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-                    got = advance(theta, chains, np.full((chains.size, 1), u))
+                    u_col = np.full((chains.size, 1), u)
+                    got = advance(theta, chains, u_col, admitted[-1])
                     msg = f"unshifted path {admitted[-1]}, k={k}, u={u!r}"
                     assert got.dtype == np.int64 and got.shape == chains.shape, msg
                     assert 0 <= got.min() and got.max() <= 15, msg
@@ -752,6 +753,100 @@ class TestTrain:
         empty = EprDataset(np.array([], dtype=np.int64), seed=None, angles=DetectorAngles())
         with pytest.raises(ValueError, match="non-empty"):
             train(empty, TrainerConfig(seed=0, n_epochs=1))
+
+
+class TestBoundCertification:
+    # train tests the parameter bound exactly only now and then: each test
+    # certifies the updates after it, and every update must still take the
+    # path that testing before it would pick
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The path of every kernel call, each checked against bound_admits,
+        and the number of exact bound tests made."""
+        calls = {"admitted": [], "tests": 0}
+        make_kernel, bound_test = trainer._pcd_kernel, trainer._bound_test
+
+        def kernel(*args):
+            advance, h_given_v = make_kernel(*args)
+
+            def checked_advance(theta, chains, u, admitted):
+                assert admitted == bound_admits(theta)
+                calls["admitted"].append(admitted)
+                return advance(theta, chains, u, admitted)
+
+            return checked_advance, h_given_v
+
+        def counted_test(*args):
+            calls["tests"] += 1
+            return bound_test(*args)
+
+        monkeypatch.setattr(trainer, "_pcd_kernel", kernel)
+        monkeypatch.setattr(trainer, "_bound_test", counted_test)
+        return calls
+
+    def test_default_epoch(self, checked):
+        ds = generate_dataset(DetectorAngles(), 100_000, seed=7)
+        train(ds, TrainerConfig(seed=1, n_epochs=1))
+        assert len(checked["admitted"]) == 1000 and all(checked["admitted"])
+        # testing before each update would make 1,000 tests
+        assert checked["tests"] <= 10
+
+    def test_run_crossing_the_bound(self, checked):
+        # parameters that start just outside the bound and come inside it
+        # after 26 updates, where a step of lr 0.5 may raise the bound by 25:
+        # each update is tested, and the one crossing is taken
+        ds = generate_dataset(DetectorAngles(), 2000, seed=1)
+        cfg = TrainerConfig(
+            seed=1, weight_init_scale=29.5, learning_rate=0.5, n_epochs=3
+        )
+        train(ds, cfg)
+        admitted = checked["admitted"]
+        assert len(admitted) == 60 and sum(admitted) == 34
+        assert admitted == sorted(admitted)
+
+    def test_diverging_run(self, checked, small_dataset):
+        with pytest.raises(TrainingDivergedError):
+            train(small_dataset, TrainerConfig(seed=1, n_epochs=2, learning_rate=1e308))
+        assert checked["admitted"][0] and not all(checked["admitted"])
+        # past the bound, every update is tested
+        assert checked["tests"] == len(checked["admitted"])
+
+    @given(
+        n=st.integers(1, 6),
+        fraction=st.floats(0.0, 1.0),
+        lr=st.floats(0.01, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+        worst=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certified_updates_stay_in_bound(self, n, fraction, lr, seed, worst):
+        # theta at a fraction of the bound, stepped as train steps it: weight
+        # rows with sum |w| <= 2 lr over [P(h | v), 1] tables in [0, 1]. In
+        # the worst case every step adds 2 lr to every entry of a theta whose
+        # entries are all positive, and the bound grows by exactly 2 lr size
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((5, n + 1))
+        if worst:
+            theta = np.abs(theta)
+        theta *= fraction * trainer._MAX_LOG_JOINT / np.sqrt(
+            theta.size * np.sum(theta**2)
+        )
+        admitted, certified = trainer._bound_test(theta, lr)
+        assert admitted == bound_admits(theta)
+        assert admitted or certified == 0
+        v_aug = trainer._kernel_tables(theta.shape)[0]
+        for _ in range(int(certified)):
+            if worst:
+                weights = np.zeros(16)
+                weights[-1] = 2 * lr
+                rows = np.ones((16, n + 1))
+            else:
+                weights = rng.standard_normal(16)
+                weights *= 2 * lr * rng.random() / np.abs(weights).sum()
+                rows = rng.random((16, n + 1))
+                rows[:, -1] = 1.0
+            theta += (v_aug.T * weights).dot(rows)
+            assert bound_admits(theta)
 
 
 class TestModelIO:

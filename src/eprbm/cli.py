@@ -46,18 +46,24 @@ def _manifest_path(out) -> str:
     return f"{out}.manifest.json"
 
 
-def _check_outputs(args, *others) -> None:
-    """Refuse, before any work, an output that could not be written: one
-    whose directory is missing, or that is a directory itself. The outputs
-    are --out, if given, its manifest and the others."""
+def _check_outputs(args, inputs, outputs) -> None:
+    """Refuse, before any work, an output that could not be written or that
+    would destroy a file: one whose directory is missing, that is a
+    directory itself, or whose real path is an input's or another output's.
+    When --out is given, the outputs are the given ones and its manifest."""
     if not args.out:
         return
-    for path in (args.out, _manifest_path(args.out), *others):
+    seen = {os.path.realpath(path): f"input {path}" for path in inputs}
+    for path in (*outputs, _manifest_path(args.out)):
         parent = os.path.dirname(path) or os.curdir
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"{path}: {parent} is not a directory")
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"output {path} is the same file as {seen[real]}")
+        seen[real] = f"output {path}"
 
 
 def _write_manifest(args, *, config, inputs, outputs, seed=None) -> None:
@@ -108,7 +114,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
         angles = DetectorAngles() if args.angles is None else _parse_angles(args.angles)
     except ValueError as err:
         parser.error(str(err))
-    _check_outputs(args, sidecar_path(args.out))
+    inputs, outputs = [], [args.out, sidecar_path(args.out)]
+    _check_outputs(args, inputs, outputs)
     try:
         dataset = generate_dataset(angles, args.trials, args.seed)
     except (ValueError, MemoryError) as err:
@@ -126,8 +133,8 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             "angles": angles.to_dict(),
             "out": args.out,
         },
-        inputs=[],
-        outputs=[args.out, sidecar_path(args.out)],
+        inputs=inputs,
+        outputs=outputs,
         seed=args.seed,
     )
     return EXIT_OK
@@ -171,7 +178,11 @@ def _resolve_trainer_config(args, parser: argparse.ArgumentParser) -> TrainerCon
 def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     config = _resolve_trainer_config(args, parser)
     trace_path = args.trace or f"{args.out}.trace.csv"
-    _check_outputs(args, trace_path)
+    inputs = [args.data, sidecar_path(args.data)]
+    if args.config:
+        inputs.append(args.config)
+    outputs = [args.out, trace_path]
+    _check_outputs(args, inputs, outputs)
     dataset = load_dataset(args.data)
     try:
         model, trace = trainer.train(dataset, config)
@@ -197,15 +208,17 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
             "trace": trace_path,
             "trainer": config.to_dict(),
         },
-        inputs=[args.data, sidecar_path(args.data)],
-        outputs=[args.out, trace_path],
+        inputs=inputs,
+        outputs=outputs,
         seed=config.seed,
     )
     return EXIT_OK
 
 
 def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
-    _check_outputs(args)
+    inputs = [args.model] + ([args.data, sidecar_path(args.data)] if args.data else [])
+    outputs = [args.out]
+    _check_outputs(args, inputs, outputs)
     model, _ = load_model(args.model)
     angles = DetectorAngles()
     data_report = None
@@ -224,14 +237,15 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         _write_manifest(
             args,
             config={"model": args.model, "data": args.data or None, "out": args.out},
-            inputs=[args.model, args.data] if args.data else [args.model],
-            outputs=[args.out],
+            inputs=inputs,
+            outputs=outputs,
         )
     return EXIT_OK
 
 
 def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
-    _check_outputs(args)
+    inputs, outputs = [args.model], [args.out]
+    _check_outputs(args, inputs, outputs)
     model, _ = load_model(args.model)
     # a non-finite diagnostic is refused below, so its warnings say nothing more
     with np.errstate(all="ignore"):
@@ -296,8 +310,8 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
         _write_manifest(
             args,
             config={"model": args.model, "out": args.out},
-            inputs=[args.model],
-            outputs=[args.out],
+            inputs=inputs,
+            outputs=outputs,
         )
     return EXIT_OK
 

@@ -15,7 +15,6 @@ estimate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
@@ -31,7 +30,6 @@ from .exact import (
     _log_joint,
     _pack,
     _pattern_tables,
-    _read_only,
     enumerate_distribution,
 )
 from .rbm import RbmModel
@@ -187,26 +185,6 @@ def _unpack(theta: np.ndarray) -> RbmModel:
     )
 
 
-# one shape at a time: with many hidden units these tables are large
-@functools.lru_cache(maxsize=1)
-def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Shared read-only tables for a packed theta of the given shape.
-
-    v_aug and h_aug.T turn theta into the log-joint table, a column and a
-    vector of ones take its row and column sums by BLAS, and the draw table
-    turns a transition table T into the rows each chain draws from: T @ it
-    holds the cumulative sums of each row of T, except that the last, the
-    row sum, is replaced by a sentinel of about 2, so that rounding in the
-    row sums can never push a draw past the last pattern.
-    """
-    v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
-    n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
-    draw = np.triu(np.ones((n_v, n_v)))
-    draw[:, -1] = 2.0
-    tables = (np.ones((n_h, 1)), np.ones(n_v), draw)
-    return (v_aug, h_aug_t, *map(_read_only, tables))
-
-
 # Every log-joint entry v_aug @ theta @ h_aug.T is a sum of a subset of
 # theta's entries, and the difference of two entries a signed sum, so both
 # are bounded by ||theta||_1 <= sqrt(theta.size) ||theta||_F. When that bound
@@ -214,30 +192,15 @@ def _kernel_tables(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 # conditional is below e^-600 over its row or column length: normal doubles
 # throughout, so both conditionals can be normalized from one unshifted table.
 _MAX_LOG_JOINT = 600.0
-# a bound below this certifies the updates that follow (see _bound_test)
-_CERTIFIED_BOUND = _MAX_LOG_JOINT - 1.0
 
 
-def _bound_test(theta, lr=math.inf) -> tuple[bool, float]:
-    """Whether theta admits the PCD kernel's unshifted path, and how many
-    train updates of learning rate lr after it are certain to admit it too.
-
-    An update adds to every entry of theta a sum over the patterns of a
-    weight times entries of v_aug and of [P(h | v), 1], all in [0, 1], and
-    the weights' magnitudes sum to at most 2 lr: lr for the data row and lr
-    for the chains. So the bound sqrt(theta.size) ||theta||_F grows by at
-    most 2 lr theta.size an update; 1 + 1e-9 on that covers the rounding of
-    the weights, and the unit between _CERTIFIED_BOUND and _MAX_LOG_JOINT
-    the rounding of the test and of the steps over any epoch that fits in
-    memory. A non-finite theta admits nothing and certifies no update.
-    """
+def _bound_test(theta) -> tuple[float, bool]:
+    """B = sqrt(theta.size) ||theta||_F, and whether theta admits the PCD
+    kernel's unshifted path: B < _MAX_LOG_JOINT, compared squared, so a
+    non-finite theta admits nothing."""
     flat = theta.ravel()
     squared = flat.dot(flat) * flat.size
-    if squared < _CERTIFIED_BOUND**2:
-        growth = 2 * lr * flat.size * (1 + 1e-9)
-        slack = _CERTIFIED_BOUND - math.sqrt(squared)
-        return True, slack // growth if growth else math.inf
-    return squared < _MAX_LOG_JOINT**2, 0.0
+    return math.sqrt(squared), squared < _MAX_LOG_JOINT**2
 
 
 def _conditional(log_joint, axis, out=None) -> np.ndarray:
@@ -266,17 +229,23 @@ def _pcd_kernel(shape, k, n_chains):
     has exactly the law of k sweeps: u holds one uniform per chain, shape
     (n_chains, 1), and the new chains come back as an int64 vector.
 
-    The table is exponentiated unshifted when admitted, the first result of
-    _bound_test for theta, is true, and shifted per row and per column
-    otherwise. T^k is built by square-and-multiply from T, and T^k times
-    the draw table of _kernel_tables holds the cumulative rows, each ending
-    in a sentinel, that the chains compare with their uniforms. h_given_v @
-    h_aug holds the rows [P(h | v), 1] that the moments are formed from.
-    The exponential, both conditionals and the comparison are written into
-    buffers allocated here, once.
+    The table is exponentiated unshifted when admitted, the second result
+    of _bound_test for theta, is true, and shifted per row and per column
+    otherwise; its row and column sums are products with vectors of ones.
+    T^k is built by square-and-multiply from T. The draw table is the
+    upper-triangular ones with a sentinel column of 2 in place of the last:
+    T^k @ it holds the cumulative sums of each row of T^k, except that the
+    last, the row sum, is about 2, so that rounding in the row sums can
+    never push a draw past the last pattern. h_given_v @ h_aug holds the
+    rows [P(h | v), 1] that the moments are formed from. The exponential,
+    both conditionals and the comparison are written into buffers allocated
+    here, once.
     """
-    v_aug, h_aug_t, ones_h, ones_v, cumulative = _kernel_tables(shape)
+    v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
     n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
+    ones_h, ones_v = np.ones((n_h, 1)), np.ones(n_v)
+    cumulative = np.triu(np.ones((n_v, n_v)))
+    cumulative[:, -1] = 2.0
     h_given_v, v_given_h = np.empty((n_v, n_h)), np.empty((n_v, n_h))
     v_given_h_t = v_given_h.T
     below = np.empty((n_chains, n_v), dtype=bool)
@@ -407,11 +376,11 @@ def model_expectation_pcd(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     theta = _pack(model)
-    v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
+    v_aug, h_aug_t = _pattern_tables(model.n_visible, model.n_hidden)
     n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
     advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
     u = rng.random((n_chains, 1))
-    idx = advance(theta, _pattern_index(arr), u, _bound_test(theta)[0])
+    idx = advance(theta, _pattern_index(arr), u, _bound_test(theta)[1])
     occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
     rows = v_aug.take(idx, 0)[:, :-1]
     return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), rows)
@@ -518,7 +487,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     theta *= config.weight_init_scale
 
     n_chains, k = config.n_persistent_chains, config.gibbs_steps_per_update
-    v_aug, h_aug_t = _kernel_tables(theta.shape)[:2]
+    v_aug, h_aug_t = _pattern_tables(m, N_HIDDEN)
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
     n_patterns = v_aug.shape[0]
     try:
@@ -539,9 +508,22 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     batch_sizes = np.full((n_batches, 1), batch_size)
     batch_sizes[-1] = n_rows - (n_batches - 1) * batch_size
 
+    # bound is an upper bound on B = sqrt(theta.size) ||theta||_F, and while
+    # it is below _MAX_LOG_JOINT - 1 the update takes the unshifted path
+    # without an exact test. An update adds to every entry of theta a sum
+    # over the patterns of a weight times entries of v_aug and of
+    # [P(h | v), 1], all in [0, 1], and the weights' magnitudes sum to at
+    # most 2 lr: lr for the data row and lr for the chains. So B grows by at
+    # most 2 lr theta.size an update; 1 + 1e-9 on that covers the rounding
+    # of the weights, and the unit below _MAX_LOG_JOINT the rounding of the
+    # tests, the steps and the sums over far more updates than any run
+    # makes. A smaller lr only shortens the steps, so the bound carries
+    # across epochs; a NaN or infinite bound tests before every update.
+    bound = math.inf
     records = []
     for epoch in range(1, config.n_epochs + 1):
         lr = config.learning_rate * config.learning_rate_decay ** (epoch - 1)
+        growth = 2 * lr * theta.size * (1 + 1e-9)
         cells = shuffle_rng.permutation(data_idx)
         cells += batch_offsets
         # each row is lr times its minibatch's pattern frequencies, so that
@@ -553,23 +535,19 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         uniforms = chain_rng.random((n_batches, n_chains, 1))
         # each chain's pattern counts lr / n_chains against the data
         chain_weights = np.full(n_chains, lr / n_chains)
-        # one bound test covers the updates it certifies, and the update
-        # after them tests again
-        unchecked = 0.0
         # overflow en route to divergence is caught by the guards below, so
         # the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for weights, u in zip(batch_weights, uniforms):
-                if unchecked:
-                    unchecked -= 1
-                else:
-                    admitted, unchecked = _bound_test(theta, lr)
+                if not bound < _MAX_LOG_JOINT - 1:
+                    bound, admitted = _bound_test(theta)
                 chains = advance(theta, chains, u, admitted)
                 # the row is this epoch's own, so it is overwritten in place
                 weights -= np.bincount(chains, chain_weights, n_patterns)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)
+                bound += growth
         record = _epoch_diagnostics(theta, data_counts, epoch)
         if record is None:
             # parameters that are non-finite, or finite but so extreme that

@@ -686,7 +686,7 @@ class TestManifest:
         if command == "eval":
             argv = ("--model", model, "--data", data)
             config = {"model": model, "data": data, "out": out}
-            return argv, config, {}, [model, data], [out]
+            return argv, config, {}, [model, data, f"{data}.meta.json"], [out]
         if command == "eval-no-data":
             config = {"model": model, "data": None, "out": out}
             return ("--model", model), config, {}, [model], [out]
@@ -719,6 +719,14 @@ class TestManifest:
         manifest = json.loads((tmp_path / "m2.json.manifest.json").read_text())
         assert manifest["config"]["trace"] == str(trace)
         assert manifest["outputs"] == [str(out), str(trace)]
+
+    def test_config_file_recorded_as_input(self, tmp_path, files):
+        data = files[0]
+        cfg, out = tmp_path / "c.json", tmp_path / "m2.json"
+        cfg.write_text(json.dumps({"seed": 1, "n_epochs": 1}))
+        assert run("train", "--data", data, "--config", cfg, "--out", out) == EXIT_OK
+        manifest = json.loads((tmp_path / "m2.json.manifest.json").read_text())
+        assert manifest["inputs"] == [data, f"{data}.meta.json", str(cfg)]
 
     @pytest.mark.parametrize("command", ["eval", "diagnose"])
     def test_none_without_out(self, tmp_path, files, command):
@@ -787,6 +795,60 @@ class TestOutputPaths:
             "", f"error: {out}: {tmp_path / 'nodir'} is not a directory\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputAliasing:
+    # an output that is the same file as an input or as another output
+    # would destroy that file, so every command refuses it, before any work
+    @pytest.fixture
+    def files(self, tmp_path):
+        data, model, cfg = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "c.json"
+        assert run("simulate", "--trials", 200, "--seed", 2, "--out", data) == EXIT_OK
+        save_model(model, load_reference_model())
+        cfg.write_text(json.dumps({"seed": 1, "n_epochs": 1}))
+        (tmp_path / "link.json").symlink_to(model)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, refused, other",
+        [
+            (["train", "--data", "d.csv", "--seed", 1, "--out", "m2.json",
+              "--trace", "m2.json"],
+             "m2.json", "output m2.json"),
+            (["train", "--data", "d.csv", "--seed", 1, "--out", "d.csv"],
+             "d.csv", "input d.csv"),
+            (["train", "--data", "d.csv", "--seed", 1, "--out", "m2.json",
+              "--trace", "d.csv.meta.json"], "d.csv.meta.json", "input d.csv.meta.json"),
+            (["train", "--data", "d.csv", "--config", "c.json", "--out", "c.json"],
+             "c.json", "input c.json"),
+            (["train", "--data", "d.csv", "--seed", 1, "--out", "m2.json",
+              "--trace", "m2.json.manifest.json"],
+             "m2.json.manifest.json", "output m2.json.manifest.json"),
+            (["eval", "--model", "m.json", "--data", "d.csv", "--out", "d.csv.meta.json"],
+             "d.csv.meta.json", "input d.csv.meta.json"),
+            (["eval", "--model", "m.json", "--out", "m.json"], "m.json", "input m.json"),
+            (["diagnose", "--model", "m.json", "--out", "m.json"], "m.json", "input m.json"),
+            (["diagnose", "--model", "m.json", "--out", "link.json"],
+             "link.json", "input m.json"),
+        ],
+        ids=["train_trace_is_out", "train_out_is_data", "train_trace_is_sidecar",
+             "train_out_is_config", "train_trace_is_manifest", "eval_out_is_sidecar",
+             "eval_out_is_model", "diagnose_out_is_model", "diagnose_out_links_model"],
+    )
+    def test_refused_before_work(self, files, monkeypatch, capsys, argv, refused, other):
+        monkeypatch.chdir(files)
+        before = {p.name: p.read_bytes() for p in files.iterdir()}
+        assert run(*argv) == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: output {refused} is the same file as {other}\n"
+        )
+        assert {p.name: p.read_bytes() for p in files.iterdir()} == before
+
+    def test_model_survives_refused_diagnose(self, files, monkeypatch, capsys):
+        monkeypatch.chdir(files)
+        assert run("diagnose", "--model", "m.json", "--out", "m.json") == EXIT_DATA
+        assert run("eval", "--model", "m.json") == EXIT_OK
+        assert "S = " in capsys.readouterr().out
 
 
 def assert_data_error_naming(tmp_path, capsys, command, target, payload, named=""):

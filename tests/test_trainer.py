@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
-from eprbm.exact import bit_patterns, enumerate_distribution
+from eprbm.exact import _pattern_tables, bit_patterns, enumerate_distribution
 from eprbm.rbm import RbmModel, advance_chains
 from eprbm.trainer import (
     ENCODING_DOC,
@@ -756,9 +756,9 @@ class TestTrain:
 
 
 class TestBoundCertification:
-    # train tests the parameter bound exactly only now and then: each test
-    # certifies the updates after it, and every update must still take the
-    # path that testing before it would pick
+    # train carries an upper bound on the parameter norm and tests it exactly
+    # only while that bound is not below _MAX_LOG_JOINT - 1; every update
+    # must still take the path that testing before it would pick
     @pytest.fixture
     def checked(self, monkeypatch):
         """The path of every kernel call, each checked against bound_admits,
@@ -791,6 +791,19 @@ class TestBoundCertification:
         # testing before each update would make 1,000 tests
         assert checked["tests"] <= 10
 
+    def test_bound_carried_across_epochs(self, checked):
+        # the learning rate decays from epoch to epoch under the one bound
+        ds = generate_dataset(DetectorAngles(), 100_000, seed=7)
+        train(ds, TrainerConfig(seed=1, n_epochs=3))
+        assert len(checked["admitted"]) == 3000 and all(checked["admitted"])
+        assert checked["tests"] <= 30
+
+    def test_zero_learning_rate_tests_once(self, checked, small_dataset):
+        # no update moves theta, so the first test's bound holds for good
+        train(small_dataset, TrainerConfig(seed=1, n_epochs=3, learning_rate=0.0))
+        assert len(checked["admitted"]) == 30 and all(checked["admitted"])
+        assert checked["tests"] == 1
+
     def test_run_crossing_the_bound(self, checked):
         # parameters that start just outside the bound and come inside it
         # after 26 updates, where a step of lr 0.5 may raise the bound by 25:
@@ -819,7 +832,7 @@ class TestBoundCertification:
         worst=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_certified_updates_stay_in_bound(self, n, fraction, lr, seed, worst):
+    def test_carried_bound_stays_above_the_norm(self, n, fraction, lr, seed, worst):
         # theta at a fraction of the bound, stepped as train steps it: weight
         # rows with sum |w| <= 2 lr over [P(h | v), 1] tables in [0, 1]. In
         # the worst case every step adds 2 lr to every entry of a theta whose
@@ -831,11 +844,12 @@ class TestBoundCertification:
         theta *= fraction * trainer._MAX_LOG_JOINT / np.sqrt(
             theta.size * np.sum(theta**2)
         )
-        admitted, certified = trainer._bound_test(theta, lr)
+        bound, admitted = trainer._bound_test(theta)
         assert admitted == bound_admits(theta)
-        assert admitted or certified == 0
-        v_aug = trainer._kernel_tables(theta.shape)[0]
-        for _ in range(int(certified)):
+        growth = 2 * lr * theta.size * (1 + 1e-9)
+        v_aug = _pattern_tables(4, n)[0]
+        # train skips the test before an update while its bound is below 599
+        while bound + growth < trainer._MAX_LOG_JOINT - 1:
             if worst:
                 weights = np.zeros(16)
                 weights[-1] = 2 * lr
@@ -846,6 +860,8 @@ class TestBoundCertification:
                 rows = rng.random((16, n + 1))
                 rows[:, -1] = 1.0
             theta += (v_aug.T * weights).dot(rows)
+            bound += growth
+            assert np.sqrt(theta.size * np.sum(theta**2)) <= bound
             assert bound_admits(theta)
 
 

@@ -18,8 +18,8 @@ def atomic_write(path, newline: str | None = None):
     """Open a text file that becomes path only when the with block succeeds.
 
     If the block raises, path keeps its old contents (or stays absent) and
-    the temporary file is removed. The temporary file is created with the
-    permissions open() would give path.
+    the temporary file is removed. The new file gets the permissions open()
+    would give path: an existing target's, else those of a fresh file.
     """
     head, tail = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
@@ -31,6 +31,8 @@ def atomic_write(path, newline: str | None = None):
     try:
         with fh:
             yield fh
+        with suppress(FileNotFoundError):
+            os.chmod(temp, os.stat(path).st_mode & 0o7777)
         os.replace(temp, path)
     except BaseException:
         with suppress(FileNotFoundError):

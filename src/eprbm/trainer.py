@@ -8,9 +8,10 @@ and analogously for the biases with <v_i> and <h_j>. Both expectations are
 taken over the 2^m visible patterns, each weighted by how often it occurs:
 in the data, or among the persistent contrastive divergence chains that
 train takes its model term from. exact_gradient and model_expectation_exact
-weight the patterns by the exact P(v) instead, with P(h | v) normalized as
-the chains' kernel normalizes it; they are the oracle for the stochastic
-estimate.
+weight the patterns by the exact P(v) of enumerate_distribution instead, with
+P(h | v) normalized per row as the chains' kernel normalizes it on its
+shifted path (on its unshifted path the two agree within 1e-15); they are
+the oracle for the stochastic estimate.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch}")
 
 
-def _check_batch(model: RbmModel, batch) -> np.ndarray:
-    """The rows as a non-empty (B, m) float array of 0/1 visible states."""
+def _batch_patterns(model: RbmModel, batch) -> np.ndarray:
+    """Pattern indices of the rows of a non-empty (B, m) batch of 0/1 states."""
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.n_visible:
         raise ValueError(
@@ -161,7 +162,16 @@ def _check_batch(model: RbmModel, batch) -> np.ndarray:
     # a fractional entry would be truncated to another pattern's index
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("batch entries must be 0 or 1")
-    return arr
+    return _pattern_index(arr)
+
+
+def _frequencies(model: RbmModel, batch) -> np.ndarray:
+    """How often each visible pattern occurs among the batch's rows, as
+    fractions. A model too large for exact inference raises before the
+    2^m counts are made."""
+    idx = _batch_patterns(model, batch)
+    n_patterns = _pattern_tables(model.n_visible, model.n_hidden)[0].shape[0]
+    return np.bincount(idx, minlength=n_patterns) / idx.size
 
 
 def init_chains(
@@ -286,43 +296,20 @@ def _pcd_kernel(shape, k, n_chains):
     return advance, h_given_v
 
 
-def _model_tables(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Augmented visible patterns, log-joint table and [P(h | v), 1] rows.
-
-    Weighting the rows of the last table by pattern frequencies w and
-    forming v_aug.T @ (w[:, None] * rows) gives <v h>, <v> and <h> in one
-    augmented matrix laid out like theta, the packed model (see _pack).
-    P(h | v) is the log-joint table normalized per row as the PCD kernel
-    normalizes it; the last column is set to exactly 1, the sum its rows
-    reach only up to rounding.
-    """
+def _moments(theta, weights, h_given_v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<v h>, <v> and <h> over the visible patterns weighted by weights: the
+    W, c and d blocks of v_aug.T @ (weights[:, None] * [P(h | v), 1]), the
+    product train steps theta (see _pack) with. P(h | v) is the PCD kernel's
+    table h_given_v if given, else theta's log-joint normalized per row as
+    the kernel's shifted path normalizes it; the last column is exactly 1,
+    which the rows of P(h | v) sum to only up to rounding."""
     v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
-    log_joint = _log_joint(theta)
-    ph = _conditional(log_joint, 1).dot(h_aug_t.T)
-    ph[:, -1] = 1.0
-    return v_aug, log_joint, ph
-
-
-def _moments(v_aug, ph, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<v h>, <v> and <h> over the visible patterns weighted by weights.
-
-    This is the product train steps theta with, split into its W, c and d
-    blocks; train forms the rows ph as P(h | v) @ h_aug from the P(h | v)
-    table of each update.
-    """
-    moments = v_aug.T @ (weights[:, None] * ph)
+    if h_given_v is None:
+        h_given_v = _conditional(_log_joint(theta), 1)
+    rows = h_given_v.dot(h_aug_t.T)
+    rows[:, -1] = 1.0
+    moments = v_aug.T @ (weights[:, None] * rows)
     return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1]
-
-
-def _frequencies(rows: np.ndarray, n_patterns: int) -> np.ndarray:
-    """How often each visible pattern occurs among the 0/1 rows, as fractions."""
-    return np.bincount(_pattern_index(rows), minlength=n_patterns) / rows.shape[0]
-
-
-def _exact_visible(log_joint: np.ndarray) -> np.ndarray:
-    """The model's exact P(v) from its log-joint table."""
-    p_v = np.exp(log_joint - log_joint.max()).sum(axis=1)
-    return p_v / p_v.sum()
 
 
 def data_expectation(
@@ -338,9 +325,7 @@ def data_expectation(
         (vh, v_mean, h_mean): (m, n) matrix <v_i h_j>, (m,) vector <v_i>,
         (n,) vector <h_j>, all averaged over the batch.
     """
-    arr = _check_batch(model, batch)
-    v_aug, _, ph = _model_tables(_pack(model))
-    return _moments(v_aug, ph, _frequencies(arr, v_aug.shape[0]))
+    return _moments(_pack(model), _frequencies(model, batch))
 
 
 def model_expectation_exact(
@@ -351,8 +336,7 @@ def model_expectation_exact(
     The visible patterns are weighted by the exact P(v) and the hidden units
     summed out analytically, which equals summing over the joint table.
     """
-    v_aug, log_joint, ph = _model_tables(_pack(model))
-    return _moments(v_aug, ph, _exact_visible(log_joint))
+    return _moments(_pack(model), enumerate_distribution(model).visible_marginal())
 
 
 def model_expectation_pcd(
@@ -372,18 +356,15 @@ def model_expectation_pcd(
     Returns:
         (vh, v_mean, h_mean, chains) with the updated chain states.
     """
-    arr = _check_batch(model, chains)
+    idx = _batch_patterns(model, chains)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     theta = _pack(model)
-    v_aug, h_aug_t = _pattern_tables(model.n_visible, model.n_hidden)
-    n_chains, n_patterns = arr.shape[0], v_aug.shape[0]
-    advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
-    u = rng.random((n_chains, 1))
-    idx = advance(theta, _pattern_index(arr), u, _bound_test(theta)[1])
-    occupancy = np.bincount(idx, minlength=n_patterns) / n_chains
-    rows = v_aug.take(idx, 0)[:, :-1]
-    return (*_moments(v_aug, h_given_v.dot(h_aug_t.T), occupancy), rows)
+    v_aug = _pattern_tables(model.n_visible, model.n_hidden)[0]
+    advance, h_given_v = _pcd_kernel(theta.shape, k, idx.size)
+    idx = advance(theta, idx, rng.random((idx.size, 1)), _bound_test(theta)[1])
+    occupancy = np.bincount(idx, minlength=v_aug.shape[0]) / idx.size
+    return (*_moments(theta, occupancy, h_given_v), v_aug.take(idx, 0)[:, :-1])
 
 
 def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
@@ -393,8 +374,7 @@ def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
 
 def average_log_likelihood(model: RbmModel, data) -> float:
     """Mean over data rows of log P(v) under the exact distribution."""
-    arr = _check_batch(model, data)
-    counts = np.bincount(_pattern_index(arr), minlength=2**model.n_visible)
+    counts = np.bincount(_batch_patterns(model, data), minlength=2**model.n_visible)
     return _mean_log_likelihood(enumerate_distribution(model), counts)
 
 
@@ -406,16 +386,15 @@ def exact_gradient(
     This is train's step on a minibatch, before the learning rate, with the
     chains' occupancy replaced by the exact P(v): one product over the
     visible patterns weighted by data frequency minus exact model
-    probability, with P(h | v) normalized as the PCD kernel normalizes it.
+    probability, with P(h | v) normalized as the PCD kernel's shifted path
+    normalizes it (its unshifted path agrees within 1e-15).
 
     Returns:
         (grad_w, grad_c, grad_d): data moments minus exact model moments for
         the weights, visible biases, and hidden biases.
     """
-    arr = _check_batch(model, data)
-    v_aug, log_joint, ph = _model_tables(_pack(model))
-    weights = _frequencies(arr, v_aug.shape[0]) - _exact_visible(log_joint)
-    return _moments(v_aug, ph, weights)
+    weights = _frequencies(model, data) - enumerate_distribution(model).visible_marginal()
+    return _moments(_pack(model), weights)
 
 
 def _epoch_diagnostics(
@@ -496,7 +475,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         # numpy refuses a chain buffer past its largest dimension with a
         # ValueError rather than a MemoryError
         raise MemoryError(str(err)) from None
-    chains = _pattern_index(chain_rng.random((n_chains, m)) < 0.5)
+    chains = _pattern_index(init_chains(n_chains, m, chain_rng))
     data_counts = np.bincount(data_idx, minlength=n_patterns)
     # a batch larger than the data is the whole data, and fits an int64
     batch_size = min(config.batch_size, n_rows)

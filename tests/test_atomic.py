@@ -69,6 +69,16 @@ class TestAtomicWrite:
         mode = os.stat(tmp_path / "atomic.txt").st_mode & 0o777
         assert mode == os.stat(plain).st_mode & 0o777
 
+    @pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+    def test_existing_target_keeps_its_permissions(self, tmp_path, mode):
+        # plain open() keeps an existing file's mode, so a re-run must not
+        # make a model or dataset that was made private world-readable
+        path = tmp_path / "a.json"
+        path.write_bytes(OLD)
+        os.chmod(path, mode)
+        write_json(path, {"a": 1})
+        assert os.stat(path).st_mode & 0o777 == mode
+
 
 class TestWriteJson:
     def test_format(self, tmp_path):

@@ -10,7 +10,6 @@ from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
     MAX_EXACT_UNITS,
     SETTING_PAIRS,
-    _log_joint,
     _pack,
     _pattern_tables,
     bit_patterns,
@@ -216,9 +215,10 @@ class TestLogJointBuilder:
         assert math.isclose(dist.log_partition, want.log_partition, rel_tol=1e-12)
         kept = want.joint > 1e-300
         np.testing.assert_allclose(dist.joint[kept], want.joint[kept], rtol=1e-12, atol=0)
-        # the trainer's exact tables come from the same builder, bit for bit
-        theta = _pack(model)
-        assert np.array_equal(trainer._model_tables(theta)[1], _log_joint(theta))
+        # the trainer's exact moments weight the patterns by this P(v), bit for bit
+        got = trainer.model_expectation_exact(model)
+        want = trainer._moments(_pack(model), dist.visible_marginal())
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestConditionalOutcomes:

@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
-from eprbm.exact import _pattern_tables, bit_patterns, enumerate_distribution
+from eprbm.exact import _log_joint, _pattern_tables, bit_patterns, enumerate_distribution
 from eprbm.rbm import RbmModel, advance_chains
 from eprbm.trainer import (
     ENCODING_DOC,
@@ -469,7 +469,7 @@ class TestPcdAdvance:
         model = random_model(np.random.default_rng(seed), n=n, scale=scale)
         theta = trainer._pack(model)
         assume(bound_admits(theta))
-        log_joint = trainer._model_tables(theta)[1]
+        log_joint = _log_joint(theta)
         assert np.abs(log_joint).max() < trainer._MAX_LOG_JOINT
         patterns = bit_patterns(4)
         h_pat = bit_patterns(n)
@@ -587,11 +587,14 @@ class TestExactGradient:
         assert np.abs(grad_c_a - grad_c_b).max() <= 1e-12
 
     def test_rows_match_pcd_kernel(self, reference_model):
-        # exact_gradient takes its [P(h | v), 1] rows from _model_tables, and
-        # train takes them from the kernel's P(h | v) table: the same
-        # normalization wherever the kernel shifts, within rounding where it
-        # skips the shift, and an exact 1 in the last column either way
+        # exact_gradient forms its [P(h | v), 1] rows in _moments, as
+        # data_expectation does, and train takes them from the kernel's
+        # P(h | v) table: the same normalization wherever the kernel shifts,
+        # within rounding where it skips the shift, and an exact 1 in the
+        # last column either way. A one-row batch of pattern v reads row v
+        # off data_expectation: <h> is P(h | v) and <v> is v times the 1.
         admitted = []
+        patterns = bit_patterns(4)
         for model in scale_sweep_models(reference_model):
             theta = trainer._pack(model)
             admitted.append(bound_admits(theta))
@@ -600,9 +603,10 @@ class TestExactGradient:
             chains = np.random.default_rng(0).integers(0, 16, 100)
             h_given_v = pcd_draw(theta, chains, 5, 1)[1]
             want = h_given_v @ h_aug
-            rows = trainer._model_tables(theta)[2]
+            moments = [data_expectation(model, [v]) for v in patterns]
+            rows = np.hstack([[h for _, _, h in moments], np.ones((16, 1))])
             message = f"unshifted path {admitted[-1]}"
-            assert np.all(rows[:, -1] == 1.0), message
+            assert np.array_equal([v for _, v, _ in moments], patterns), message
             assert np.abs(rows - want).max() <= 1e-15, message
             if not admitted[-1]:
                 np.testing.assert_array_equal(rows[:, :-1], want[:, :-1], message)
@@ -816,6 +820,21 @@ class TestBoundCertification:
         admitted = checked["admitted"]
         assert len(admitted) == 60 and sum(admitted) == 34
         assert admitted == sorted(admitted)
+
+    def test_run_climbing_through_the_bound(self, checked, small_dataset):
+        # one-row minibatches at lr 44 take theta from B = 46 through 600 to
+        # B = 790 in one update, a step of 0.34 times the carried growth
+        # 2 lr theta.size. No step exceeds half of that growth, as an update
+        # moves each entry of theta by at most lr, but this one exceeds a
+        # quarter: a bound grown by a quarter would skip the test before the
+        # second update and take the unshifted path outside the bound
+        cfg = TrainerConfig(
+            seed=14, learning_rate=44.0, weight_init_scale=2.0, batch_size=1, n_epochs=1
+        )
+        train(small_dataset, cfg)
+        admitted = checked["admitted"]
+        assert len(admitted) == 1000 and admitted[0] and not any(admitted[1:])
+        assert checked["tests"] == 1000
 
     def test_diverging_run(self, checked, small_dataset):
         with pytest.raises(TrainingDivergedError):

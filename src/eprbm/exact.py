@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rbm import RbmModel
+if TYPE_CHECKING:
+    from .rbm import RbmModel
 
 # 2^24 joint states is about 128 MB of float64, a sensible desk-scale ceiling.
 MAX_EXACT_UNITS = 24

@@ -6,25 +6,22 @@ so the joint law is P(v, h) = exp(-E(v, h)) / Z with
     E(v, h) = -(sum_i c_i v_i + sum_j d_j h_j + sum_ij w_ij v_i h_j).
 
 The bipartite wiring makes both conditionals factorize,
-P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h,
-which is what the block Gibbs sampler and the gradient estimators rely on.
+P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h.
+The sampler works over the 2^m visible patterns rather than unit by unit:
+k block-Gibbs sweeps are one draw per chain from its row of T^k, with
+T = P(h | v) @ P(v | h).T the one-sweep transition matrix (_pcd_kernel).
+advance_chains runs it on rows of visible states, and train runs it on
+pattern indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise.
-
-    Where exp(-x) overflows to inf (x below about -709.8) the result is 0.0,
-    less than 1e-308 from the exact value, so the overflow is not reported.
-    """
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+from .exact import _pack, _pattern_tables
 
 
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
@@ -73,6 +70,130 @@ class RbmModel:
         return self.hidden_bias.size
 
 
+def _batch_patterns(model: RbmModel, batch) -> np.ndarray:
+    """Pattern indices of the rows of a non-empty (B, m) batch of 0/1 states."""
+    arr = np.asarray(batch, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != model.n_visible:
+        raise ValueError(
+            f"batch must have shape (B, {model.n_visible}), got {arr.shape}"
+        )
+    if arr.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    # a fractional entry would be truncated to another pattern's index
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("batch entries must be 0 or 1")
+    return _pattern_index(arr)
+
+
+def _pattern_index(rows: np.ndarray) -> np.ndarray:
+    """Index of each binary row among bit_patterns(m), first column most significant."""
+    powers = 2 ** np.arange(rows.shape[1] - 1, -1, -1)
+    return rows.dot(powers).astype(np.int64)
+
+
+# Every log-joint entry v_aug @ theta @ h_aug.T is a sum of a subset of
+# theta's entries, and the difference of two entries a signed sum, so both
+# are bounded by ||theta||_1 <= sqrt(theta.size) ||theta||_F. When that bound
+# is below _MAX_LOG_JOINT, every exponential lies in (e^-600, e^600) and no
+# conditional is below e^-600 over its row or column length: normal doubles
+# throughout, so both conditionals can be normalized from one unshifted table.
+_MAX_LOG_JOINT = 600.0
+
+
+def _bound_test(theta) -> tuple[float, bool]:
+    """B = sqrt(theta.size) ||theta||_F, and whether theta admits the PCD
+    kernel's unshifted path: B < _MAX_LOG_JOINT, compared squared, so a
+    non-finite theta admits nothing."""
+    flat = theta.ravel()
+    squared = flat.dot(flat) * flat.size
+    return math.sqrt(squared), squared < _MAX_LOG_JOINT**2
+
+
+def _conditional(log_joint, axis, out=None) -> np.ndarray:
+    """P(h | v) (axis=1) or P(v | h) (axis=0) from the log-joint table.
+
+    Each row (or column) is shifted by its own maximum, so the table stays
+    finite and normalizable at any spread of the log-joint.
+    """
+    table = np.exp(log_joint - log_joint.max(axis=axis, keepdims=True), out=out)
+    table /= table.sum(axis=axis, keepdims=True)
+    return table
+
+
+def _pcd_kernel(shape, k, n_chains):
+    """The PCD kernel for n_chains chains, k sweeps and a packed theta of the
+    given shape: advance(theta, chains, u, admitted), and the P(h | v) table
+    that every call of advance rewrites.
+
+    advance moves pattern-index chains by k block-Gibbs sweeps, one draw
+    per chain. With the visible layer confined to its 2^m patterns, a
+    block-Gibbs sweep is a Markov chain over those patterns with transition
+    matrix T = P(h | v) @ P(v | h).T; both conditionals come from the one
+    (2^m, 2^n) table v_aug @ theta @ h_aug.T of unnormalized
+    log-probabilities, with theta the packed parameters (see _pack). Each
+    chain then takes a single categorical draw from its row of T^k, which
+    has exactly the law of k sweeps: u holds one uniform per chain, shape
+    (n_chains, 1), and the new chains come back as an int64 vector.
+
+    The table is exponentiated unshifted when admitted, the second result
+    of _bound_test for theta, is true, and shifted per row and per column
+    otherwise; its row and column sums are products with vectors of ones.
+    T^k is built by square-and-multiply from T. The draw table is the
+    upper-triangular ones with a sentinel column of 2 in place of the last:
+    T^k @ it holds the cumulative sums of each row of T^k, except that the
+    last, the row sum, is about 2, so that rounding in the row sums can
+    never push a draw past the last pattern. h_given_v @ h_aug holds the
+    rows [P(h | v), 1] that the moments are formed from. The exponential,
+    both conditionals and the comparison are written into buffers allocated
+    here, once.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
+    n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
+    ones_h, ones_v = np.ones((n_h, 1)), np.ones(n_v)
+    cumulative = np.triu(np.ones((n_v, n_v)))
+    cumulative[:, -1] = 2.0
+    h_given_v, v_given_h = np.empty((n_v, n_h)), np.empty((n_v, n_h))
+    v_given_h_t = v_given_h.T
+    below = np.empty((n_chains, n_v), dtype=bool)
+    # after the leading bit of k, each bit squares the power, and a set bit
+    # multiplies it by T once more
+    bits = bin(k)[3:]
+
+    def advance(theta, chains, u, admitted):
+        log_joint = v_aug.dot(theta).dot(h_aug_t)
+        if admitted:
+            # the exponential is normalized into P(h | v) in place, after
+            # P(v | h) has been taken from it
+            both = np.exp(log_joint, h_given_v)
+            np.divide(both, ones_v.dot(both), v_given_h)
+            np.divide(both, both.dot(ones_h), h_given_v)
+        else:
+            _conditional(log_joint, 1, h_given_v)
+            _conditional(log_joint, 0, v_given_h)
+        step = h_given_v.dot(v_given_h_t)
+        power = step
+        for bit in bits:
+            power = power.dot(power)
+            if bit == "1":
+                power = power.dot(step)
+        # Each chain lands on the first entry of its cumulative row that is
+        # not below its uniform: the first False, which argmin finds (argmax
+        # over >= finds the same index, more slowly). Every row of
+        # T^k @ cumulative sums nonnegative terms in one fixed order, so it
+        # never decreases, and that first index is the count of entries
+        # below u. The sentinel, about 2 and above any u, is the answer only
+        # when every real entry is below u, and it then stands for the last
+        # pattern, as the count does. A row of NaN, which only a non-finite
+        # log-joint gives, draws 0 as the count does, and that update's NaN
+        # ends the epoch in TrainingDivergedError.
+        np.less(power.dot(cumulative).take(chains, 0), u, below)
+        return below.argmin(1)
+
+    return advance, h_given_v
+
+
 def advance_chains(
     model: RbmModel,
     visible: np.ndarray,
@@ -81,33 +202,22 @@ def advance_chains(
 ) -> np.ndarray:
     """Run block Gibbs sweeps on a batch of chains, returning the visible states.
 
-    Each sweep draws the hidden layer from P(h | v), then the visible layer
-    from P(v | h), each unit independently. This is the reference sampler:
-    the trainer's one-draw pattern-space advance is tested against it.
+    The sweeps are drawn as train draws them: each chain takes one draw from
+    its row of T^n_sweeps over the visible patterns (see _pcd_kernel), with
+    one uniform from rng.random((n_chains, 1)).
 
     Args:
-        visible: shape (n_chains, m) batch of {0, 1} visible states, or a
-            single state of shape (m,).
-        n_sweeps: number of full sweeps (hidden then visible) to apply.
+        visible: shape (n_chains, m) non-empty batch of {0, 1} visible
+            states, or a single state of shape (m,).
+        n_sweeps: number of full sweeps (hidden then visible), at least 1.
 
     Returns:
         The visible states after the sweeps, in the shape of visible.
     """
     v = np.asarray(visible, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] != model.n_visible:
-        raise ValueError(
-            f"visible states must have shape ({model.n_visible},) or "
-            f"(batch, {model.n_visible}), got {v.shape}"
-        )
-    batched = v.ndim == 2
-    if not batched:
-        v = v[None, :]
-    w = model.weights
-    c = model.visible_bias
-    d = model.hidden_bias
-    for _ in range(n_sweeps):
-        ph = _logistic(v @ w + d)
-        h = (rng.random(ph.shape) < ph).astype(np.float64)
-        pv = _logistic(h @ w.T + c)
-        v = (rng.random(pv.shape) < pv).astype(np.float64)
-    return v if batched else v[0]
+    idx = _batch_patterns(model, np.atleast_2d(v))
+    theta = _pack(model)
+    advance = _pcd_kernel(theta.shape, n_sweeps, idx.size)[0]
+    idx = advance(theta, idx, rng.random((idx.size, 1)), _bound_test(theta)[1])
+    rows = _pattern_tables(model.n_visible, model.n_hidden)[0].take(idx, 0)[:, :-1]
+    return rows if v.ndim == 2 else rows[0]

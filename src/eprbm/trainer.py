@@ -7,11 +7,13 @@ The log-likelihood gradient for a weight is
 and analogously for the biases with <v_i> and <h_j>. Both expectations are
 taken over the 2^m visible patterns, each weighted by how often it occurs:
 in the data, or among the persistent contrastive divergence chains that
-train takes its model term from. exact_gradient and model_expectation_exact
-weight the patterns by the exact P(v) of enumerate_distribution instead, with
-P(h | v) normalized per row as the chains' kernel normalizes it on its
-shifted path (on its unshifted path the two agree within 1e-15); they are
-the oracle for the stochastic estimate.
+train takes its model term from. The chains are advanced by rbm._pcd_kernel,
+the one sampler, which rbm.advance_chains and model_expectation_pcd also
+run. exact_gradient and model_expectation_exact weight the patterns by the
+exact P(v) of enumerate_distribution instead, with P(h | v) normalized per
+row as the chains' kernel normalizes it on its shifted path (on its
+unshifted path the two agree within 1e-15); they are the oracle for the
+stochastic estimate.
 """
 
 from __future__ import annotations
@@ -33,7 +35,16 @@ from .exact import (
     _pattern_tables,
     enumerate_distribution,
 )
-from .rbm import RbmModel
+from .rbm import (
+    _MAX_LOG_JOINT,
+    RbmModel,
+    _batch_patterns,
+    _bound_test,
+    _conditional,
+    _pattern_index,
+    _pcd_kernel,
+    advance_chains,
+)
 
 # the number of hidden units of every machine train fits
 N_HIDDEN = 4
@@ -150,28 +161,12 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch}")
 
 
-def _batch_patterns(model: RbmModel, batch) -> np.ndarray:
-    """Pattern indices of the rows of a non-empty (B, m) batch of 0/1 states."""
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.n_visible:
-        raise ValueError(
-            f"batch must have shape (B, {model.n_visible}), got {arr.shape}"
-        )
-    if arr.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    # a fractional entry would be truncated to another pattern's index
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("batch entries must be 0 or 1")
-    return _pattern_index(arr)
-
-
-def _frequencies(model: RbmModel, batch) -> np.ndarray:
-    """How often each visible pattern occurs among the batch's rows, as
-    fractions. A model too large for exact inference raises before the
-    2^m counts are made."""
+def _pattern_counts(model: RbmModel, batch) -> np.ndarray:
+    """How often each visible pattern occurs among the batch's rows. A model
+    too large for exact inference raises before the 2^m counts are made."""
     idx = _batch_patterns(model, batch)
     n_patterns = _pattern_tables(model.n_visible, model.n_hidden)[0].shape[0]
-    return np.bincount(idx, minlength=n_patterns) / idx.size
+    return np.bincount(idx, minlength=n_patterns)
 
 
 def init_chains(
@@ -183,130 +178,21 @@ def init_chains(
     return (rng.random((n_chains, n_visible)) < 0.5).astype(np.float64)
 
 
-def _pattern_index(rows: np.ndarray) -> np.ndarray:
-    """Index of each binary row among bit_patterns(m), first column most significant."""
-    powers = 2 ** np.arange(rows.shape[1] - 1, -1, -1)
-    return rows.dot(powers).astype(np.int64)
-
-
 def _unpack(theta: np.ndarray) -> RbmModel:
     return RbmModel(
         visible_bias=theta[:-1, -1], hidden_bias=theta[-1, :-1], weights=theta[:-1, :-1]
     )
 
 
-# Every log-joint entry v_aug @ theta @ h_aug.T is a sum of a subset of
-# theta's entries, and the difference of two entries a signed sum, so both
-# are bounded by ||theta||_1 <= sqrt(theta.size) ||theta||_F. When that bound
-# is below _MAX_LOG_JOINT, every exponential lies in (e^-600, e^600) and no
-# conditional is below e^-600 over its row or column length: normal doubles
-# throughout, so both conditionals can be normalized from one unshifted table.
-_MAX_LOG_JOINT = 600.0
-
-
-def _bound_test(theta) -> tuple[float, bool]:
-    """B = sqrt(theta.size) ||theta||_F, and whether theta admits the PCD
-    kernel's unshifted path: B < _MAX_LOG_JOINT, compared squared, so a
-    non-finite theta admits nothing."""
-    flat = theta.ravel()
-    squared = flat.dot(flat) * flat.size
-    return math.sqrt(squared), squared < _MAX_LOG_JOINT**2
-
-
-def _conditional(log_joint, axis, out=None) -> np.ndarray:
-    """P(h | v) (axis=1) or P(v | h) (axis=0) from the log-joint table.
-
-    Each row (or column) is shifted by its own maximum, so the table stays
-    finite and normalizable at any spread of the log-joint.
-    """
-    table = np.exp(log_joint - log_joint.max(axis=axis, keepdims=True), out=out)
-    table /= table.sum(axis=axis, keepdims=True)
-    return table
-
-
-def _pcd_kernel(shape, k, n_chains):
-    """The PCD kernel for n_chains chains, k sweeps and a packed theta of the
-    given shape: advance(theta, chains, u, admitted), and the P(h | v) table
-    that every call of advance rewrites.
-
-    advance moves pattern-index chains by k block-Gibbs sweeps, one draw
-    per chain. With the visible layer confined to its 2^m patterns, a
-    block-Gibbs sweep is a Markov chain over those patterns with transition
-    matrix T = P(h | v) @ P(v | h).T; both conditionals come from the one
-    (2^m, 2^n) table v_aug @ theta @ h_aug.T of unnormalized
-    log-probabilities, with theta the packed parameters (see _pack). Each
-    chain then takes a single categorical draw from its row of T^k, which
-    has exactly the law of k sweeps: u holds one uniform per chain, shape
-    (n_chains, 1), and the new chains come back as an int64 vector.
-
-    The table is exponentiated unshifted when admitted, the second result
-    of _bound_test for theta, is true, and shifted per row and per column
-    otherwise; its row and column sums are products with vectors of ones.
-    T^k is built by square-and-multiply from T. The draw table is the
-    upper-triangular ones with a sentinel column of 2 in place of the last:
-    T^k @ it holds the cumulative sums of each row of T^k, except that the
-    last, the row sum, is about 2, so that rounding in the row sums can
-    never push a draw past the last pattern. h_given_v @ h_aug holds the
-    rows [P(h | v), 1] that the moments are formed from. The exponential,
-    both conditionals and the comparison are written into buffers allocated
-    here, once.
-    """
-    v_aug, h_aug_t = _pattern_tables(shape[0] - 1, shape[1] - 1)
-    n_v, n_h = v_aug.shape[0], h_aug_t.shape[1]
-    ones_h, ones_v = np.ones((n_h, 1)), np.ones(n_v)
-    cumulative = np.triu(np.ones((n_v, n_v)))
-    cumulative[:, -1] = 2.0
-    h_given_v, v_given_h = np.empty((n_v, n_h)), np.empty((n_v, n_h))
-    v_given_h_t = v_given_h.T
-    below = np.empty((n_chains, n_v), dtype=bool)
-    # after the leading bit of k, each bit squares the power, and a set bit
-    # multiplies it by T once more
-    bits = bin(k)[3:]
-
-    def advance(theta, chains, u, admitted):
-        log_joint = v_aug.dot(theta).dot(h_aug_t)
-        if admitted:
-            # the exponential is normalized into P(h | v) in place, after
-            # P(v | h) has been taken from it
-            both = np.exp(log_joint, h_given_v)
-            np.divide(both, ones_v.dot(both), v_given_h)
-            np.divide(both, both.dot(ones_h), h_given_v)
-        else:
-            _conditional(log_joint, 1, h_given_v)
-            _conditional(log_joint, 0, v_given_h)
-        step = h_given_v.dot(v_given_h_t)
-        power = step
-        for bit in bits:
-            power = power.dot(power)
-            if bit == "1":
-                power = power.dot(step)
-        # Each chain lands on the first entry of its cumulative row that is
-        # not below its uniform: the first False, which argmin finds (argmax
-        # over >= finds the same index, more slowly). Every row of
-        # T^k @ cumulative sums nonnegative terms in one fixed order, so it
-        # never decreases, and that first index is the count of entries
-        # below u. The sentinel, about 2 and above any u, is the answer only
-        # when every real entry is below u, and it then stands for the last
-        # pattern, as the count does. A row of NaN, which only a non-finite
-        # log-joint gives, draws 0 as the count does, and that update's NaN
-        # ends the epoch in TrainingDivergedError.
-        np.less(power.dot(cumulative).take(chains, 0), u, below)
-        return below.argmin(1)
-
-    return advance, h_given_v
-
-
-def _moments(theta, weights, h_given_v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moments(theta, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<v h>, <v> and <h> over the visible patterns weighted by weights: the
     W, c and d blocks of v_aug.T @ (weights[:, None] * [P(h | v), 1]), the
-    product train steps theta (see _pack) with. P(h | v) is the PCD kernel's
-    table h_given_v if given, else theta's log-joint normalized per row as
-    the kernel's shifted path normalizes it; the last column is exactly 1,
-    which the rows of P(h | v) sum to only up to rounding."""
+    product train steps theta (see _pack) with. P(h | v) is theta's log-joint
+    normalized per row as the PCD kernel's shifted path normalizes it; the
+    last column is exactly 1, which the rows of P(h | v) sum to only up to
+    rounding."""
     v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
-    if h_given_v is None:
-        h_given_v = _conditional(_log_joint(theta), 1)
-    rows = h_given_v.dot(h_aug_t.T)
+    rows = _conditional(_log_joint(theta), 1).dot(h_aug_t.T)
     rows[:, -1] = 1.0
     moments = v_aug.T @ (weights[:, None] * rows)
     return moments[:-1, :-1], moments[:-1, -1], moments[-1, :-1]
@@ -325,7 +211,8 @@ def data_expectation(
         (vh, v_mean, h_mean): (m, n) matrix <v_i h_j>, (m,) vector <v_i>,
         (n,) vector <h_j>, all averaged over the batch.
     """
-    return _moments(_pack(model), _frequencies(model, batch))
+    counts = _pattern_counts(model, batch)
+    return _moments(_pack(model), counts / counts.sum())
 
 
 def model_expectation_exact(
@@ -347,24 +234,16 @@ def model_expectation_pcd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stochastic model moments from persistent chains.
 
-    Advances every chain by k block-Gibbs sweeps, drawn in one step from the
-    k-step transition law over visible patterns, then forms the same
-    analytically-averaged moments as data_expectation at the final visible
-    states. The advanced chains are returned and must be fed back in on the
-    next call; they are never reset between parameter updates.
+    Advances every chain by k block-Gibbs sweeps with advance_chains, then
+    forms the same analytically-averaged moments as data_expectation at the
+    final visible states. The advanced chains are returned and must be fed
+    back in on the next call; they are never reset between parameter updates.
 
     Returns:
         (vh, v_mean, h_mean, chains) with the updated chain states.
     """
-    idx = _batch_patterns(model, chains)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    theta = _pack(model)
-    v_aug = _pattern_tables(model.n_visible, model.n_hidden)[0]
-    advance, h_given_v = _pcd_kernel(theta.shape, k, idx.size)
-    idx = advance(theta, idx, rng.random((idx.size, 1)), _bound_test(theta)[1])
-    occupancy = np.bincount(idx, minlength=v_aug.shape[0]) / idx.size
-    return (*_moments(theta, occupancy, h_given_v), v_aug.take(idx, 0)[:, :-1])
+    chains = advance_chains(model, chains, rng, k)
+    return (*data_expectation(model, chains), chains)
 
 
 def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
@@ -374,7 +253,7 @@ def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
 
 def average_log_likelihood(model: RbmModel, data) -> float:
     """Mean over data rows of log P(v) under the exact distribution."""
-    counts = np.bincount(_batch_patterns(model, data), minlength=2**model.n_visible)
+    counts = _pattern_counts(model, data)
     return _mean_log_likelihood(enumerate_distribution(model), counts)
 
 
@@ -393,7 +272,8 @@ def exact_gradient(
         (grad_w, grad_c, grad_d): data moments minus exact model moments for
         the weights, visible biases, and hidden biases.
     """
-    weights = _frequencies(model, data) - enumerate_distribution(model).visible_marginal()
+    counts = _pattern_counts(model, data)
+    weights = counts / counts.sum() - enumerate_distribution(model).visible_marginal()
     return _moments(_pack(model), weights)
 
 
@@ -441,7 +321,8 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
 
     Data, chains and moments are all kept over the 2^m visible patterns:
     each minibatch is a vector of pattern counts, and the persistent chains
-    are pattern indices advanced as in model_expectation_pcd. W, c and d
+    are pattern indices advanced by rbm._pcd_kernel, built once per call.
+    W, c and d
     live in one augmented matrix theta = [[W, c], [d, 0]], so both moment
     sets of an update, and the step itself, are one product over the
     patterns weighted by data frequency minus the chains' occupancy.

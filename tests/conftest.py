@@ -23,7 +23,9 @@ def reference_gibbs_sample(reference_model):
 
     One chain per sample, started from uniform random visible states and run
     for 30 burn-in sweeps (enough to push the joint within TV well under 0.01
-    of exact). The hidden draw from the final visible state makes each
+    of exact) by rbm.advance_chains, the sampler train runs, so the checks
+    against the exact law that read this sample check shipped code. The
+    hidden draw from the final visible state, by scipy's expit, makes each
     (visible, hidden) pair a sample of the joint law.
     """
     rng = np.random.default_rng(20260819)

@@ -260,6 +260,29 @@ def flip_outcome_bits(model: RbmModel) -> RbmModel:
     return RbmModel(visible_bias=c, hidden_bias=d, weights=w)
 
 
+def gibbs_sweeps(
+    model: RbmModel, visible, rng: np.random.Generator, n_sweeps: int = 1
+) -> np.ndarray:
+    """Block Gibbs sweeps unit by unit, the oracle for rbm.advance_chains.
+
+    Each sweep draws every hidden unit from P(h_j = 1 | v), then every
+    visible unit from P(v_i = 1 | h), comparing fresh uniforms with expit of
+    the activations. visible is a (n_chains, m) batch or a single (m,)
+    state, and the result has its shape.
+    """
+    v = np.asarray(visible, dtype=np.float64)
+    batched = v.ndim == 2
+    if not batched:
+        v = v[None, :]
+    w, c, d = model.weights, model.visible_bias, model.hidden_bias
+    for _ in range(n_sweeps):
+        ph = expit(v @ w + d)
+        h = (rng.random(ph.shape) < ph).astype(np.float64)
+        pv = expit(h @ w.T + c)
+        v = (rng.random(pv.shape) < pv).astype(np.float64)
+    return v if batched else v[0]
+
+
 def _reference_pcd_advance(c, act, v_pat, h_pat, chains, k, rng) -> np.ndarray:
     """k block-Gibbs sweeps of pattern-index chains as one categorical draw.
 

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from eprbm.exact import bit_patterns, enumerate_distribution
-from eprbm.rbm import RbmModel, _logistic, advance_chains
+from eprbm.rbm import RbmModel, advance_chains
 from eprbm.trainer import (
     average_log_likelihood,
     data_expectation,
@@ -15,7 +13,7 @@ from eprbm.trainer import (
     model_expectation_pcd,
 )
 
-from helpers import chisquare_bucketed, energy, random_model, tv_distance
+from helpers import chisquare_bucketed, energy, gibbs_sweeps, random_model, tv_distance
 
 
 def zero_model(m=4, n=4):
@@ -178,32 +176,6 @@ class TestSigmoid:
         assert np.all((inner > 0) & (inner < 1))
 
 
-class TestLogistic:
-    """rbm._logistic against scipy's expit, which evaluates the same formula
-    with its own exp."""
-
-    def test_matches_expit(self):
-        rng = np.random.default_rng(0)
-        x = np.concatenate(
-            [scale * rng.standard_normal(20_000) for scale in (0.1, 1.0, 10.0, 100.0, 1000.0)]
-        )
-        # the two exps may differ in the last bit, and rounding 1 + exp(-x)
-        # can widen that to 2 ulps of the sum; up to 4 ulps of the result
-        # were seen over 10 million draws (near x = -37)
-        np.testing.assert_array_max_ulp(_logistic(x), expit(x), maxulp=4)
-
-    def test_extremes_exact_and_silent(self):
-        x = np.array([0.0, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _logistic(x)
-        np.testing.assert_array_max_ulp(got, expit(x), maxulp=1)
-        assert got[0] == 0.5
-        assert got[[1, 3, 5]].tolist() == [1.0, 1.0, 1.0]
-        assert got[[4, 6]].tolist() == [0.0, 0.0]
-        assert 0.0 < got[2] < 1e-307
-
-
 class TestActivationProbs:
     def test_reference_hidden_at_zero_visible(self, reference_model):
         probs = p_hidden(reference_model, np.zeros(4))
@@ -261,8 +233,10 @@ class TestActivationProbs:
             np.testing.assert_allclose(cond, product, atol=1e-12)
 
 
-class TestGibbsSweep:
-    """The law of the block Gibbs sweeps advance_chains runs."""
+class GibbsSweepLaw:
+    """The law of block Gibbs sweeps, checked on the sampler of the subclass."""
+
+    sampler = None
 
     def test_saturated_hidden(self):
         # h = (1, 0, 0, 0) whatever v, and v1 copies h1 while v2..v4 stay off
@@ -274,7 +248,7 @@ class TestGibbsSweep:
             weights=weights,
         )
         rng = np.random.default_rng(4)
-        out = advance_chains(model, [[0, 1, 0, 1], [1, 1, 1, 1]], rng, n_sweeps=3)
+        out = self.sampler(model, [[0, 1, 0, 1], [1, 1, 1, 1]], rng, n_sweeps=3)
         assert out.tolist() == [[1, 0, 0, 0], [1, 0, 0, 0]]
 
     def test_zero_model_uniform_frequencies(self):
@@ -282,36 +256,28 @@ class TestGibbsSweep:
         model = zero_model()
         rng = np.random.default_rng(5)
         start = (rng.random((1_000_000, 4)) < 0.5).astype(float)
-        out = advance_chains(model, start, rng, n_sweeps=1)
+        out = self.sampler(model, start, rng, n_sweeps=1)
         freqs = out.mean(axis=0)
         np.testing.assert_allclose(freqs, 0.5, atol=0.002)
 
-    def test_matches_batched_path_bitwise(self, reference_model):
-        # one sweep of one chain is a hidden draw from P(h | v), then a
-        # visible draw from P(v | h), each comparing fresh uniforms
-        v = np.array([1.0, 0.0, 1.0, 1.0])
-        out = advance_chains(reference_model, v, np.random.default_rng(6))
-        rng = np.random.default_rng(6)
-        w, c, d = (
-            reference_model.weights,
-            reference_model.visible_bias,
-            reference_model.hidden_bias,
-        )
-        h = (rng.random(4) < expit(v @ w + d)).astype(float)
-        expected = (rng.random(4) < expit(w @ h + c)).astype(float)
-        assert out.tolist() == expected.tolist()
-
     def test_deterministic_given_seed(self, reference_model):
         start = np.array([[1, 0, 1, 1], [0, 1, 0, 0]])
-        a = advance_chains(reference_model, start, np.random.default_rng(7), 3)
-        b = advance_chains(reference_model, start, np.random.default_rng(7), 3)
+        a = self.sampler(reference_model, start, np.random.default_rng(7), 3)
+        b = self.sampler(reference_model, start, np.random.default_rng(7), 3)
         assert a.tolist() == b.tolist()
 
     def test_reference_marginal_within_tv_bound(
         self, reference_model, reference_dist, reference_gibbs_sample
     ):
-        # 10^6 sweeps from random starts vs the exact visible marginal
-        visible, _ = reference_gibbs_sample
+        # 10^6 chains after 30 sweeps from random starts vs the exact visible
+        # marginal. The shared reference_gibbs_sample is advance_chains';
+        # the oracle's is drawn here by the same recipe
+        if self.sampler is advance_chains:
+            visible, _ = reference_gibbs_sample
+        else:
+            rng = np.random.default_rng(20260819)
+            start = (rng.random((1_000_000, 4)) < 0.5).astype(np.float64)
+            visible = self.sampler(reference_model, start, rng, n_sweeps=30)
         idx = (visible @ [8, 4, 2, 1]).astype(int)
         freqs = np.bincount(idx, minlength=16) / idx.size
         assert tv_distance(freqs, reference_dist.visible_marginal()) <= 0.01
@@ -322,9 +288,38 @@ class TestGibbsSweep:
         n = 1_000_000
         p_v = reference_dist.visible_marginal()
         start = bit_patterns(4)[rng.choice(16, size=n, p=p_v)]
-        out = advance_chains(reference_model, start, rng, n_sweeps=1)
+        out = self.sampler(reference_model, start, rng, n_sweeps=1)
         counts = np.bincount((out @ [8, 4, 2, 1]).astype(int), minlength=16)
         assert chisquare_bucketed(counts, p_v) > 0.001
+
+
+class TestGibbsSweep(GibbsSweepLaw):
+    """The shipped sampler, rbm.advance_chains, and the per-unit draws of
+    the oracle it is compared with."""
+
+    sampler = staticmethod(advance_chains)
+
+    def test_matches_batched_path_bitwise(self, reference_model):
+        # one sweep of one chain of gibbs_sweeps is a hidden draw from
+        # P(h | v), then a visible draw from P(v | h), each comparing fresh
+        # uniforms
+        v = np.array([1.0, 0.0, 1.0, 1.0])
+        out = gibbs_sweeps(reference_model, v, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        w, c, d = (
+            reference_model.weights,
+            reference_model.visible_bias,
+            reference_model.hidden_bias,
+        )
+        h = (rng.random(4) < expit(v @ w + d)).astype(float)
+        expected = (rng.random(4) < expit(w @ h + c)).astype(float)
+        assert out.tolist() == expected.tolist()
+
+
+class TestGibbsSweepOracle(GibbsSweepLaw):
+    """The per-unit oracle, helpers.gibbs_sweeps."""
+
+    sampler = staticmethod(gibbs_sweeps)
 
 
 class TestAdvanceChains:
@@ -339,3 +334,14 @@ class TestAdvanceChains:
         rng = np.random.default_rng(14)
         out = advance_chains(reference_model, np.ones(4), rng, n_sweeps=2)
         assert out.shape == (4,)
+
+    def test_refuses_what_the_kernel_cannot_draw(self, reference_model):
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            advance_chains(reference_model, np.ones((3, 4)), rng, n_sweeps=0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            advance_chains(reference_model, np.full(4, 0.5), rng)
+        with pytest.raises(ValueError, match="non-empty"):
+            advance_chains(reference_model, np.empty((0, 4)), rng)
+        with pytest.raises(ValueError, match="too large for exact inference"):
+            advance_chains(zero_model(m=4, n=21), np.ones(4), rng)

@@ -1,10 +1,14 @@
-"""The test runner's own settings, as pyproject.toml gives them."""
+"""The test runner's own settings, as pyproject.toml gives them, and the
+package's import order."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +37,18 @@ def test_failing_property_test_prints_its_example(tmp_path):
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert "Falsifying example" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "module", ["atomic", "rbm", "exact", "bell", "epr", "trainer", "cli"]
+)
+def test_module_imports_first(module):
+    # an import cycle between modules breaks only the import orders that
+    # enter it at the wrong module, so each module is imported first in a
+    # fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import eprbm.{module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -9,6 +9,7 @@ slow brute-force summation.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -42,6 +43,7 @@ from eprbm.trainer import (
 from helpers import (
     _reference_pcd_advance,
     brute_force_moments,
+    gibbs_sweeps,
     random_model,
     reference_train,
     tv_distance,
@@ -261,9 +263,16 @@ class TestModelExpectationPcd:
         assert np.abs(acc_v / 100 - exact_v).max() <= 0.01
         assert np.abs(acc_h / 100 - exact_h).max() <= 0.01
 
+    def test_chains_are_advance_chains_draws(self, reference_model):
+        # the chains come from advance_chains, from the same generator state
+        start = init_chains(100, 4, np.random.default_rng(4))
+        got = model_expectation_pcd(reference_model, start, 5, np.random.default_rng(4))
+        want = advance_chains(reference_model, start, np.random.default_rng(4), 5)
+        assert got[3].dtype == want.dtype and np.array_equal(got[3], want)
+
     def test_k_step_draw_matches_block_gibbs(self, reference_model):
-        # the one-draw k-step advance against k sweeps of the block-Gibbs
-        # reference sampler, both from the same uniform starts: the joint
+        # the one-draw k-step advance against k sweeps of the per-unit
+        # block-Gibbs oracle, both from the same uniform starts: the joint
         # law of (start, end) visible patterns must agree over 256 cells
         rng = np.random.default_rng(515)
         powers = np.array([8, 4, 2, 1])
@@ -272,7 +281,7 @@ class TestModelExpectationPcd:
             start = init_chains(100_000, 4, rng)
             ends = (
                 model_expectation_pcd(reference_model, start, 5, rng)[3],
-                advance_chains(reference_model, start, rng, n_sweeps=5),
+                gibbs_sweeps(reference_model, start, rng, n_sweeps=5),
             )
             for row, end in zip(counts, ends):
                 cell = (start @ powers) * 16 + end @ powers
@@ -406,6 +415,12 @@ class TestPcdAdvance:
                 )
         assert any(admitted) and not all(admitted)
 
+    def test_rejects_zero_sweeps(self):
+        # square-and-multiply starts from T, so k = 0 would draw from T, not
+        # from the identity
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            trainer._pcd_kernel((5, 5), 0, 3)
+
     def test_draw_at_extreme_uniforms(self, reference_model):
         # u = 0 lands every chain on pattern 0, and the largest u below 1 on
         # some pattern of the table: the sentinel column stands for the last
@@ -502,6 +517,19 @@ class TestAverageLogLikelihood:
         singles = [average_log_likelihood(reference_model, [r]) for r in rows]
         combined = average_log_likelihood(reference_model, rows)
         assert combined == pytest.approx(np.mean(singles), abs=1e-12)
+
+    def test_refuses_a_large_model_before_counting(self):
+        # 25 visible units would take 2^25 pattern counts, 256 MiB, before
+        # the enumeration refused the model
+        model = zero_model(m=25, n=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large for exact inference"):
+                average_log_likelihood(model, np.zeros((1, 25)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestExactGradient:

@@ -260,7 +260,7 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
         if not np.isfinite(value).all():
             raise ValueError(f"{name} is not finite; no verdict can be drawn")
     n = model.n_hidden
-    # hidden state i is row i of exact.bit_patterns(n), written as bits
+    # hidden state i is row i of rbm.bit_patterns(n), written as bits
     labels = [format(i, f"0{n}b") for i in range(2**n)]
 
     # below 1e-12 the residual is rounding noise; --out keeps the exact value

@@ -23,7 +23,8 @@ import numpy as np
 
 from .atomic import atomic_write, write_json
 from .bell import OUTCOME_SIGNS, CorrelationReport
-from .exact import SETTING_PAIRS, bit_patterns
+from .exact import SETTING_PAIRS
+from .rbm import bit_patterns
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
@@ -107,9 +108,10 @@ class EprDataset:
 
         pattern = 8 * alpha + 4 * beta + 2 * [x_alpha = +1] + [x_beta = +1]
 
-    which is the row of exact.bit_patterns(4) that encode_dataset gives the
+    which is the row of rbm.bit_patterns(4) that encode_dataset gives the
     trial. The constructor stores a read-only int64 copy of any 1-d sequence
-    of integers in 0..15. seed is None for trials generate_dataset did not draw.
+    of integers in 0..15. seed is the int >= 0 that generate_dataset drew the
+    trials with, or None for trials it did not draw.
     """
 
     pattern: np.ndarray
@@ -117,6 +119,8 @@ class EprDataset:
     angles: DetectorAngles
 
     def __post_init__(self):
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
         raw = np.asarray(self.pattern)
         if raw.ndim != 1:
             raise ValueError(f"pattern must be a 1-d column, got {raw.shape}")
@@ -168,8 +172,10 @@ def generate_dataset(
     Args:
         angles: analyzer angles for the four settings.
         n_trials: number of runs, at least 1.
-        seed: generator seed, recorded in the dataset.
+        seed: generator seed, an int >= 0, recorded in the dataset.
     """
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
@@ -291,12 +297,6 @@ def load_dataset(path) -> EprDataset:
     seed, n_trials, angles = _fields(meta, names, f"{meta_path}: field")
     if not isinstance(angles, dict):
         raise ValueError(f"the angles in {meta_path} must be a JSON object")
-    try:
-        angles = DetectorAngles.from_dict(angles)
-    except ValueError as err:
-        raise ValueError(f"{meta_path}: {err}") from None
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"{meta_path}: seed must be null or an int >= 0, got {seed!r}")
     if not _is_int(n_trials):
         raise ValueError(f"{meta_path}: n_trials must be an int, got {n_trials!r}")
     lines = io.BytesIO(data)
@@ -320,4 +320,7 @@ def load_dataset(path) -> EprDataset:
             f"{meta_path} (or the sidecar records none); re-run "
             "`eprbm simulate` to write the pair again"
         )
-    return EprDataset(pattern, seed, angles)
+    try:
+        return EprDataset(pattern, seed, DetectorAngles.from_dict(angles))
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: {err}") from None

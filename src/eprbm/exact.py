@@ -2,82 +2,22 @@
 
 This is the oracle everything else is checked against: partition function,
 joint and visible marginal distributions, and the two hidden-variable
-diagnostics (locality factorization and measurement independence).
-
-Bit order convention: configurations are enumerated with unit 1 as the most
-significant bit, so index k of a layer corresponds to the binary expansion of
-k read left to right. For the visible layer that makes the enumeration order
-lexicographic in (v1, v2, ..., vm).
+diagnostics (locality factorization and measurement independence). Tables
+are indexed by the pattern order of rbm.bit_patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .rbm import RbmModel
-
-# 2^24 joint states is about 128 MB of float64, a sensible desk-scale ceiling.
-MAX_EXACT_UNITS = 24
+from .rbm import RbmModel, _log_joint, _read_only
 
 # Setting pairs (v1, v2) in the order of every per-pair report, correlation
 # and label: (a, b), (a, b'), (a', b), (a', b').
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
-
-
-def bit_patterns(k: int) -> np.ndarray:
-    """All 2^k binary vectors of length k as a new (2^k, k) float array.
-
-    Row i is the binary expansion of i with the first column as the most
-    significant bit, so rows are in lexicographic order.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    idx = np.arange(2**k)[:, None]
-    shifts = np.arange(k - 1, -1, -1)
-    return ((idx >> shifts) & 1).astype(np.float64)
-
-
-def _pack(model: RbmModel) -> np.ndarray:
-    """The (m+1, n+1) augmented parameter matrix theta = [[W, c], [d, 0]]."""
-    theta = np.empty((model.n_visible + 1, model.n_hidden + 1))
-    theta[:-1, :-1], theta[:-1, -1] = model.weights, model.visible_bias
-    theta[-1, :-1], theta[-1, -1] = model.hidden_bias, 0.0
-    return theta
-
-
-# one shape at a time: with many units these tables are large
-@lru_cache(maxsize=1)
-def _pattern_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared read-only v_aug and h_aug.T: bit_patterns(m) and bit_patterns(n)
-    with a trailing column of ones, the second transposed. Raises ValueError
-    if the 2^(m+n) joint states are too many to tabulate."""
-    if m + n > MAX_EXACT_UNITS:
-        raise ValueError(
-            f"model with {m} + {n} units is too large for exact inference "
-            f"(limit {MAX_EXACT_UNITS} total units)"
-        )
-    v_aug, h_aug = (np.hstack([bit_patterns(k), np.ones((2**k, 1))]) for k in (m, n))
-    return _read_only(v_aug), _read_only(h_aug.T)
-
-
-def _log_joint(theta: np.ndarray) -> np.ndarray:
-    """The (2^m, 2^n) table of log P(v, h) + log Z over the packed theta.
-
-    v_aug @ theta holds the hidden pre-activations d + v W followed by v . c,
-    and times h_aug.T it gives every negative energy c.v + d.h + v W h.
-    """
-    v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
-    return v_aug.dot(theta).dot(h_aug_t)
 
 
 @dataclass(frozen=True)
@@ -121,10 +61,10 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     log-sum-exp, so models whose energies span hundreds of units stay finite.
 
     Raises:
-        ValueError: if m + n exceeds MAX_EXACT_UNITS, too large for exact
+        ValueError: if m + n exceeds rbm.MAX_EXACT_UNITS, too large for exact
             inference.
     """
-    neg_energy = _log_joint(_pack(model))
+    neg_energy = _log_joint(model.theta)
     shift = neg_energy.max()
     log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
     joint = np.exp(neg_energy - log_partition)

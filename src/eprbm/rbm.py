@@ -1,9 +1,13 @@
-"""Restricted Boltzmann machine core: parameters and the block Gibbs sampler.
+"""Restricted Boltzmann machine core: parameters, pattern tables, sampler.
 
 Units are binary with values in {0, 1} and the temperature is fixed at kT = 1,
 so the joint law is P(v, h) = exp(-E(v, h)) / Z with
 
     E(v, h) = -(sum_i c_i v_i + sum_j d_j h_j + sum_ij w_ij v_i h_j).
+
+Every layer reads the machine as the packed matrix RbmModel.theta =
+[[W, c], [d, 0]] over the patterns of bit_patterns, numbered with unit 1 as
+the most significant bit (lexicographic in (v1, v2, ..., vm)).
 
 The bipartite wiring makes both conditionals factorize,
 P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h.
@@ -18,10 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exact import _pack, _pattern_tables
+# 2^24 joint states is about 128 MB of float64, a sensible desk-scale ceiling.
+MAX_EXACT_UNITS = 24
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
@@ -30,8 +41,7 @@ def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr!r}")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,60 @@ class RbmModel:
     @property
     def n_hidden(self) -> int:
         return self.hidden_bias.size
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """The read-only (m+1, n+1) augmented parameter matrix
+        theta = [[W, c], [d, 0]], built on first access."""
+        theta = np.empty((self.n_visible + 1, self.n_hidden + 1))
+        theta[:-1, :-1], theta[:-1, -1] = self.weights, self.visible_bias
+        theta[-1, :-1], theta[-1, -1] = self.hidden_bias, 0.0
+        return _read_only(theta)
+
+
+def _unpack(theta: np.ndarray) -> RbmModel:
+    """The model whose W, c and d are the blocks of a packed theta."""
+    return RbmModel(
+        visible_bias=theta[:-1, -1], hidden_bias=theta[-1, :-1], weights=theta[:-1, :-1]
+    )
+
+
+def bit_patterns(k: int) -> np.ndarray:
+    """All 2^k binary vectors of length k as a new (2^k, k) float array.
+
+    Row i is the binary expansion of i with the first column as the most
+    significant bit, so rows are in lexicographic order.
+    """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    idx = np.arange(2**k)[:, None]
+    shifts = np.arange(k - 1, -1, -1)
+    return ((idx >> shifts) & 1).astype(np.float64)
+
+
+# one shape at a time: with many units these tables are large
+@lru_cache(maxsize=1)
+def _pattern_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only v_aug and h_aug.T: bit_patterns(m) and bit_patterns(n)
+    with a trailing column of ones, the second transposed. Raises ValueError
+    if the 2^(m+n) joint states are too many to tabulate."""
+    if m + n > MAX_EXACT_UNITS:
+        raise ValueError(
+            f"model with {m} + {n} units is too large for exact inference "
+            f"(limit {MAX_EXACT_UNITS} total units)"
+        )
+    v_aug, h_aug = (np.hstack([bit_patterns(k), np.ones((2**k, 1))]) for k in (m, n))
+    return _read_only(v_aug), _read_only(h_aug.T)
+
+
+def _log_joint(theta: np.ndarray) -> np.ndarray:
+    """The (2^m, 2^n) table of log P(v, h) + log Z over the packed theta.
+
+    v_aug @ theta holds the hidden pre-activations d + v W followed by v . c,
+    and times h_aug.T it gives every negative energy c.v + d.h + v W h.
+    """
+    v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
+    return v_aug.dot(theta).dot(h_aug_t)
 
 
 def _batch_patterns(model: RbmModel, batch) -> np.ndarray:
@@ -130,7 +194,7 @@ def _pcd_kernel(shape, k, n_chains):
     block-Gibbs sweep is a Markov chain over those patterns with transition
     matrix T = P(h | v) @ P(v | h).T; both conditionals come from the one
     (2^m, 2^n) table v_aug @ theta @ h_aug.T of unnormalized
-    log-probabilities, with theta the packed parameters (see _pack). Each
+    log-probabilities, with theta the packed parameters (RbmModel.theta). Each
     chain then takes a single categorical draw from its row of T^k, which
     has exactly the law of k sweeps: u holds one uniform per chain, shape
     (n_chains, 1), and the new chains come back as an int64 vector.
@@ -207,17 +271,14 @@ def advance_chains(
     one uniform from rng.random((n_chains, 1)).
 
     Args:
-        visible: shape (n_chains, m) non-empty batch of {0, 1} visible
-            states, or a single state of shape (m,).
+        visible: shape (n_chains, m) non-empty batch of {0, 1} visible states.
         n_sweeps: number of full sweeps (hidden then visible), at least 1.
 
     Returns:
-        The visible states after the sweeps, in the shape of visible.
+        The (n_chains, m) visible states after the sweeps.
     """
-    v = np.asarray(visible, dtype=np.float64)
-    idx = _batch_patterns(model, np.atleast_2d(v))
-    theta = _pack(model)
+    idx = _batch_patterns(model, visible)
+    theta = model.theta
     advance = _pcd_kernel(theta.shape, n_sweeps, idx.size)[0]
     idx = advance(theta, idx, rng.random((idx.size, 1)), _bound_test(theta)[1])
-    rows = _pattern_tables(model.n_visible, model.n_hidden)[0].take(idx, 0)[:, :-1]
-    return rows if v.ndim == 2 else rows[0]
+    return _pattern_tables(model.n_visible, model.n_hidden)[0].take(idx, 0)[:, :-1]

@@ -28,21 +28,18 @@ from . import bell
 from .atomic import atomic_write, write_json
 from .epr import N_VISIBLE, EprDataset, _read_json_object
 from .epr import _fields, _is_finite, _is_int, _is_number
-from .exact import (
-    ExactDistribution,
-    _log_joint,
-    _pack,
-    _pattern_tables,
-    enumerate_distribution,
-)
+from .exact import ExactDistribution, enumerate_distribution
 from .rbm import (
     _MAX_LOG_JOINT,
     RbmModel,
     _batch_patterns,
     _bound_test,
     _conditional,
+    _log_joint,
     _pattern_index,
+    _pattern_tables,
     _pcd_kernel,
+    _unpack,
     advance_chains,
 )
 
@@ -80,8 +77,12 @@ class TrainerConfig:
     weight_init_scale: float = 0.01
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("seed", "n_epochs"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
         for name in ("learning_rate", "learning_rate_decay", "weight_init_scale"):
             value = getattr(self, name)
             if not _is_number(value):
@@ -98,8 +99,6 @@ class TrainerConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not _is_int(self.n_epochs) or self.n_epochs < 0:
-            raise ValueError(f"n_epochs must be >= 0, got {self.n_epochs!r}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -178,19 +177,13 @@ def init_chains(
     return (rng.random((n_chains, n_visible)) < 0.5).astype(np.float64)
 
 
-def _unpack(theta: np.ndarray) -> RbmModel:
-    return RbmModel(
-        visible_bias=theta[:-1, -1], hidden_bias=theta[-1, :-1], weights=theta[:-1, :-1]
-    )
-
-
 def _moments(theta, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<v h>, <v> and <h> over the visible patterns weighted by weights: the
     W, c and d blocks of v_aug.T @ (weights[:, None] * [P(h | v), 1]), the
-    product train steps theta (see _pack) with. P(h | v) is theta's log-joint
-    normalized per row as the PCD kernel's shifted path normalizes it; the
-    last column is exactly 1, which the rows of P(h | v) sum to only up to
-    rounding."""
+    product train steps theta (see RbmModel.theta) with. P(h | v) is
+    theta's log-joint normalized per row as the PCD kernel's shifted path
+    normalizes it; the last column is exactly 1, which the rows of P(h | v)
+    sum to only up to rounding."""
     v_aug, h_aug_t = _pattern_tables(theta.shape[0] - 1, theta.shape[1] - 1)
     rows = _conditional(_log_joint(theta), 1).dot(h_aug_t.T)
     rows[:, -1] = 1.0
@@ -212,7 +205,7 @@ def data_expectation(
         (n,) vector <h_j>, all averaged over the batch.
     """
     counts = _pattern_counts(model, batch)
-    return _moments(_pack(model), counts / counts.sum())
+    return _moments(model.theta, counts / counts.sum())
 
 
 def model_expectation_exact(
@@ -223,7 +216,7 @@ def model_expectation_exact(
     The visible patterns are weighted by the exact P(v) and the hidden units
     summed out analytically, which equals summing over the joint table.
     """
-    return _moments(_pack(model), enumerate_distribution(model).visible_marginal())
+    return _moments(model.theta, enumerate_distribution(model).visible_marginal())
 
 
 def model_expectation_pcd(
@@ -274,7 +267,7 @@ def exact_gradient(
     """
     counts = _pattern_counts(model, data)
     weights = counts / counts.sum() - enumerate_distribution(model).visible_marginal()
-    return _moments(_pack(model), weights)
+    return _moments(model.theta, weights)
 
 
 def _epoch_diagnostics(
@@ -282,7 +275,7 @@ def _epoch_diagnostics(
 ) -> EpochRecord | None:
     """Exact trace entry for one epoch, or None if theta has blown up.
 
-    theta holds the packed parameters (see _pack) and counts how often each
+    theta holds the packed parameters (see RbmModel.theta) and counts how often each
     visible pattern occurs in the data. Parameters can stay finite while
     being large enough that the 2^(m+n) enumeration overflows, so the
     overflow and log-of-zero warnings are silenced here and a non-finite

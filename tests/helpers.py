@@ -17,14 +17,8 @@ from scipy.special import expit
 from eprbm import trainer
 from eprbm.bell import CorrelationReport
 from eprbm.epr import DetectorAngles, EprDataset, InsufficientDataError, encode_dataset
-from eprbm.exact import (
-    SETTING_PAIRS,
-    ExactDistribution,
-    MeasurementIndependenceReport,
-    _pack,
-    bit_patterns,
-)
-from eprbm.rbm import RbmModel
+from eprbm.exact import SETTING_PAIRS, ExactDistribution, MeasurementIndependenceReport
+from eprbm.rbm import RbmModel, bit_patterns
 
 
 def energy(model: RbmModel, visible, hidden) -> float:
@@ -356,7 +350,7 @@ def reference_train(
             w = w + lr * g_w
             c = c + lr * g_c
             d = d + lr * g_d
-        theta = _pack(RbmModel(visible_bias=c, hidden_bias=d, weights=w))
+        theta = RbmModel(visible_bias=c, hidden_bias=d, weights=w).theta
         records.append(trainer._epoch_diagnostics(theta, data_counts, epoch))
     final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
     return final, trainer.TrainingTrace(tuple(records))

@@ -24,7 +24,7 @@ from eprbm.epr import (
     save_dataset,
     sidecar_path,
 )
-from eprbm.exact import bit_patterns
+from eprbm.rbm import bit_patterns
 
 from helpers import (
     csv_text,
@@ -422,6 +422,38 @@ class TestPatternForm:
         assert dataset.pattern[0] == 0 and pattern.flags.writeable
         with pytest.raises(ValueError):
             dataset.pattern[0] = 1
+
+
+class TestSeedRule:
+    # a dataset records the seed generate_dataset drew it with, or None,
+    # and takes no seed that load_dataset would refuse to read back
+    @pytest.mark.parametrize("seed", [-5, 1.5, True, [1]])
+    def test_dataset_refuses_what_load_refuses(self, seed):
+        with pytest.raises(ValueError, match="seed must be None or an int >= 0"):
+            EprDataset([0, 5], seed=seed, angles=DetectorAngles())
+
+    @pytest.mark.parametrize("seed", [None, -5, 1.5, True])
+    def test_generate_refuses_all_but_int_seeds(self, seed):
+        # None would draw from OS entropy and record no seed to redraw with
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            generate_dataset(DetectorAngles(), 10, seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**70])
+    def test_every_accepted_seed_round_trips(self, tmp_path, seed):
+        dataset = EprDataset([0, 5, 15], seed=seed, angles=DetectorAngles())
+        save_dataset(dataset, tmp_path / "d.csv")
+        assert load_dataset(tmp_path / "d.csv") == dataset
+
+    def test_load_names_the_sidecar(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_dataset(generate_dataset(DetectorAngles(), 10, 3), path)
+        meta = json.loads(Path(sidecar_path(path)).read_text())
+        Path(sidecar_path(path)).write_text(json.dumps({**meta, "seed": 1.5}))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{sidecar_path(path)}: seed must be None or an int >= 0, got 1.5"
+        )
 
 
 class TestDatasetValidation:

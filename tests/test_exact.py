@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from eprbm import trainer
 from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
-    MAX_EXACT_UNITS,
     SETTING_PAIRS,
-    _pack,
-    _pattern_tables,
-    bit_patterns,
     enumerate_distribution,
     locality_check,
     measurement_independence_check,
 )
-from eprbm.rbm import RbmModel
+from eprbm.rbm import MAX_EXACT_UNITS, RbmModel, _pattern_tables, _unpack, bit_patterns
 from eprbm.trainer import load_reference_model
 
 from helpers import (
@@ -189,16 +185,21 @@ class TestLogJointBuilder:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_pack_layout(self, n):
+        # the packed form is built once per model and shared, so no caller
+        # may write into it; _unpack reads the blocks back
         model = random_model(np.random.default_rng(n), n=n)
-        theta = _pack(model)
+        theta = model.theta
         want = np.block(
             [
                 [model.weights, model.visible_bias[:, None]],
                 [model.hidden_bias[None, :], np.zeros((1, 1))],
             ]
         )
-        assert theta.flags.writeable
+        assert not theta.flags.writeable and model.theta is theta
         np.testing.assert_array_equal(theta, want)
+        back = _unpack(theta)
+        for field in ("visible_bias", "hidden_bias", "weights"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(model, field))
 
     @given(
         n=st.integers(1, 5),
@@ -217,7 +218,7 @@ class TestLogJointBuilder:
         np.testing.assert_allclose(dist.joint[kept], want.joint[kept], rtol=1e-12, atol=0)
         # the trainer's exact moments weight the patterns by this P(v), bit for bit
         got = trainer.model_expectation_exact(model)
-        want = trainer._moments(_pack(model), dist.visible_marginal())
+        want = trainer._moments(model.theta, dist.visible_marginal())
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

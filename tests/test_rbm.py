@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from eprbm.exact import bit_patterns, enumerate_distribution
-from eprbm.rbm import RbmModel, advance_chains
+from eprbm.exact import enumerate_distribution
+from eprbm.rbm import RbmModel, advance_chains, bit_patterns
 from eprbm.trainer import (
     average_log_likelihood,
     data_expectation,
@@ -215,7 +215,7 @@ class TestActivationProbs:
         with pytest.raises(ValueError, match="shape"):
             p_hidden(reference_model, np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            advance_chains(reference_model, np.zeros(5), np.random.default_rng(0))
+            advance_chains(reference_model, np.zeros((1, 5)), np.random.default_rng(0))
 
     def test_matches_exact_conditional(self):
         # P(h | v) from the enumerated joint must factor into the per-unit
@@ -330,18 +330,20 @@ class TestAdvanceChains:
         assert out.shape == (50, 4)
         assert np.all((out == 0) | (out == 1))
 
-    def test_single_vector_form(self, reference_model):
+    def test_single_state_is_refused(self, reference_model):
+        # chains come as (B, m) batches only; one state is a batch of one
         rng = np.random.default_rng(14)
-        out = advance_chains(reference_model, np.ones(4), rng, n_sweeps=2)
-        assert out.shape == (4,)
+        with pytest.raises(ValueError, match=r"batch must have shape \(B, 4\), got \(4,\)"):
+            advance_chains(reference_model, np.ones(4), rng, n_sweeps=2)
+        assert advance_chains(reference_model, np.ones((1, 4)), rng, 2).shape == (1, 4)
 
     def test_refuses_what_the_kernel_cannot_draw(self, reference_model):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="k must be at least 1, got 0"):
             advance_chains(reference_model, np.ones((3, 4)), rng, n_sweeps=0)
         with pytest.raises(ValueError, match="0 or 1"):
-            advance_chains(reference_model, np.full(4, 0.5), rng)
+            advance_chains(reference_model, np.full((1, 4), 0.5), rng)
         with pytest.raises(ValueError, match="non-empty"):
             advance_chains(reference_model, np.empty((0, 4)), rng)
         with pytest.raises(ValueError, match="too large for exact inference"):
-            advance_chains(zero_model(m=4, n=21), np.ones(4), rng)
+            advance_chains(zero_model(m=4, n=21), np.ones((1, 4)), rng)

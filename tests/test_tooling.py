@@ -1,8 +1,9 @@
 """The test runner's own settings, as pyproject.toml gives them, and the
-package's import order."""
+package's import order and import graph."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -52,3 +53,34 @@ def test_module_imports_first(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _eprbm_imports(tree: ast.Module) -> list[str]:
+    """The eprbm modules a parsed eprbm module imports, relative or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "eprbm"
+        ):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "eprbm"]
+    return found
+
+
+def test_import_graph():
+    # rbm owns the packed parameters, the pattern tables and the log-joint,
+    # and every other layer reads them from it; rbm imports no other eprbm
+    # module, so no module needs an import hidden behind TYPE_CHECKING to
+    # break a cycle. Parsed, never imported.
+    offenders = []
+    for path in sorted((ROOT / "src" / "eprbm").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "rbm.py":
+            offenders += [f"rbm.py imports {name}" for name in _eprbm_imports(tree)]
+        offenders += [
+            f"{path.name}:{node.lineno} imports under TYPE_CHECKING"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+        ]
+    assert offenders == []

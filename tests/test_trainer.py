@@ -20,8 +20,8 @@ from scipy.special import expit
 
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
-from eprbm.exact import _log_joint, _pattern_tables, bit_patterns, enumerate_distribution
-from eprbm.rbm import RbmModel, advance_chains
+from eprbm.exact import enumerate_distribution
+from eprbm.rbm import RbmModel, _log_joint, _pattern_tables, advance_chains, bit_patterns
 from eprbm.trainer import (
     ENCODING_DOC,
     EpochRecord,
@@ -114,6 +114,14 @@ class TestTrainerConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainerConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["seed", "n_epochs"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_integer_fields_name_the_rule(self, field, value):
+        kwargs = {"seed": 0, field: value}
+        with pytest.raises(ValueError) as err:
+            TrainerConfig(**kwargs)
+        assert str(err.value) == f"{field} must be a non-negative integer, got {value!r}"
 
     def test_boundary_values_allowed(self):
         TrainerConfig(seed=0, learning_rate=0.0)
@@ -367,7 +375,7 @@ class TestPcdAdvance:
         patterns = bit_patterns(4)
         admitted = []
         for model in models:
-            theta = trainer._pack(model)
+            theta = model.theta
             admitted.append(bound_admits(theta))
             act = patterns @ model.weights + model.hidden_bias
             for k in (1, 2, 3, 4, 5, 8):
@@ -394,7 +402,7 @@ class TestPcdAdvance:
         patterns = bit_patterns(4)
         admitted = []
         for model in scale_sweep_models(reference_model):
-            theta = trainer._pack(model)
+            theta = model.theta
             admitted.append(bound_admits(theta))
             act = patterns @ model.weights + model.hidden_bias
             h_pat = bit_patterns(model.n_hidden)
@@ -430,7 +438,7 @@ class TestPcdAdvance:
         chains = np.random.default_rng(0).integers(0, 16, 4_000)
         admitted = []
         for model in scale_sweep_models(reference_model):
-            theta = trainer._pack(model)
+            theta = model.theta
             admitted.append(bound_admits(theta))
             for k in (1, 5):
                 advance = trainer._pcd_kernel(theta.shape, k, chains.size)[0]
@@ -455,7 +463,7 @@ class TestPcdAdvance:
         patterns = bit_patterns(4)
         admitted = []
         for model in scale_sweep_models(reference_model):
-            theta = trainer._pack(model)
+            theta = model.theta
             admitted.append(bound_admits(theta))
             h_pat = bit_patterns(model.n_hidden)
             h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])
@@ -482,7 +490,7 @@ class TestPcdAdvance:
         # log-joint must stay inside (-600, 600), and the unshifted table must
         # give the P(h | v) of expit and the draws of the shifted oracle
         model = random_model(np.random.default_rng(seed), n=n, scale=scale)
-        theta = trainer._pack(model)
+        theta = model.theta
         assume(bound_admits(theta))
         log_joint = _log_joint(theta)
         assert np.abs(log_joint).max() < trainer._MAX_LOG_JOINT
@@ -624,7 +632,7 @@ class TestExactGradient:
         admitted = []
         patterns = bit_patterns(4)
         for model in scale_sweep_models(reference_model):
-            theta = trainer._pack(model)
+            theta = model.theta
             admitted.append(bound_admits(theta))
             h_pat = bit_patterns(model.n_hidden)
             h_aug = np.hstack([h_pat, np.ones((h_pat.shape[0], 1))])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import ExactDistribution, SETTING_PAIRS, enumerate_distribution
-from .rbm import RbmModel
+from .rbm import RbmModel, _read_only
 
 VALID_SOURCES = ("theory", "empirical", "model-exact")
 
@@ -34,7 +34,7 @@ _CSV_KEYS = tuple(
     "c_a" + "_prime_" * alpha + "b" + "_prime" * beta for alpha, beta in SETTING_PAIRS
 ) + ("s",)
 # (2*v3-1)*(2*v4-1), the outcome product x_alpha * x_beta, for v3v4 = 00..11
-OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+OUTCOME_SIGNS = _read_only(np.array([1.0, -1.0, -1.0, 1.0]))
 
 
 def chsh(

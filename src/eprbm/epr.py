@@ -24,7 +24,7 @@ import numpy as np
 from .atomic import atomic_write, write_json
 from .bell import OUTCOME_SIGNS, CorrelationReport
 from .exact import SETTING_PAIRS
-from .rbm import bit_patterns
+from .rbm import _read_only, bit_patterns
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
@@ -225,12 +225,14 @@ def encode_dataset(dataset: EprDataset) -> np.ndarray:
 
 
 # The CSV line of each visible pattern, in the row order of bit_patterns(4).
-_CSV_LINES = np.array(
-    [
-        f"{alpha},{beta},{2 * up_a - 1},{2 * up_b - 1}\n"
-        for alpha, beta, up_a, up_b in itertools.product((0, 1), repeat=N_VISIBLE)
-    ],
-    dtype=object,
+_CSV_LINES = _read_only(
+    np.array(
+        [
+            f"{alpha},{beta},{2 * up_a - 1},{2 * up_b - 1}\n"
+            for alpha, beta, up_a, up_b in itertools.product((0, 1), repeat=N_VISIBLE)
+        ],
+        dtype=object,
+    )
 )
 _CSV_HEADER = "alpha,beta,x_alpha,x_beta\n"
 # The pattern index of each CSV line, keyed by the line's bytes as read back.

@@ -19,8 +19,22 @@ from .rbm import RbmModel, _log_joint, _read_only
 # and label: (a, b), (a, b'), (a', b), (a', b').
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# The joint rows, by pattern index 8 v1 + 4 v2 + 2 v3 + v4, that each row of
+# ExactDistribution._margins adds: one column per margin row, one row per
+# term. Columns 0-3 sum over v3 v4 at each (v1, v2), columns 4-7 over v2 v4
+# at each (v1, v3) and columns 8-11 over v1 v3 at each (v2, v4), each in
+# pattern order, the order in which numpy's sums over those axes add them.
+_MARGIN_TERMS = _read_only(
+    np.hstack(
+        [
+            np.arange(16).reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4).T
+            for axes in ((0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 0, 2))
+        ]
+    )
+)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ExactDistribution:
     """Exact Boltzmann distribution of a model over all joint configurations.
 
@@ -47,6 +61,32 @@ class ExactDistribution:
                 f"(settings v1, v2 and outcomes v3, v4), got {self.model.n_visible}"
             )
         return self.joint.reshape(len(SETTING_PAIRS), 4, -1)
+
+    @cached_property
+    def _margins(self) -> np.ndarray:
+        """The read-only (12, 2^n) sums of the joint that the diagnostics read.
+
+        Rows 0-3 are P(v1, v2, λ) in SETTING_PAIRS order, rows 4-7 P(v1, v3, λ)
+        and rows 8-11 P(v2, v4, λ), each in the order (0, 0), (0, 1), (1, 0),
+        (1, 1). Each row adds its four joint rows (_MARGIN_TERMS) left to
+        right, so it holds the same bits as numpy's sum over the other axes.
+        Read through _epr_view, so it refuses the same layouts.
+        """
+        terms = self._epr_view.reshape(16, -1).take(_MARGIN_TERMS, 0)
+        margins = terms[0] + terms[1]
+        margins += terms[2]
+        margins += terms[3]
+        return _read_only(margins)
+
+    def __eq__(self, other) -> bool:
+        """Same model, same log Z and the same joint; cached views take no part."""
+        if not isinstance(other, ExactDistribution):
+            return NotImplemented
+        return (
+            self.model == other.model
+            and self.log_partition == other.log_partition
+            and np.array_equal(self.joint, other.joint)
+        )
 
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
@@ -83,18 +123,18 @@ def locality_check(dist: ExactDistribution) -> float:
     units conditionally independent given λ, so the residual is zero up to
     floating-point error for any parameter values.
     """
+    margins = dist._margins
     # the joint with axes (v1, v2, v3, v4, lambda)
     j = dist._epr_view.reshape(2, 2, 2, 2, -1)
     # P(v3, v4 | v1, v2, lambda)
-    cond_joint = j / j.sum(axis=(2, 3), keepdims=True)
-    # P(v3 | v1, lambda): marginalize the remote setting v2 and outcome v4,
-    # then normalize over v3. Likewise P(v4 | v2, lambda). Using only the
+    cond_joint = j / margins[:4].reshape(2, 2, 1, 1, -1)
+    # P(v3 | v1, lambda): the margin over the remote setting v2 and outcome
+    # v4, normalized over v3. Likewise P(v4 | v2, lambda). Using only the
     # local setting makes this the full factorizability condition, remote
-    # setting independence included.
-    num3 = j.sum(axis=(1, 3))  # axes (v1, v3, lambda)
-    p3 = num3 / num3.sum(axis=1, keepdims=True)
-    num4 = j.sum(axis=(0, 2))  # axes (v2, v4, lambda)
-    p4 = num4 / num4.sum(axis=1, keepdims=True)
+    # setting independence included. Only this check forms them: at a λ of
+    # zero mass they are 0/0.
+    local = margins[4:].reshape(2, 2, 2, -1)  # (station, setting, outcome, lambda)
+    p3, p4 = local / local.sum(axis=2, keepdims=True)
     product = p3[:, None, :, None, :] * p4[None, :, None, :, :]
     return float(np.abs(cond_joint - product).max())
 
@@ -131,7 +171,7 @@ def measurement_independence_check(
     distributions exactly and their total-variation distances to the pooled
     average.
     """
-    mass = dist._epr_view.sum(axis=1)  # P(v1, v2, lambda) by setting pair
+    mass = dist._margins[:4]  # P(v1, v2, lambda) by setting pair
     conditional = mass / mass.sum(axis=1, keepdims=True)
     pooled = conditional.sum(axis=0) / len(SETTING_PAIRS)
     tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)

@@ -44,7 +44,7 @@ def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
     return _read_only(arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbmModel:
     """Parameters of a binary RBM: visible biases, hidden biases, weights.
 
@@ -70,6 +70,16 @@ class RbmModel:
         object.__setattr__(self, "visible_bias", c)
         object.__setattr__(self, "hidden_bias", d)
         object.__setattr__(self, "weights", w)
+
+    def __eq__(self, other) -> bool:
+        """Same biases and weights; the cached theta takes no part."""
+        if not isinstance(other, RbmModel):
+            return NotImplemented
+        return (
+            np.array_equal(self.visible_bias, other.visible_bias)
+            and np.array_equal(self.hidden_bias, other.hidden_bias)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     @property
     def n_visible(self) -> int:

@@ -356,10 +356,12 @@ def reference_train(
     return final, trainer.TrainingTrace(tuple(records))
 
 
-# Per-pair formulations of the exact diagnostics. exact and bell share one
-# derived view per distribution; these rebuild every table from the public
-# joint and P(v), pair by pair, with the same sums in the same order, so the
-# two must agree bit for bit.
+# Per-pair formulations of the exact diagnostics. exact reads its sums from
+# one margin table per distribution, built by gathering joint rows and adding
+# them in pattern order, and bell from the joint's setting-pair view; these
+# rebuild every table from the public joint and P(v), pair by pair or by
+# numpy's axis reductions, with the same sums in the same order, so the two
+# must agree bit for bit.
 
 
 def _require_epr_layout(dist: ExactDistribution) -> None:
@@ -400,7 +402,12 @@ def reference_correlations(dist: ExactDistribution) -> CorrelationReport:
 
 
 def reference_locality_check(dist: ExactDistribution) -> float:
-    """Factorization residual from the joint reshaped to (v1, v2, v3, v4, λ)."""
+    """Factorization residual from the joint reshaped to (v1, v2, v3, v4, λ).
+
+    This is the earlier formulation of exact.locality_check: every margin is
+    a numpy sum over axes of the reshaped joint, with no margin table, so it
+    shares none of the code it checks.
+    """
     _require_epr_layout(dist)
     j = dist.joint.reshape(2, 2, 2, 2, 2**dist.model.n_hidden)
     cond_joint = j / j.sum(axis=(2, 3), keepdims=True)

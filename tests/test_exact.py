@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eprbm import trainer
 from eprbm.bell import correlations_from_distribution
 from eprbm.exact import (
     SETTING_PAIRS,
+    ExactDistribution,
     enumerate_distribution,
     locality_check,
     measurement_independence_check,
@@ -84,6 +86,19 @@ class TestEnumerate:
         np.testing.assert_allclose(
             dist.joint, [[1 / 6, 1 / 6], [1 / 6, 3 / 6]], atol=1e-12
         )
+
+    def test_equal_by_value_and_unhashable(self):
+        # views cached on one side only take no part
+        dist = enumerate_distribution(load_reference_model())
+        other = enumerate_distribution(load_reference_model())
+        locality_check(dist)
+        assert dist == other and not dist != other
+        assert dist != enumerate_distribution(zero_model())
+        shifted = ExactDistribution(dist.model, dist.log_partition + 1.0, dist.joint)
+        assert dist != shifted
+        assert dist != "distribution"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(other)
 
     def test_reference_normalization_and_positivity(self, reference_dist):
         assert reference_dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
@@ -305,12 +320,42 @@ class TestMeasurementIndependence:
         assert report.setting_pairs == SETTING_PAIRS
         assert report.max_tv == pytest.approx(report.tv_distances.max(), abs=0)
 
+    def test_zero_mass_hidden_states_raise_no_warning(self):
+        # no setting pair puts mass on λ = 0 or 1, where P(v3 | v1, λ) would
+        # be 0/0; measurement independence reads only P(v1, v2, λ)
+        joint = np.zeros((16, 16))
+        joint[:, 2:] = 1.0 / (16 * 14)
+        dist = ExactDistribution(zero_model(), log_partition=0.0, joint=joint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = measurement_independence_check(dist)
+        np.testing.assert_array_equal(report.conditional[:, :2], 0.0)
+        assert report.max_tv <= 1e-15
+
     def test_tv_definition(self, reference_dist):
         report = measurement_independence_check(reference_dist)
         for row, tv in zip(report.conditional, report.tv_distances):
             assert tv == pytest.approx(
                 0.5 * np.abs(row - report.pooled).sum(), abs=1e-15
             )
+
+
+class TestMarginTable:
+    def test_built_once_read_only_same_bits(self):
+        dist = enumerate_distribution(load_reference_model())
+        residual = locality_check(dist)
+        report = measurement_independence_check(dist)
+        margins = dist._margins
+        assert dist._margins is margins
+        with pytest.raises(ValueError, match="read-only"):
+            margins[0, 0] = 1.0
+        assert repr(locality_check(dist)) == repr(residual)
+        _assert_bit_identical(measurement_independence_check(dist), report)
+        # the rows are numpy's sums over the other axes, bit for bit
+        j = dist.joint.reshape(2, 2, 2, 2, -1)
+        for start, axes in ((0, (2, 3)), (4, (1, 3)), (8, (0, 2))):
+            want = j.sum(axis=axes).reshape(4, -1)
+            assert np.array_equal(margins[start : start + 4], want)
 
 
 class TestHiddenState:
@@ -398,3 +443,23 @@ def test_diagnostics_bit_identical_to_per_pair_oracles(kind):
             _outcome(measurement_independence_check, dist),
             _outcome(reference_measurement_independence, dist),
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    n=st.integers(1, 8),
+    log_scale=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_diagnostics_bit_identical_over_widths_and_scales(n, log_scale, seed):
+    # scales log-uniform from 0.01 to 100; at the top some models give NaN
+    # or raise, and the oracles must do the same
+    model = random_model(np.random.default_rng(seed), n=n, scale=10.0**log_scale)
+    dist = enumerate_distribution(model)
+    for check, oracle in (
+        (correlations_from_distribution, reference_correlations),
+        (locality_check, reference_locality_check),
+        (measurement_independence_check, reference_measurement_independence),
+    ):
+        _assert_bit_identical(_outcome(check, dist), _outcome(oracle, dist))

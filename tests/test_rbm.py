@@ -10,6 +10,7 @@ from eprbm.trainer import (
     average_log_likelihood,
     data_expectation,
     exact_gradient,
+    load_reference_model,
     model_expectation_pcd,
 )
 
@@ -65,6 +66,19 @@ class TestRbmModel:
     def test_sizes(self, reference_model):
         assert reference_model.n_visible == 4
         assert reference_model.n_hidden == 4
+
+    def test_equal_by_value_and_unhashable(self):
+        # two loads are distinct equal models; theta cached on one side only
+        # takes no part
+        model, other = load_reference_model(), load_reference_model()
+        assert model.theta is model.theta
+        assert model == other and not model != other
+        shifted = RbmModel(model.visible_bias, model.hidden_bias + 1.0, model.weights)
+        assert model != shifted
+        assert zero_model(n=3) != zero_model(n=4)
+        assert model != "model"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(other)
 
 
 class TestConfiguration:

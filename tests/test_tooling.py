@@ -1,14 +1,16 @@
-"""The test runner's own settings, as pyproject.toml gives them, and the
-package's import order and import graph."""
+"""The test runner's own settings, as pyproject.toml gives them, the
+package's import order and import graph, and its read-only module tables."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,9 +42,10 @@ def test_failing_property_test_prints_its_example(tmp_path):
     assert "Falsifying example" in result.stdout
 
 
-@pytest.mark.parametrize(
-    "module", ["atomic", "rbm", "exact", "bell", "epr", "trainer", "cli"]
-)
+MODULES = ("atomic", "rbm", "exact", "bell", "epr", "trainer", "cli")
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_first(module):
     # an import cycle between modules breaks only the import orders that
     # enter it at the wrong module, so each module is imported first in a
@@ -84,3 +87,18 @@ def test_import_graph():
             if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
         ]
     assert offenders == []
+
+
+def test_module_arrays_read_only():
+    # a writable module table lets any caller change every later result:
+    # bell.OUTCOME_SIGNS[0] = -1.0 moved the reference model's S from 2.826
+    # to 2.429
+    checked, writable = set(), []
+    for module in MODULES:
+        for name, value in vars(importlib.import_module(f"eprbm.{module}")).items():
+            if isinstance(value, np.ndarray):
+                checked.add(f"{module}.{name}")
+                if value.flags.writeable:
+                    writable.append(f"{module}.{name}")
+    assert writable == []
+    assert {"bell.OUTCOME_SIGNS", "epr._CSV_LINES", "exact._MARGIN_TERMS"} <= checked

@@ -12,11 +12,12 @@ S <= 2; the singlet state reaches 2 * sqrt(2) at the standard angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .exact import ExactDistribution, SETTING_PAIRS, enumerate_distribution
+from .exact import SETTING_PAIR_LABELS, SETTING_PAIRS, ExactDistribution
+from .exact import enumerate_distribution
 from .rbm import RbmModel, _read_only
 
 VALID_SOURCES = ("theory", "empirical", "model-exact")
@@ -24,15 +25,11 @@ VALID_SOURCES = ("theory", "empirical", "model-exact")
 # Tolerance for "in [-1, 1]" checks on floating-point correlation estimates.
 _RANGE_EPS = 1e-9
 
-# Per setting pair (alpha, beta) in SETTING_PAIRS order: the printed label,
-# "C(a,b)" ... "C(a',b')", and the CorrelationReport field and CSV key,
-# "c_ab" ... "c_a_prime_b_prime" (the CSV adds "s").
+# The printed label of each setting pair's correlation, in SETTING_PAIRS
+# order: "C(a,b)" ... "C(a',b')".
 QUANTITY_LABELS = tuple(
-    "C(a" + "'" * alpha + ",b" + "'" * beta + ")" for alpha, beta in SETTING_PAIRS
+    "C" + name.replace(" ", "") for name in SETTING_PAIR_LABELS.values()
 )
-_CSV_KEYS = tuple(
-    "c_a" + "_prime_" * alpha + "b" + "_prime" * beta for alpha, beta in SETTING_PAIRS
-) + ("s",)
 # (2*v3-1)*(2*v4-1), the outcome product x_alpha * x_beta, for v3v4 = 00..11
 OUTCOME_SIGNS = _read_only(np.array([1.0, -1.0, -1.0, 1.0]))
 
@@ -74,6 +71,10 @@ class CorrelationReport:
 
     def correlations(self) -> tuple[float, float, float, float]:
         return (self.c_ab, self.c_ab_prime, self.c_a_prime_b, self.c_a_prime_b_prime)
+
+
+# The CSV keys c_ab ... c_a_prime_b_prime and s: the CorrelationReport fields.
+_CSV_KEYS = tuple(f.name for f in fields(CorrelationReport) if f.name != "source")
 
 
 def theory_correlations(angles) -> CorrelationReport:

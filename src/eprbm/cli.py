@@ -6,8 +6,8 @@ its primary output, so any result file can be traced back to the exact
 invocation that made it.
 
 Exit codes: 0 success, 2 usage error, 3 data or layout error (or a
-non-finite diagnostic, or an array too large to allocate), 4 training
-divergence.
+non-finite diagnostic or exact correlation, or an array too large to
+allocate), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .atomic import atomic_write, write_json
 from .epr import (
     DetectorAngles,
     InsufficientDataError,
-    SETTING_PAIR_LABELS,
     _read_json_object,
     empirical_correlations,
     generate_dataset,
@@ -97,6 +96,13 @@ def _print_report(report: bell.CorrelationReport) -> None:
     for label, value in zip(bell.QUANTITY_LABELS, report.correlations()):
         print(f"{label:9s} = {value:+.3f}")
     print(f"S = {report.s:.3f}  [{report.source}]")
+
+
+def _exact_report(model) -> bell.CorrelationReport:
+    """The model's exact correlations; chsh refuses a non-finite one, so the
+    warnings on the way to it say nothing more."""
+    with np.errstate(all="ignore"):
+        return bell.model_correlations_exact(model)
 
 
 def _bell_verdict(s: float) -> str:
@@ -194,9 +200,10 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         # the data has loaded, so what train cannot allocate is sized by the chains
         n_chains = config.n_persistent_chains
         raise MemoryError(f"{err} (--chains {n_chains} is too large)") from None
+    # before any output, so a model with no finite report leaves no file
+    report = _exact_report(model)
     save_model(args.out, model, trainer_config=config, dataset_seed=dataset.seed)
     trace.to_csv(trace_path)
-    report = bell.model_correlations_exact(model)
     print(f"trained model written to {args.out}")
     _print_report(report)
     print(_bell_verdict(report.s))
@@ -228,7 +235,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         angles = dataset.angles
         data_report = empirical_correlations(dataset)
     theory = bell.theory_correlations(angles)
-    model_report = bell.model_correlations_exact(model)
+    model_report = _exact_report(model)
     print(bell.comparison_table(theory, data_report, model_report), end="")
     print(_bell_verdict(model_report.s))
     if args.out:
@@ -252,7 +259,7 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
         dist = exact.enumerate_distribution(model)
         residual = exact.locality_check(dist)
         mi = exact.measurement_independence_check(dist)
-    pair_names = [SETTING_PAIR_LABELS[p] for p in mi.setting_pairs]
+    pair_names = list(exact.SETTING_PAIR_LABELS.values())
     tv_names = [f"TV(P(lambda | {name}), P(lambda))" for name in pair_names]
     named = [("factorization residual", residual), ("pooled P(lambda)", mi.pooled)]
     named += [("P(lambda | settings)", mi.conditional), *zip(tv_names, mi.tv_distances)]
@@ -296,7 +303,7 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
                 "pass": passed,
             },
             "measurement_independence": {
-                "setting_pairs": [list(p) for p in mi.setting_pairs],
+                "setting_pairs": [list(p) for p in exact.SETTING_PAIRS],
                 "hidden_state_labels": labels,
                 "conditional": mi.conditional.tolist(),
                 "pooled": mi.pooled.tolist(),

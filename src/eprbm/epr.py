@@ -22,20 +22,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .atomic import atomic_write, write_json
-from .bell import OUTCOME_SIGNS, CorrelationReport
-from .exact import SETTING_PAIRS
+from .bell import OUTCOME_SIGNS, CorrelationReport, theory_correlations
+from .exact import SETTING_PAIR_LABELS, SETTING_PAIRS
 from .rbm import _read_only, bit_patterns
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
 N_PATTERNS = 2**N_VISIBLE
-
-# Human-readable names of the four setting pairs, by (alpha, beta) bits:
-# "(a, b)", "(a, b')", "(a', b)", "(a', b')".
-SETTING_PAIR_LABELS = {
-    (alpha, beta): "(a" + "'" * alpha + ", b" + "'" * beta + ")"
-    for alpha, beta in SETTING_PAIRS
-}
 
 
 def _fields(payload: dict, names: tuple[str, ...], what: str) -> list:
@@ -165,9 +158,10 @@ def generate_dataset(
 
     Per trial: alpha and beta are independent fair bits; the outcome at
     station A is a fair coin; the outcome at station B equals it with
-    probability (1 - cos(theta_a - theta_b)) / 2, which reproduces the
-    singlet joint law exactly. Draw order is fixed (alpha block, beta block,
-    x_alpha block, agreement block), so a seed pins the dataset bit for bit.
+    probability (1 + C) / 2, C being bell.theory_correlations for the pair,
+    which reproduces the singlet joint law exactly. Draw order is fixed
+    (alpha block, beta block, x_alpha block, agreement block), so a seed
+    pins the dataset bit for bit.
 
     Args:
         angles: analyzer angles for the four settings.
@@ -185,11 +179,8 @@ def generate_dataset(
     x_alpha_up = rng.integers(0, 2, size=n_trials)
     agree_u = rng.random(n_trials)
 
-    # P(x_beta == x_alpha) = (1 + E[x_a x_b]) / 2 with E = -cos(delta), per
-    # setting pair
-    theta_a = np.array([[angles.a], [angles.a_prime]])
-    theta_b = np.array([angles.b, angles.b_prime])
-    p_same = ((1.0 - np.cos(theta_a - theta_b)) / 2.0).ravel()
+    # P(x_beta == x_alpha) = (1 + C) / 2 per setting pair
+    p_same = (1.0 + np.array(theory_correlations(angles).correlations())) / 2.0
     same = agree_u < p_same.take(pattern)
     pattern <<= 2
     pattern += 2 * x_alpha_up

@@ -1,9 +1,9 @@
 """Exact inference for small RBMs by full enumeration of all 2^(m+n) states.
 
-This is the oracle everything else is checked against: partition function,
-joint and visible marginal distributions, and the two hidden-variable
-diagnostics (locality factorization and measurement independence). Tables
-are indexed by the pattern order of rbm.bit_patterns.
+This is the oracle everything else is checked against: the joint and visible
+marginal distributions, and the two hidden-variable diagnostics (locality
+factorization and measurement independence), which read the joint law alone.
+Tables are indexed by the pattern order of rbm.bit_patterns.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import numpy as np
 from .rbm import RbmModel, _log_joint, _read_only
 
 # Setting pairs (v1, v2) in the order of every per-pair report, correlation
-# and label: (a, b), (a, b'), (a', b), (a', b').
+# and label, and their names: (a, b), (a, b'), (a', b), (a', b').
 SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+SETTING_PAIR_LABELS = {
+    (a, b): "(a" + "'" * a + ", b" + "'" * b + ")" for a, b in SETTING_PAIRS
+}
 
 # The joint rows, by pattern index 8 v1 + 4 v2 + 2 v3 + v4, that each row of
 # ExactDistribution._margins adds: one column per margin row, one row per
@@ -36,16 +39,12 @@ _MARGIN_TERMS = _read_only(
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
-    """Exact Boltzmann distribution of a model over all joint configurations.
+    """An exact joint law P(v, λ) over all visible and hidden configurations.
 
     Attributes:
-        model: the machine the distribution belongs to.
-        log_partition: log Z computed by log-sum-exp over all states.
-        joint: (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)).
+        joint: read-only (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)).
     """
 
-    model: RbmModel
-    log_partition: float
     joint: np.ndarray
 
     def __post_init__(self):
@@ -55,10 +54,11 @@ class ExactDistribution:
     @cached_property
     def _epr_view(self) -> np.ndarray:
         """The joint as (setting pair in SETTING_PAIRS order, outcome bits v3v4, λ)."""
-        if self.model.n_visible != 4:
+        n_visible = self.joint.shape[0].bit_length() - 1
+        if n_visible != 4:
             raise ValueError(
                 "EPR layout requires exactly 4 visible units "
-                f"(settings v1, v2 and outcomes v3, v4), got {self.model.n_visible}"
+                f"(settings v1, v2 and outcomes v3, v4), got {n_visible}"
             )
         return self.joint.reshape(len(SETTING_PAIRS), 4, -1)
 
@@ -73,20 +73,13 @@ class ExactDistribution:
         Read through _epr_view, so it refuses the same layouts.
         """
         terms = self._epr_view.reshape(16, -1).take(_MARGIN_TERMS, 0)
-        margins = terms[0] + terms[1]
-        margins += terms[2]
-        margins += terms[3]
-        return _read_only(margins)
+        return _read_only(terms.sum(axis=0))
 
     def __eq__(self, other) -> bool:
-        """Same model, same log Z and the same joint; cached views take no part."""
+        """The same joint; cached views take no part."""
         if not isinstance(other, ExactDistribution):
             return NotImplemented
-        return (
-            self.model == other.model
-            and self.log_partition == other.log_partition
-            and np.array_equal(self.joint, other.joint)
-        )
+        return np.array_equal(self.joint, other.joint)
 
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
@@ -97,8 +90,8 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     """Compute the exact Boltzmann distribution by enumerating every state.
 
     The negative energies are the (2^m, 2^n) log-joint table of the packed
-    parameters and the partition function is taken with a max-shifted
-    log-sum-exp, so models whose energies span hundreds of units stay finite.
+    parameters and log Z is taken with a max-shifted log-sum-exp, so models
+    whose energies span hundreds of units stay finite.
 
     Raises:
         ValueError: if m + n exceeds rbm.MAX_EXACT_UNITS, too large for exact
@@ -107,8 +100,7 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     neg_energy = _log_joint(model.theta)
     shift = neg_energy.max()
     log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
-    joint = np.exp(neg_energy - log_partition)
-    return ExactDistribution(model=model, log_partition=log_partition, joint=joint)
+    return ExactDistribution(np.exp(neg_energy - log_partition))
 
 
 def locality_check(dist: ExactDistribution) -> float:
@@ -144,8 +136,8 @@ class MeasurementIndependenceReport:
     """Hidden-state distributions conditioned on each setting pair.
 
     Attributes:
-        setting_pairs: the four (v1, v2) pairs, in SETTING_PAIRS order.
-        conditional: (4, 2^n) array, row p = P(λ | settings pair p).
+        conditional: (4, 2^n) array, row p = P(λ | setting pair p), in
+            SETTING_PAIRS order.
         pooled: (2^n,) array, the uniform average of the four rows. The
             settings are uniform in the data-generating process, so this is
             the natural unconditioned P(λ).
@@ -154,7 +146,6 @@ class MeasurementIndependenceReport:
             holds exactly, large values mean λ carries setting information.
     """
 
-    setting_pairs: tuple[tuple[int, int], ...]
     conditional: np.ndarray
     pooled: np.ndarray
     tv_distances: np.ndarray
@@ -176,7 +167,6 @@ def measurement_independence_check(
     pooled = conditional.sum(axis=0) / len(SETTING_PAIRS)
     tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)
     return MeasurementIndependenceReport(
-        setting_pairs=SETTING_PAIRS,
         conditional=conditional,
         pooled=pooled,
         tv_distances=tv,

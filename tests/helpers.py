@@ -57,8 +57,7 @@ def four_matmul_distribution(model: RbmModel) -> ExactDistribution:
     )
     shift = neg_energy.max()
     log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
-    joint = np.exp(neg_energy - log_partition)
-    return ExactDistribution(model=model, log_partition=log_partition, joint=joint)
+    return ExactDistribution(np.exp(neg_energy - log_partition))
 
 
 def brute_force_moments(
@@ -365,10 +364,11 @@ def reference_train(
 
 
 def _require_epr_layout(dist: ExactDistribution) -> None:
-    if dist.model.n_visible != 4:
+    n_visible = dist.joint.shape[0].bit_length() - 1
+    if n_visible != 4:
         raise ValueError(
             "EPR layout requires exactly 4 visible units "
-            f"(settings v1, v2 and outcomes v3, v4), got {dist.model.n_visible}"
+            f"(settings v1, v2 and outcomes v3, v4), got {n_visible}"
         )
 
 
@@ -409,7 +409,7 @@ def reference_locality_check(dist: ExactDistribution) -> float:
     shares none of the code it checks.
     """
     _require_epr_layout(dist)
-    j = dist.joint.reshape(2, 2, 2, 2, 2**dist.model.n_hidden)
+    j = dist.joint.reshape(2, 2, 2, 2, dist.joint.shape[1])
     cond_joint = j / j.sum(axis=(2, 3), keepdims=True)
     num3 = j.sum(axis=(1, 3))
     p3 = num3 / num3.sum(axis=1, keepdims=True)
@@ -424,7 +424,7 @@ def reference_measurement_independence(
 ) -> MeasurementIndependenceReport:
     """P(λ | settings) normalized block by block, one setting pair at a time."""
     _require_epr_layout(dist)
-    n_h = 2**dist.model.n_hidden
+    n_h = dist.joint.shape[1]
     j = dist.joint.reshape(2, 2, 2, 2, n_h)
     conditional = np.empty((4, n_h))
     for p, (s1, s2) in enumerate(SETTING_PAIRS):
@@ -433,7 +433,6 @@ def reference_measurement_independence(
     pooled = conditional.mean(axis=0)
     tv = 0.5 * np.abs(conditional - pooled).sum(axis=1)
     return MeasurementIndependenceReport(
-        setting_pairs=SETTING_PAIRS,
         conditional=conditional,
         pooled=pooled,
         tv_distances=tv,

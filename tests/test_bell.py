@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eprbm import bell
 from eprbm.bell import (
     CorrelationReport,
     chsh,
@@ -13,7 +14,7 @@ from eprbm.bell import (
     theory_correlations,
 )
 from eprbm.epr import DetectorAngles
-from eprbm.exact import SETTING_PAIRS
+from eprbm.exact import SETTING_PAIR_LABELS, SETTING_PAIRS
 from eprbm.rbm import RbmModel, advance_chains
 
 from helpers import flip_outcome_bits, parse_comparison_csv, random_model
@@ -25,6 +26,19 @@ corr_st = st.floats(min_value=-1.0, max_value=1.0)
 REFERENCE_MODEL_COLUMN = (-0.711, -0.699, -0.713, 0.704)
 REFERENCE_DATA_COLUMN = (-0.713, -0.701, -0.714, 0.709)
 SINGLET_THEORY_COLUMN = (-0.707, -0.707, -0.707, 0.707)
+
+
+def test_labels_derived_from_setting_pairs():
+    # the printed labels, the pair names and the CSV keys are built, not
+    # written out; each must spell its pairs in SETTING_PAIRS order
+    assert bell.QUANTITY_LABELS == ("C(a,b)", "C(a,b')", "C(a',b)", "C(a',b')")
+    assert tuple(SETTING_PAIR_LABELS) == SETTING_PAIRS
+    assert tuple(SETTING_PAIR_LABELS.values()) == (
+        "(a, b)", "(a, b')", "(a', b)", "(a', b')",
+    )
+    assert bell._CSV_KEYS == (
+        "c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s",
+    )
 
 
 def zero_model():

@@ -437,6 +437,20 @@ class TestTrain:
         assert np.abs(model.weights).max() < 0.1
         np.testing.assert_array_equal(model.visible_bias, np.zeros(4))
 
+    def test_non_finite_exact_report_writes_nothing(self, tmp_path, data_csv, capsys):
+        # a finite initial draw this large has no finite exact report: the
+        # command refuses it, warning-free, before the model, trace or
+        # manifest is written
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("train", "--data", data_csv, "--out", tmp_path / "model.json",
+                     "--seed", 1, "--epochs", 0, "--init-scale", "1e300")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "zero probability" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEval:
     def test_without_data_renders_placeholder(
@@ -520,6 +534,27 @@ class TestEval:
         )
         assert run("eval", "--model", model_path) == EXIT_DATA
         assert "4 visible units" in capsys.readouterr().err
+
+    def test_non_finite_exact_report_is_data_error(self, tmp_path, capsys):
+        # finite visible biases of 1e308 overflow every log-joint entry that
+        # adds two of them, and the correlations come out NaN
+        model_path, out = tmp_path / "model.json", tmp_path / "comparison.csv"
+        save_model(
+            model_path,
+            RbmModel(
+                visible_bias=np.full(4, 1e308),
+                hidden_bias=np.zeros(4),
+                weights=np.zeros((4, 4)),
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("eval", "--model", model_path, "--out", out)
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "must lie in [-1, 1], got nan" in err[0]
+        assert list(tmp_path.iterdir()) == [model_path]
 
 
 class TestDiagnose:

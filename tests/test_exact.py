@@ -72,10 +72,10 @@ class TestBitPatterns:
 
 class TestEnumerate:
     def test_zero_model_uniform(self):
+        # every energy is 0, so each entry is 1 / Z with Z = 256
         dist = enumerate_distribution(zero_model())
         assert dist.joint.shape == (16, 16)
         np.testing.assert_allclose(dist.joint, 1.0 / 256.0, atol=1e-15)
-        assert dist.log_partition == pytest.approx(math.log(256.0), abs=1e-12)
 
     def test_one_by_one_hand_enumeration(self):
         # states (v,h): weights e^0, e^0, e^0, e^{log 3} so Z = 6
@@ -88,14 +88,17 @@ class TestEnumerate:
         )
 
     def test_equal_by_value_and_unhashable(self):
-        # views cached on one side only take no part
+        # a distribution is its joint: views cached on one side only take
+        # no part, and one entry one ulp apart makes two laws differ
         dist = enumerate_distribution(load_reference_model())
         other = enumerate_distribution(load_reference_model())
         locality_check(dist)
         assert dist == other and not dist != other
+        assert dist == ExactDistribution(dist.joint.copy())
         assert dist != enumerate_distribution(zero_model())
-        shifted = ExactDistribution(dist.model, dist.log_partition + 1.0, dist.joint)
-        assert dist != shifted
+        nudged = dist.joint.copy()
+        nudged[0, 0] = np.nextafter(nudged[0, 0], 1.0)
+        assert dist != ExactDistribution(nudged)
         assert dist != "distribution"
         with pytest.raises(TypeError, match="unhashable"):
             hash(other)
@@ -105,11 +108,12 @@ class TestEnumerate:
         assert np.all(reference_dist.joint > 0)
 
     def test_joint_consistent_with_energy(self, reference_model, reference_dist):
+        _, log_z = brute_force_joint(reference_model)
         pats = bit_patterns(4).astype(int)
         for vi in range(16):
             for hi in range(16):
                 e = energy(reference_model, pats[vi], pats[hi])
-                expected = math.exp(-e - reference_dist.log_partition)
+                expected = math.exp(-e - log_z)
                 assert reference_dist.joint[vi, hi] == pytest.approx(
                     expected, abs=1e-12
                 )
@@ -120,7 +124,8 @@ class TestEnumerate:
         dist = enumerate_distribution(model)
         joint, log_z = brute_force_joint(model)
         np.testing.assert_allclose(dist.joint, joint, atol=1e-12)
-        assert dist.log_partition == pytest.approx(log_z, abs=1e-10)
+        # the all-zero state has energy 0, so its probability is 1 / Z
+        assert dist.joint[0, 0] == pytest.approx(math.exp(-log_z), rel=1e-10)
 
     def test_extreme_energies_stay_finite(self):
         model = RbmModel(
@@ -129,7 +134,7 @@ class TestEnumerate:
             weights=np.full((4, 4), 50.0),
         )
         dist = enumerate_distribution(model)
-        assert np.isfinite(dist.log_partition)
+        assert np.isfinite(dist.joint).all()
         assert dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_size_guard(self):
@@ -224,11 +229,10 @@ class TestLogJointBuilder:
     @settings(max_examples=300, deadline=None)
     def test_matches_four_matmul_oracle(self, n, scale, seed):
         # the packed builder rounds differently from four separate products,
-        # so log Z and every entry not lost to underflow agree to 1e-12
+        # so every entry not lost to underflow agrees to 1e-12
         model = random_model(np.random.default_rng(seed), n=n, scale=scale)
         dist = enumerate_distribution(model)
         want = four_matmul_distribution(model)
-        assert math.isclose(dist.log_partition, want.log_partition, rel_tol=1e-12)
         kept = want.joint > 1e-300
         np.testing.assert_allclose(dist.joint[kept], want.joint[kept], rtol=1e-12, atol=0)
         # the trainer's exact moments weight the patterns by this P(v), bit for bit
@@ -317,7 +321,6 @@ class TestMeasurementIndependence:
         np.testing.assert_allclose(
             report.pooled, report.conditional.mean(axis=0), atol=1e-15
         )
-        assert report.setting_pairs == SETTING_PAIRS
         assert report.max_tv == pytest.approx(report.tv_distances.max(), abs=0)
 
     def test_zero_mass_hidden_states_raise_no_warning(self):
@@ -325,7 +328,7 @@ class TestMeasurementIndependence:
         # be 0/0; measurement independence reads only P(v1, v2, λ)
         joint = np.zeros((16, 16))
         joint[:, 2:] = 1.0 / (16 * 14)
-        dist = ExactDistribution(zero_model(), log_partition=0.0, joint=joint)
+        dist = ExactDistribution(joint)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = measurement_independence_check(dist)
@@ -399,7 +402,7 @@ def _outcome(fn, *args):
 
 def _assert_bit_identical(got, want):
     """Floats equal by repr and arrays by np.array_equal, NaN equal to NaN."""
-    if isinstance(want, tuple):  # an exception's (type, message), or setting pairs
+    if isinstance(want, tuple):  # an exception's (type, message)
         assert got == want
     elif isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and got.shape == want.shape
@@ -408,7 +411,7 @@ def _assert_bit_identical(got, want):
         assert repr(got) == repr(want)
     else:
         fields = (
-            ("setting_pairs", "conditional", "pooled", "tv_distances", "max_tv")
+            ("conditional", "pooled", "tv_distances", "max_tv")
             if hasattr(want, "tv_distances")
             else ("c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s")
         )

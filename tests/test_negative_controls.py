@@ -27,7 +27,6 @@ from eprbm.exact import (
     locality_check,
     measurement_independence_check,
 )
-from eprbm.rbm import RbmModel
 from eprbm.trainer import load_reference_model
 
 from helpers import energy
@@ -46,12 +45,8 @@ def coupled_distribution(i: int, j: int, coupling: float) -> ExactDistribution:
             for v in BITS4
         ]
     )
-    shift = log_joint.max()
-    weights = np.exp(log_joint - shift)
-    total = weights.sum()
-    return ExactDistribution(
-        model=model, log_partition=float(shift + np.log(total)), joint=weights / total
-    )
+    weights = np.exp(log_joint - log_joint.max())
+    return ExactDistribution(weights / weights.sum())
 
 
 # (i, j) couplings that let a setting reach the remote outcome (v2-v3, v1-v4)
@@ -98,10 +93,7 @@ def strategy_distribution(p_lambda: list[list[float]]) -> ExactDistribution:
             x_alpha, x_beta = (a0, a1)[alpha], (b0, b1)[beta]
             v = 8 * alpha + 4 * beta + 2 * x_alpha + x_beta
             joint[v, lam] = p_lambda[p][lam] / 4
-    zero = RbmModel(
-        visible_bias=np.zeros(4), hidden_bias=np.zeros(4), weights=np.zeros((4, 4))
-    )
-    return ExactDistribution(model=zero, log_partition=0.0, joint=joint)
+    return ExactDistribution(joint)
 
 
 def fraction_tvs(p_lambda: list[list[Fraction]]) -> list[Fraction]:

@@ -1,11 +1,13 @@
 """The test runner's own settings, as pyproject.toml gives them, the
-package's import order and import graph, and its read-only module tables."""
+declared dependencies, the package's import order and import graph, and its
+read-only module tables."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,60 @@ def test_import_graph():
             if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
         ]
     assert offenders == []
+
+
+def _third_party_imports(paths, local: set[str]) -> dict[str, str]:
+    """Each top-level module the files import that is neither in the standard
+    library nor in local, mapped to the first file importing it. Parsed,
+    never imported."""
+    found = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, path.name)
+    return found
+
+
+def _requirement_names(requirements: list[str]) -> set[str]:
+    """The distribution name that opens each requirement string, normalized."""
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in requirements
+    }
+
+
+def test_imports_are_declared():
+    # a module that the package or its tests import, but that pyproject.toml
+    # does not declare, is there only where something else installed it.
+    # Each import is matched to the distribution of the same name, as every
+    # one of them is named today.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = _requirement_names(project["dependencies"])
+    test = runtime | _requirement_names(project["optional-dependencies"]["test"])
+    src_files = sorted((ROOT / "src" / "eprbm").glob("*.py"))
+    test_files = sorted((ROOT / "tests").glob("*.py"))
+    local_tests = {"eprbm"} | {path.stem for path in test_files}
+    undeclared = [
+        f"{path} imports {module}, not in [project].dependencies"
+        for module, path in _third_party_imports(src_files, {"eprbm"}).items()
+        if module not in runtime
+    ]
+    undeclared += [
+        f"{path} imports {module}, not in the test extra or [project].dependencies"
+        for module, path in _third_party_imports(test_files, local_tests).items()
+        if module not in test
+    ]
+    assert undeclared == []
 
 
 def test_module_arrays_read_only():

@@ -9,6 +9,7 @@ directories.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -422,6 +423,21 @@ class TestTrain:
         trace = (tmp_path / "model.json.trace.csv").read_text()
         assert trace == "epoch,avg_log_likelihood,s\n"
 
+    def test_huge_initial_draw_exits_4_and_keeps_partial_trace(
+        self, tmp_path, data_csv, capsys
+    ):
+        # finite parameters whose first epoch has no finite exact record
+        out = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("train", "--data", data_csv, "--out", out,
+                     "--seed", 1, "--epochs", 2, "--init-scale", 1000)
+        assert rc == EXIT_DIVERGED
+        assert "training diverged at epoch 1" in capsys.readouterr().err
+        assert not out.exists()
+        trace = (tmp_path / "model.json.trace.csv").read_text()
+        assert trace == "epoch,avg_log_likelihood,s\n"
+
     def test_zero_epochs_saves_initial_model(self, tmp_path, data_csv, capsys):
         out = tmp_path / "model.json"
         rc = run("train", "--data", data_csv, "--out", out, "--seed", 5,
@@ -557,6 +573,26 @@ class TestEval:
         assert list(tmp_path.iterdir()) == [model_path]
 
 
+# SHA-256 of diagnose's stdout followed by its --out report, run in the
+# model's directory as `--model model.json --out report.json`. "seed<s>-n<n>-
+# scale<x>" is random_model(default_rng(s), n=n, scale=x).
+DIAGNOSE_SHA256 = {
+    "reference": "13bfe46b27aa6892e205b03259f9817748947d09707dd3e8c7f65fb819e58c74",
+    "seed0-n2-scale0.3": "75b2c1314e3dbdc22f2d1b77d0da6fb46b3cd9e902245ec6864fff46f498bcdc",
+    "seed0-n2-scale3": "fe2f92573ed61589426c32c6f87bd491f386cfc0158bed082b75edde3c391c46",
+    "seed0-n4-scale0.3": "c755f0d272713ab4ee708ce5580f9120536ae7e13c6582ebfc97e726e8347a00",
+    "seed0-n4-scale3": "c6c6bdc542f8fe34f5ea53c00cbcb13565b22250519cf456e6135cd8796ff2f0",
+    "seed1-n2-scale0.3": "58f14441687b2ca9ba24fb0e6c91f44bc78ae3b2596671d2ea58e02982480538",
+    "seed1-n2-scale3": "c8f23005d54c40806186814fad4104752cca9b517f871c0edc4d9fe06207afd0",
+    "seed1-n4-scale0.3": "4b158f9edc5faecb489dfed0191a0be918266ac4adf5bf263f7d022e1a0bdf9d",
+    "seed1-n4-scale3": "d6afd7d22f62c9ea846ee365070419874a6c106f404936d1dfd4b08e561471d3",
+    "seed2-n2-scale0.3": "b97d0a0d07d08f486508da8b9509381196a6387bfb79cf0e32ddf3b454b7194a",
+    "seed2-n2-scale3": "955167054cbe847696b007dfa9865dfb8d7b8c56df29ae26b7355821149683e3",
+    "seed2-n4-scale0.3": "546045de1537222a069b2df6980dee231d40b18133f3d8e278b1f9d1a776e577",
+    "seed2-n4-scale3": "4d752fdadc28432953dd3f16bc7f84c1760370dd91f7d987242a67b95735bb9f",
+}
+
+
 class TestDiagnose:
     def test_reference_model_verdicts(self, reference_model_file, capsys):
         assert run("diagnose", "--model", reference_model_file) == EXIT_OK
@@ -653,6 +689,23 @@ class TestDiagnose:
             report = json.loads(out.read_text(), parse_constant=reject)
             jsonschema.validate(report, DIAGNOSTICS_REPORT_SCHEMA)
             assert report["locality"]["pass"] is True
+
+    @pytest.mark.parametrize("case", sorted(DIAGNOSE_SHA256))
+    def test_output_bytes_pinned(self, tmp_path, monkeypatch, capsys, case):
+        # the printed text and the --out report, byte for byte, on the
+        # reference model and on random models of two widths and two scales
+        if case == "reference":
+            model = load_reference_model()
+        else:
+            seed, n, scale = re.fullmatch(r"seed(\d)-n(\d)-scale(.+)", case).groups()
+            rng = np.random.default_rng(int(seed))
+            model = random_model(rng, n=int(n), scale=float(scale))
+        monkeypatch.chdir(tmp_path)
+        save_model("model.json", model)
+        rc = run("diagnose", "--model", "model.json", "--out", "report.json")
+        assert rc == EXIT_OK
+        printed = capsys.readouterr().out.encode() + Path("report.json").read_bytes()
+        assert hashlib.sha256(printed).hexdigest() == DIAGNOSE_SHA256[case]
 
     def test_report_refuses_non_finite_values(self, tmp_path, monkeypatch):
         # the report is written with allow_nan=False: a NaN that slipped past

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -21,7 +22,14 @@ from scipy.special import expit
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
 from eprbm.exact import enumerate_distribution
-from eprbm.rbm import RbmModel, _log_joint, _pattern_tables, advance_chains, bit_patterns
+from eprbm.rbm import (
+    RbmModel,
+    _log_joint,
+    _pattern_tables,
+    _unpack,
+    advance_chains,
+    bit_patterns,
+)
 from eprbm.trainer import (
     ENCODING_DOC,
     EpochRecord,
@@ -760,6 +768,18 @@ class TestTrain:
         assert isinstance(info.value.trace, TrainingTrace)
         assert len(info.value.trace) == 0
 
+    def test_huge_initial_draw_diverges_at_first_epoch(self):
+        # finite parameters this large leave the first epoch's exact
+        # diagnostics with no finite record: a typed error, not a warning
+        ds = generate_dataset(DetectorAngles(), 2000, seed=13)
+        config = TrainerConfig(seed=1, n_epochs=2, weight_init_scale=1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError, match="diverged") as info:
+                train(ds, config)
+        assert info.value.epoch == 1
+        assert len(info.value.trace) == 0
+
     def test_matches_reference_loop(self, small_dataset):
         # the same draws give the same model up to reassociated sums, which
         # stay below 1e-15 here; one flipped chain draw moves the parameters
@@ -793,6 +813,50 @@ class TestTrain:
         empty = EprDataset(np.array([], dtype=np.int64), seed=None, angles=DetectorAngles())
         with pytest.raises(ValueError, match="non-empty"):
             train(empty, TrainerConfig(seed=0, n_epochs=1))
+
+
+class TestEpochDiagnostics:
+    # the reference model with one visible bias at 1000: finite parameters
+    # whose exact law puts no mass on half the visible patterns
+    @staticmethod
+    def pinned_bias_theta(unit):
+        reference = load_reference_model()
+        visible_bias = reference.visible_bias.copy()
+        visible_bias[unit] = 1000.0
+        return RbmModel(visible_bias, reference.hidden_bias, reference.weights).theta
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        ds = generate_dataset(DetectorAngles(), 2000, seed=13)
+        return np.bincount(ds.pattern, minlength=16)
+
+    def test_finite_record_at_reference(self, counts):
+        record = trainer._epoch_diagnostics(load_reference_model().theta, counts, 3)
+        assert record.epoch == 3
+        assert np.isfinite(record.avg_log_likelihood) and np.isfinite(record.s)
+
+    def test_data_of_zero_probability_gives_none(self, counts):
+        # v3 = 1 always: S stays finite, but the data's v3 = 0 trials have
+        # log-likelihood -inf
+        theta = self.pinned_bias_theta(2)
+        with np.errstate(all="ignore"):
+            dist = enumerate_distribution(_unpack(theta))
+            assert trainer._mean_log_likelihood(dist, counts) == -np.inf
+        assert np.isfinite(bell.correlations_from_distribution(dist).s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer._epoch_diagnostics(theta, counts, 1) is None
+
+    def test_settings_of_zero_probability_give_none(self, counts):
+        # v1 = 1 always: the settings (0, 0) have no mass, so no S exists
+        theta = self.pinned_bias_theta(0)
+        with np.errstate(all="ignore"):
+            dist = enumerate_distribution(_unpack(theta))
+        with pytest.raises(ValueError, match=r"settings \(0, 0\) have zero probability"):
+            bell.correlations_from_distribution(dist)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer._epoch_diagnostics(theta, counts, 1) is None
 
 
 class TestBoundCertification:

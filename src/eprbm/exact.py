@@ -49,6 +49,9 @@ class ExactDistribution:
 
     def __post_init__(self):
         joint = _read_only(np.asarray(self.joint, dtype=np.float64))
+        rows = joint.shape[0] if joint.ndim == 2 else 0
+        if rows < 1 or rows & (rows - 1):
+            raise ValueError(f"joint is not a table of 2^m rows: shape {joint.shape}")
         object.__setattr__(self, "joint", joint)
 
     @cached_property

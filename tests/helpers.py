@@ -225,6 +225,13 @@ def chisquare_bucketed(
     return float(stats.chisquare(obs, exp).pvalue)
 
 
+def zero_model(m: int = 4, n: int = 4) -> RbmModel:
+    """The m x n machine with every parameter zero: the uniform law."""
+    return RbmModel(
+        visible_bias=np.zeros(m), hidden_bias=np.zeros(n), weights=np.zeros((m, n))
+    )
+
+
 def random_model(
     rng: np.random.Generator, m: int = 4, n: int = 4, scale: float = 2.0
 ) -> RbmModel:

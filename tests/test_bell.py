@@ -15,9 +15,9 @@ from eprbm.bell import (
 )
 from eprbm.epr import DetectorAngles
 from eprbm.exact import SETTING_PAIR_LABELS, SETTING_PAIRS
-from eprbm.rbm import RbmModel, advance_chains
+from eprbm.rbm import advance_chains
 
-from helpers import flip_outcome_bits, parse_comparison_csv, random_model
+from helpers import flip_outcome_bits, parse_comparison_csv, random_model, zero_model
 
 corr_st = st.floats(min_value=-1.0, max_value=1.0)
 
@@ -38,12 +38,6 @@ def test_labels_derived_from_setting_pairs():
     )
     assert bell._CSV_KEYS == (
         "c_ab", "c_ab_prime", "c_a_prime_b", "c_a_prime_b_prime", "s",
-    )
-
-
-def zero_model():
-    return RbmModel(
-        visible_bias=np.zeros(4), hidden_bias=np.zeros(4), weights=np.zeros((4, 4))
     )
 
 

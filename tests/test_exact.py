@@ -27,18 +27,13 @@ from helpers import (
     reference_correlations,
     reference_locality_check,
     reference_measurement_independence,
+    zero_model,
 )
 
 # Frozen pre-build oracle value: max TV distance between the reference
 # model's P(lambda | settings) and the pooled P(lambda), computed by exact
 # enumeration. Regression-pinned to 9 decimals.
 REFERENCE_MAX_TV = 0.620024075451
-
-
-def zero_model(m=4, n=4):
-    return RbmModel(
-        visible_bias=np.zeros(m), hidden_bias=np.zeros(n), weights=np.zeros((m, n))
-    )
 
 
 class TestBitPatterns:
@@ -102,6 +97,21 @@ class TestEnumerate:
         assert dist != "distribution"
         with pytest.raises(TypeError, match="unhashable"):
             hash(other)
+
+    def test_joint_that_is_no_table_refused(self):
+        # a flat law would read as one hidden state, and 17 rows are no
+        # visible layout at all
+        with pytest.raises(ValueError, match=r"table.*shape \(16,\)"):
+            ExactDistribution(np.full(16, 1 / 16))
+        with pytest.raises(ValueError, match=r"table.*shape \(16, 4, 1\)"):
+            ExactDistribution(np.full((16, 4, 1), 1 / 64))
+
+    def test_row_count_not_a_power_of_two_refused(self):
+        for rows in (0, 3, 17):
+            with pytest.raises(ValueError, match=rf"2\^m rows.*shape \({rows}, 4\)"):
+                ExactDistribution(np.full((rows, 4), 1 / 68))
+        for rows in (1, 2, 16):
+            assert ExactDistribution(np.zeros((rows, 4))).joint.shape == (rows, 4)
 
     def test_reference_normalization_and_positivity(self, reference_dist):
         assert reference_dist.joint.sum() == pytest.approx(1.0, abs=1e-12)

@@ -14,13 +14,14 @@ from eprbm.trainer import (
     model_expectation_pcd,
 )
 
-from helpers import chisquare_bucketed, energy, gibbs_sweeps, random_model, tv_distance
-
-
-def zero_model(m=4, n=4):
-    return RbmModel(
-        visible_bias=np.zeros(m), hidden_bias=np.zeros(n), weights=np.zeros((m, n))
-    )
+from helpers import (
+    chisquare_bucketed,
+    energy,
+    gibbs_sweeps,
+    random_model,
+    tv_distance,
+    zero_model,
+)
 
 
 def p_hidden(model: RbmModel, visible) -> np.ndarray:

@@ -55,13 +55,8 @@ from helpers import (
     random_model,
     reference_train,
     tv_distance,
+    zero_model,
 )
-
-
-def zero_model(m: int = 4, n: int = 4) -> RbmModel:
-    return RbmModel(
-        visible_bias=np.zeros(m), hidden_bias=np.zeros(n), weights=np.zeros((m, n))
-    )
 
 
 def unit_marginals(model: RbmModel) -> np.ndarray:

@@ -112,8 +112,10 @@ def correlations_from_distribution(dist: ExactDistribution) -> CorrelationReport
 
 
 def model_correlations_exact(model: RbmModel) -> CorrelationReport:
-    """Exact conditional correlations of a model with the EPR visible layout."""
-    return correlations_from_distribution(enumerate_distribution(model))
+    """Exact conditional correlations of a model with the EPR visible layout,
+    warning-free: chsh refuses a non-finite one, so numpy's warnings add nothing."""
+    with np.errstate(all="ignore"):
+        return correlations_from_distribution(enumerate_distribution(model))
 
 
 def comparison_table(

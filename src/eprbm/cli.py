@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -96,13 +97,6 @@ def _print_report(report: bell.CorrelationReport) -> None:
     for label, value in zip(bell.QUANTITY_LABELS, report.correlations()):
         print(f"{label:9s} = {value:+.3f}")
     print(f"S = {report.s:.3f}  [{report.source}]")
-
-
-def _exact_report(model) -> bell.CorrelationReport:
-    """The model's exact correlations; chsh refuses a non-finite one, so the
-    warnings on the way to it say nothing more."""
-    with np.errstate(all="ignore"):
-        return bell.model_correlations_exact(model)
 
 
 def _bell_verdict(s: float) -> str:
@@ -201,7 +195,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         n_chains = config.n_persistent_chains
         raise MemoryError(f"{err} (--chains {n_chains} is too large)") from None
     # before any output, so a model with no finite report leaves no file
-    report = _exact_report(model)
+    report = bell.model_correlations_exact(model)
     save_model(args.out, model, trainer_config=config, dataset_seed=dataset.seed)
     trace.to_csv(trace_path)
     print(f"trained model written to {args.out}")
@@ -235,7 +229,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         angles = dataset.angles
         data_report = empirical_correlations(dataset)
     theory = bell.theory_correlations(angles)
-    model_report = _exact_report(model)
+    model_report = bell.model_correlations_exact(model)
     print(bell.comparison_table(theory, data_report, model_report), end="")
     print(_bell_verdict(model_report.s))
     if args.out:
@@ -259,13 +253,12 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
         dist = exact.enumerate_distribution(model)
         residual = exact.locality_check(dist)
         mi = exact.measurement_independence_check(dist)
-    pair_names = list(exact.SETTING_PAIR_LABELS.values())
-    tv_names = [f"TV(P(lambda | {name}), P(lambda))" for name in pair_names]
-    named = [("factorization residual", residual), ("pooled P(lambda)", mi.pooled)]
-    named += [("P(lambda | settings)", mi.conditional), *zip(tv_names, mi.tv_distances)]
-    for name, value in named:
+    # each diagnostic by its --out key, refused unless finite
+    mi_values = {f.name: getattr(mi, f.name) for f in fields(mi)}
+    for key, value in {"max_residual": residual, **mi_values}.items():
         if not np.isfinite(value).all():
-            raise ValueError(f"{name} is not finite; no verdict can be drawn")
+            raise ValueError(f"{key} is not finite; no verdict can be drawn")
+    pair_names = list(exact.SETTING_PAIR_LABELS.values())
     n = model.n_hidden
     # hidden state i is row i of rbm.bit_patterns(n), written as bits
     labels = [format(i, f"0{n}b") for i in range(2**n)]
@@ -285,8 +278,8 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
         cells.append(f"{mi.pooled[i]:8.5f}")
         print(f"{label:6s}  " + "  ".join(cells))
     print()
-    for name, tv in zip(tv_names, mi.tv_distances):
-        print(f"{name} = {tv:.6f}")
+    for name, tv in zip(pair_names, mi.tv_distances):
+        print(f"TV(P(lambda | {name}), P(lambda)) = {tv:.6f}")
     violated = mi.max_tv > MI_TV_BOUND
     verdict, relation = ("VIOLATED", ">") if violated else ("not violated", "<=")
     print(
@@ -305,10 +298,7 @@ def cmd_diagnose(args, parser: argparse.ArgumentParser) -> int:
             "measurement_independence": {
                 "setting_pairs": [list(p) for p in exact.SETTING_PAIRS],
                 "hidden_state_labels": labels,
-                "conditional": mi.conditional.tolist(),
-                "pooled": mi.pooled.tolist(),
-                "tv_distances": mi.tv_distances.tolist(),
-                "max_tv": mi.max_tv,
+                **{key: np.asarray(value).tolist() for key, value in mi_values.items()},
                 "threshold": MI_TV_BOUND,
                 "violated": violated,
             },

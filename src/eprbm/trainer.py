@@ -291,7 +291,7 @@ def _epoch_diagnostics(
             s = bell.correlations_from_distribution(dist).s
         except ValueError:
             return None
-    if not (np.isfinite(avg_ll) and np.isfinite(s)):
+    if not np.isfinite(avg_ll):  # chsh has refused a non-finite S
         return None
     return EpochRecord(epoch=epoch, avg_log_likelihood=avg_ll, s=s)
 

@@ -121,27 +121,32 @@ def _requirement_names(requirements: list[str]) -> set[str]:
 
 
 def test_imports_are_declared():
-    # a module that the package or its tests import, but that pyproject.toml
-    # does not declare, is there only where something else installed it.
-    # Each import is matched to the distribution of the same name, as every
-    # one of them is named today.
+    # a module that the package, its tests or its benchmark import, but that
+    # pyproject.toml does not declare, is there only where something else
+    # installed it. Each import is matched to the distribution of the same
+    # name, as every one of them is named today.
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     runtime = _requirement_names(project["dependencies"])
-    test = runtime | _requirement_names(project["optional-dependencies"]["test"])
+    extras = project["optional-dependencies"]
     src_files = sorted((ROOT / "src" / "eprbm").glob("*.py"))
     test_files = sorted((ROOT / "tests").glob("*.py"))
-    local_tests = {"eprbm"} | {path.stem for path in test_files}
-    undeclared = [
-        f"{path} imports {module}, not in [project].dependencies"
-        for module, path in _third_party_imports(src_files, {"eprbm"}).items()
-        if module not in runtime
-    ]
-    undeclared += [
-        f"{path} imports {module}, not in the test extra or [project].dependencies"
-        for module, path in _third_party_imports(test_files, local_tests).items()
-        if module not in test
-    ]
+    bench_files = sorted((ROOT / "perfbench").glob("*.py"))
+    undeclared = []
+    # the files, the extra that declares their imports beyond the runtime's,
+    # and the module names that are theirs
+    for files, extra, local in (
+        (src_files, None, set()),
+        (test_files, "test", {path.stem for path in test_files}),
+        (bench_files, "bench", {path.stem for path in bench_files}),
+    ):
+        declared = runtime | _requirement_names(extras[extra] if extra else [])
+        where = f"the {extra} extra or " if extra else ""
+        undeclared += [
+            f"{path} imports {module}, not in {where}[project].dependencies"
+            for module, path in _third_party_imports(files, {"eprbm"} | local).items()
+            if module not in declared
+        ]
     assert undeclared == []
 
 

@@ -409,17 +409,27 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert "unknown trainer config keys" in capsys.readouterr().err
 
-    # parameters that overflow, and a finite initial draw whose first epoch
-    # has no finite exact record
-    @pytest.mark.parametrize(
-        "flag", [("--learning-rate", "1e308"), ("--init-scale", "1000")]
-    )
     def test_divergence_exits_4_and_keeps_partial_trace(
-        self, tmp_path, data_csv, capsys, flag
+        self, tmp_path, data_csv, capsys
     ):
         out = tmp_path / "model.json"
         rc = run("train", "--data", data_csv, "--out", out,
-                 "--seed", 1, "--epochs", 2, *flag)
+                 "--seed", 1, "--epochs", 2, "--learning-rate", "1e308")
+        assert rc == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "diverged" in err
+        assert "partial trace kept at" in err
+        assert not out.exists()
+        trace = (tmp_path / "model.json.trace.csv").read_text()
+        assert trace == "epoch,avg_log_likelihood,s\n"
+
+    def test_finite_draw_without_exact_record_exits_4(
+        self, tmp_path, data_csv, capsys
+    ):
+        # finite parameters whose first epoch has no finite exact record
+        out = tmp_path / "model.json"
+        rc = run("train", "--data", data_csv, "--out", out,
+                 "--seed", 1, "--epochs", 2, "--init-scale", "1000")
         assert rc == EXIT_DIVERGED
         err = capsys.readouterr().err
         assert "diverged at epoch 1" in err

@@ -21,14 +21,7 @@ from scipy.special import expit
 from eprbm import bell, trainer
 from eprbm.epr import DetectorAngles, EprDataset, encode_dataset, generate_dataset
 from eprbm.exact import enumerate_distribution
-from eprbm.rbm import (
-    RbmModel,
-    _log_joint,
-    _pattern_tables,
-    _unpack,
-    advance_chains,
-    bit_patterns,
-)
+from eprbm.rbm import RbmModel, _log_joint, _pattern_tables, advance_chains, bit_patterns
 from eprbm.trainer import (
     ENCODING_DOC,
     EpochRecord,
@@ -810,11 +803,11 @@ class TestEpochDiagnostics:
     # the reference model with one visible bias at 1000: finite parameters
     # whose exact law puts no mass on half the visible patterns
     @staticmethod
-    def pinned_bias_theta(unit):
+    def pinned_bias_model(unit):
         reference = load_reference_model()
         visible_bias = reference.visible_bias.copy()
         visible_bias[unit] = 1000.0
-        return RbmModel(visible_bias, reference.hidden_bias, reference.weights).theta
+        return RbmModel(visible_bias, reference.hidden_bias, reference.weights)
 
     @pytest.fixture
     def counts(self, small_dataset):
@@ -823,22 +816,22 @@ class TestEpochDiagnostics:
     def test_data_of_zero_probability_gives_none(self, counts):
         # v3 = 1 always: S stays finite, but the data's v3 = 0 trials have
         # log-likelihood -inf
-        theta = self.pinned_bias_theta(2)
+        model = self.pinned_bias_model(2)
         with np.errstate(all="ignore"):
-            dist = enumerate_distribution(_unpack(theta))
+            dist = enumerate_distribution(model)
             assert trainer._mean_log_likelihood(dist, counts) == -np.inf
         assert np.isfinite(bell.correlations_from_distribution(dist).s)
-        assert trainer._epoch_diagnostics(theta, counts, 1) is None
+        assert trainer._epoch_diagnostics(model.theta, counts, 1) is None
 
     def test_settings_of_zero_probability_give_none(self, counts):
         # v1 = 1 always: the settings (0, 0) have no mass, so no S exists
-        theta = self.pinned_bias_theta(0)
+        model = self.pinned_bias_model(0)
         with np.errstate(all="ignore"):
-            dist = enumerate_distribution(_unpack(theta))
+            dist = enumerate_distribution(model)
         zero_mass = r"settings \(0, 0\) have zero probability"
         with pytest.raises(ValueError, match=zero_mass):
             bell.correlations_from_distribution(dist)
-        assert trainer._epoch_diagnostics(theta, counts, 1) is None
+        assert trainer._epoch_diagnostics(model.theta, counts, 1) is None
 
 
 class TestBoundCertification:

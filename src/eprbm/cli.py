@@ -194,7 +194,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         # the data has loaded, so what train cannot allocate is sized by the chains
         n_chains = config.n_persistent_chains
         raise MemoryError(f"{err} (--chains {n_chains} is too large)") from None
-    # before any output, so a model with no finite report leaves no file
+    # train has refused a model with no finite report, as a divergence
     report = bell.model_correlations_exact(model)
     save_model(args.out, model, trainer_config=config, dataset_seed=dataset.seed)
     trace.to_csv(trace_path)

@@ -24,7 +24,7 @@ import numpy as np
 from .atomic import atomic_write, write_json
 from .bell import OUTCOME_SIGNS, CorrelationReport, theory_correlations
 from .exact import SETTING_PAIR_LABELS, SETTING_PAIRS
-from .rbm import _read_only, bit_patterns
+from .rbm import _equal_fields, _read_only, bit_patterns
 
 # Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
 N_VISIBLE = 4
@@ -110,6 +110,7 @@ class EprDataset:
     pattern: np.ndarray
     seed: int | None
     angles: DetectorAngles
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
@@ -124,19 +125,7 @@ class EprDataset:
         if raw.size and not (raw.min() >= 0 and raw.max() < N_PATTERNS):
             raise ValueError(f"pattern entries must lie in 0..{N_PATTERNS - 1}")
         # astype copies, so the caller's array stays writable and unshared
-        pattern = raw.astype(np.int64)
-        pattern.setflags(write=False)
-        object.__setattr__(self, "pattern", pattern)
-
-    def __eq__(self, other) -> bool:
-        """Same trials in the same order, same seed and same angles."""
-        if not isinstance(other, EprDataset):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.angles == other.angles
-            and np.array_equal(self.pattern, other.pattern)
-        )
+        object.__setattr__(self, "pattern", _read_only(raw.astype(np.int64)))
 
     def __len__(self) -> int:
         return self.pattern.size

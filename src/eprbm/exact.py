@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rbm import RbmModel, _log_joint, _read_only
+from .rbm import RbmModel, _equal_fields, _log_joint, _read_only
 
 # Setting pairs (v1, v2) in the order of every per-pair report, correlation
 # and label, and their names: (a, b), (a, b'), (a', b), (a', b').
@@ -42,13 +42,15 @@ class ExactDistribution:
     """An exact joint law P(v, λ) over all visible and hidden configurations.
 
     Attributes:
-        joint: read-only (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)).
+        joint: read-only (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)),
+            a copy of the one passed in.
     """
 
     joint: np.ndarray
+    __eq__ = _equal_fields
 
     def __post_init__(self):
-        joint = _read_only(np.asarray(self.joint, dtype=np.float64))
+        joint = _read_only(np.array(self.joint, dtype=np.float64))
         rows = joint.shape[0] if joint.ndim == 2 else 0
         if rows < 1 or rows & (rows - 1):
             raise ValueError(f"joint is not a table of 2^m rows: shape {joint.shape}")
@@ -77,12 +79,6 @@ class ExactDistribution:
         """
         terms = self._epr_view.reshape(16, -1).take(_MARGIN_TERMS, 0)
         return _read_only(terms.sum(axis=0))
-
-    def __eq__(self, other) -> bool:
-        """The same joint; cached views take no part."""
-        if not isinstance(other, ExactDistribution):
-            return NotImplemented
-        return np.array_equal(self.joint, other.joint)
 
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
@@ -134,7 +130,7 @@ def locality_check(dist: ExactDistribution) -> float:
     return float(np.abs(cond_joint - product).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementIndependenceReport:
     """Hidden-state distributions conditioned on each setting pair.
 
@@ -153,6 +149,7 @@ class MeasurementIndependenceReport:
     pooled: np.ndarray
     tv_distances: np.ndarray
     max_tv: float
+    __eq__ = _equal_fields
 
 
 def measurement_independence_check(

@@ -21,7 +21,7 @@ pattern indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,6 +33,18 @@ MAX_EXACT_UNITS = 24
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
+
+
+def _equal_fields(self, other) -> bool:
+    """Value equality of two dataclasses of one type that hold arrays: every
+    field equal, arrays by np.array_equal. Cached views are no fields and
+    take no part; a class whose __eq__ this is has no hash."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs
+    )
 
 
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
@@ -71,15 +83,7 @@ class RbmModel:
         object.__setattr__(self, "hidden_bias", d)
         object.__setattr__(self, "weights", w)
 
-    def __eq__(self, other) -> bool:
-        """Same biases and weights; the cached theta takes no part."""
-        if not isinstance(other, RbmModel):
-            return NotImplemented
-        return (
-            np.array_equal(self.visible_bias, other.visible_bias)
-            and np.array_equal(self.hidden_bias, other.hidden_bias)
-            and np.array_equal(self.weights, other.weights)
-        )
+    __eq__ = _equal_fields
 
     @property
     def n_visible(self) -> int:

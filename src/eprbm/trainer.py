@@ -322,8 +322,9 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
 
     Raises:
         TrainingDivergedError: if any parameter goes non-finite, or the
-            parameters grow so large that the exact diagnostics degenerate;
-            the exception carries the trace of the completed epochs.
+            parameters, the initial draw included (epoch 0), are so large
+            that the exact diagnostics degenerate; the exception carries the
+            trace of the completed epochs.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -351,6 +352,9 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         raise MemoryError(str(err)) from None
     chains = _pattern_index(init_chains(n_chains, m, chain_rng))
     data_counts = np.bincount(data_idx, minlength=n_patterns)
+    # a finite draw can already be past exact diagnosis: epoch 0 diverges
+    if _epoch_diagnostics(theta, data_counts, 0) is None:
+        raise TrainingDivergedError(0, TrainingTrace(()))
     # a batch larger than the data is the whole data, and fits an int64
     batch_size = min(config.batch_size, n_rows)
     n_batches = -(-n_rows // batch_size)

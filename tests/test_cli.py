@@ -426,13 +426,13 @@ class TestTrain:
     def test_finite_draw_without_exact_record_exits_4(
         self, tmp_path, data_csv, capsys
     ):
-        # finite parameters whose first epoch has no finite exact record
+        # a finite initial draw with no finite exact record
         out = tmp_path / "model.json"
         rc = run("train", "--data", data_csv, "--out", out,
                  "--seed", 1, "--epochs", 2, "--init-scale", "1000")
         assert rc == EXIT_DIVERGED
         err = capsys.readouterr().err
-        assert "diverged at epoch 1" in err
+        assert "diverged at epoch 0" in err
         assert "partial trace kept at" in err
         assert not out.exists()
         trace = (tmp_path / "model.json.trace.csv").read_text()
@@ -454,18 +454,19 @@ class TestTrain:
         np.testing.assert_array_equal(model.visible_bias, np.zeros(4))
 
     def test_non_finite_exact_report_writes_nothing(self, tmp_path, data_csv, capsys):
-        # a finite initial draw this large has no finite exact report: the
-        # command refuses it, warning-free, before the model, trace or
-        # manifest is written
+        # a finite initial draw this large has no finite exact report: train
+        # refuses it as a divergence at epoch 0, warning-free, and writes
+        # only the header-only trace, no model or manifest
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = run("train", "--data", data_csv, "--out", tmp_path / "model.json",
                      "--seed", 1, "--epochs", 0, "--init-scale", "1e300")
-        assert rc == EXIT_DATA
+        assert rc == EXIT_DIVERGED
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "zero probability" in err[0]
-        assert list(tmp_path.iterdir()) == []
+        assert len(err) == 1 and "diverged at epoch 0" in err[0]
+        trace = tmp_path / "model.json.trace.csv"
+        assert list(tmp_path.iterdir()) == [trace]
+        assert trace.read_text() == "epoch,avg_log_likelihood,s\n"
 
 
 class TestEval:

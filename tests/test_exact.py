@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestEnumerate:
         assert dist != "distribution"
         with pytest.raises(TypeError, match="unhashable"):
             hash(other)
+
+    def test_keeps_its_own_copy_of_the_joint(self):
+        # the caller's table stays writable and unshared, so writing to the
+        # array it views after construction moves no diagnostic, where the
+        # cached margin table went stale against a joint that changed
+        base = enumerate_distribution(load_reference_model()).joint.copy()
+        joint = base[:]
+        dist = ExactDistribution(joint)
+        assert joint.flags.writeable and not np.shares_memory(dist.joint, base)
+        residual = locality_check(dist)
+        report = measurement_independence_check(dist)
+        correlations = correlations_from_distribution(dist)
+        base[:] = base[::-1].copy()
+        assert repr(locality_check(dist)) == repr(residual)
+        assert measurement_independence_check(dist) == report
+        assert correlations_from_distribution(dist) == correlations
 
     def test_joint_that_is_no_table_refused(self):
         # a flat law would read as one hidden state, and 17 rows are no
@@ -345,6 +362,23 @@ class TestMeasurementIndependence:
         np.testing.assert_array_equal(report.conditional[:, :2], 0.0)
         assert report.max_tv <= 1e-15
 
+    def test_equal_by_value_and_unhashable(self):
+        # reports of equal laws compare equal, where == raised "truth value
+        # ... is ambiguous"; one field moved by one ulp makes two differ
+        report = measurement_independence_check(
+            enumerate_distribution(load_reference_model())
+        )
+        other = measurement_independence_check(
+            enumerate_distribution(load_reference_model())
+        )
+        assert report == other and not report != other
+        for field in fields(report):
+            nudged = np.nextafter(getattr(report, field.name), 2.0)
+            assert report != replace(report, **{field.name: nudged})
+        assert report != "report"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(other)
+
     def test_tv_definition(self, reference_dist):
         report = measurement_independence_check(reference_dist)
         for row, tv in zip(report.conditional, report.tv_distances):
@@ -476,3 +510,43 @@ def test_diagnostics_bit_identical_over_widths_and_scales(n, log_scale, seed):
         (measurement_independence_check, reference_measurement_independence),
     ):
         _assert_bit_identical(_outcome(check, dist), _outcome(oracle, dist))
+
+
+@given(
+    n=st.integers(1, 8),
+    log_scale=st.floats(-2.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_tv_bounds_the_spread_of_correlations(n, log_scale, seed):
+    # given λ an RBM's outcome units are independent of the settings, so
+    # C_p = Σ_λ P(λ | p) f(λ) with one f in [-1, 1] for every pair p, and the
+    # pooled P(λ) gives the mean C̄ of the four: |C_p - C̄| <= 2 TV_p
+    # (ROADMAP item 9)
+    model = random_model(np.random.default_rng(seed), n=n, scale=10.0**log_scale)
+    dist = enumerate_distribution(model)
+    c = np.array(correlations_from_distribution(dist).correlations())
+    tv = measurement_independence_check(dist).tv_distances
+    assert np.all(tv >= np.abs(c - c.mean()) / 2 - 1e-12)
+
+
+@given(
+    n=st.integers(1, 8),
+    log_scale=st.floats(-2.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_settings_cut_from_hidden_units_give_one_correlation(n, log_scale, seed):
+    # with both setting rows of W at zero λ carries no setting information:
+    # TV 0, every C_p the pooled C̄, and S = 2 |C̄| (ROADMAP item 13)
+    model = random_model(np.random.default_rng(seed), n=n, scale=10.0**log_scale)
+    weights = model.weights.copy()
+    weights[:2] = 0.0
+    dist = enumerate_distribution(
+        RbmModel(model.visible_bias, model.hidden_bias, weights)
+    )
+    report = correlations_from_distribution(dist)
+    c = np.array(report.correlations())
+    assert measurement_independence_check(dist).max_tv <= 1e-14
+    assert np.abs(c - c.mean()).max() <= 1e-14
+    assert abs(report.s - 2 * abs(c.mean())) <= 1e-14

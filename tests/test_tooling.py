@@ -1,10 +1,11 @@
 """The test runner's own settings, as pyproject.toml gives them, the
-declared dependencies, the package's import order and import graph, and its
-read-only module tables."""
+declared dependencies, the package's import order and import graph, its
+read-only module tables and the equality of its array-holding dataclasses."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -163,3 +164,32 @@ def test_module_arrays_read_only():
                     writable.append(f"{module}.{name}")
     assert writable == []
     assert {"bell.OUTCOME_SIGNS", "epr._CSV_LINES", "exact._MARGIN_TERMS"} <= checked
+
+
+def test_array_dataclasses_compare_by_value():
+    # a generated __eq__ over ndarray fields raises "The truth value of an
+    # array ... is ambiguous", as RbmModel's did and
+    # MeasurementIndependenceReport's still did: every dataclass holding an
+    # array binds the one array-aware equality, and so has no hash
+    equal_fields = getattr(importlib.import_module("eprbm.rbm"), "_equal_fields", None)
+    found = {}
+    for module in MODULES:
+        for name, value in vars(importlib.import_module(f"eprbm.{module}")).items():
+            if (
+                isinstance(value, type)
+                and dataclasses.is_dataclass(value)
+                and value.__module__ == f"eprbm.{module}"
+                and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
+            ):
+                found[f"{module}.{name}"] = (
+                    value.__eq__ is equal_fields, value.__hash__ is None
+                )
+    assert found == dict.fromkeys(
+        (
+            "rbm.RbmModel",
+            "exact.ExactDistribution",
+            "exact.MeasurementIndependenceReport",
+            "epr.EprDataset",
+        ),
+        (True, True),
+    )

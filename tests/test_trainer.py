@@ -756,13 +756,16 @@ class TestTrain:
         assert len(info.value.trace) == 0
 
     def test_finite_draw_without_exact_record_diverges(self, small_dataset):
-        # finite parameters whose first epoch has no finite exact record: a
-        # typed error, not a warning
-        config = TrainerConfig(seed=1, n_epochs=2, weight_init_scale=1000.0)
-        with pytest.raises(TrainingDivergedError, match="diverged") as info:
-            train(small_dataset, config)
-        assert info.value.epoch == 1
-        assert len(info.value.trace) == 0
+        # a finite initial draw with no finite exact record: a typed error at
+        # epoch 0, before any update, whatever the number of epochs. The
+        # scale-300 draw has a finite S but gives a data pattern zero
+        # probability, so its log-likelihood is -inf
+        for scale, n_epochs in ((1000.0, 0), (1000.0, 2), (300.0, 0)):
+            config = TrainerConfig(seed=1, n_epochs=n_epochs, weight_init_scale=scale)
+            with pytest.raises(TrainingDivergedError, match="diverged") as info:
+                train(small_dataset, config)
+            assert info.value.epoch == 0
+            assert len(info.value.trace) == 0
 
     def test_matches_reference_loop(self, small_dataset):
         # the same draws give the same model up to reassociated sums, which

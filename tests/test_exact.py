@@ -101,8 +101,8 @@ class TestEnumerate:
 
     def test_keeps_its_own_copy_of_the_joint(self):
         # the caller's table stays writable and unshared, so writing to the
-        # array it views after construction moves no diagnostic, where the
-        # cached margin table went stale against a joint that changed
+        # array it views after construction moves no diagnostic, and the
+        # cached margin table cannot go stale against the joint
         base = enumerate_distribution(load_reference_model()).joint.copy()
         joint = base[:]
         dist = ExactDistribution(joint)
@@ -363,8 +363,8 @@ class TestMeasurementIndependence:
         assert report.max_tv <= 1e-15
 
     def test_equal_by_value_and_unhashable(self):
-        # reports of equal laws compare equal, where == raised "truth value
-        # ... is ambiguous"; one field moved by one ulp makes two differ
+        # reports of equal laws compare equal, with no "truth value ... is
+        # ambiguous" error; one field moved by one ulp makes two differ
         report = measurement_independence_check(
             enumerate_distribution(load_reference_model())
         )
@@ -522,7 +522,6 @@ def test_tv_bounds_the_spread_of_correlations(n, log_scale, seed):
     # given λ an RBM's outcome units are independent of the settings, so
     # C_p = Σ_λ P(λ | p) f(λ) with one f in [-1, 1] for every pair p, and the
     # pooled P(λ) gives the mean C̄ of the four: |C_p - C̄| <= 2 TV_p
-    # (ROADMAP item 9)
     model = random_model(np.random.default_rng(seed), n=n, scale=10.0**log_scale)
     dist = enumerate_distribution(model)
     c = np.array(correlations_from_distribution(dist).correlations())
@@ -538,7 +537,7 @@ def test_tv_bounds_the_spread_of_correlations(n, log_scale, seed):
 @settings(max_examples=300, deadline=None)
 def test_settings_cut_from_hidden_units_give_one_correlation(n, log_scale, seed):
     # with both setting rows of W at zero λ carries no setting information:
-    # TV 0, every C_p the pooled C̄, and S = 2 |C̄| (ROADMAP item 13)
+    # TV 0, every C_p the pooled C̄, and S = 2 |C̄|
     model = random_model(np.random.default_rng(seed), n=n, scale=10.0**log_scale)
     weights = model.weights.copy()
     weights[:2] = 0.0

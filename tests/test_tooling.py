@@ -168,9 +168,8 @@ def test_module_arrays_read_only():
 
 def test_array_dataclasses_compare_by_value():
     # a generated __eq__ over ndarray fields raises "The truth value of an
-    # array ... is ambiguous", as RbmModel's did and
-    # MeasurementIndependenceReport's still did: every dataclass holding an
-    # array binds the one array-aware equality, and so has no hash
+    # array ... is ambiguous": every dataclass holding an array binds the one
+    # array-aware equality, and so has no hash
     equal_fields = getattr(importlib.import_module("eprbm.rbm"), "_equal_fields", None)
     found = {}
     for module in MODULES:

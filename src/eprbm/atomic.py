@@ -14,17 +14,18 @@ from contextlib import contextmanager, suppress
 
 
 @contextmanager
-def atomic_write(path, newline: str | None = None):
+def atomic_write(path):
     """Open a text file that becomes path only when the with block succeeds.
 
     If the block raises, path keeps its old contents (or stays absent) and
     the temporary file is removed. The new file gets the permissions open()
-    would give path: an existing target's, else those of a fresh file.
+    would give path: an existing target's, else those of a fresh file. It is
+    opened with newline="", so lines end as written, on every platform.
     """
     head, tail = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(temp, "x", newline=newline)
+        fh = open(temp, "x", newline="")
     except FileNotFoundError as err:
         # name the target, not the temporary file, when its directory is missing
         raise FileNotFoundError(err.errno, err.strerror, os.fspath(path)) from None

@@ -81,19 +81,12 @@ def theory_correlations(angles) -> CorrelationReport:
     """Singlet-state predictions C(theta_a, theta_b) = -cos(theta_a - theta_b).
 
     angles is any object with attributes a, a_prime, b, b_prime in radians
-    (DetectorAngles fits).
+    (DetectorAngles fits). Setting bit 0 selects a (or b), bit 1 selects a'
+    (or b'), and the pairs come in SETTING_PAIRS order.
     """
-
-    def c(theta_a: float, theta_b: float) -> float:
-        return -math.cos(theta_a - theta_b)
-
-    return CorrelationReport(
-        c_ab=c(angles.a, angles.b),
-        c_ab_prime=c(angles.a, angles.b_prime),
-        c_a_prime_b=c(angles.a_prime, angles.b),
-        c_a_prime_b_prime=c(angles.a_prime, angles.b_prime),
-        source="theory",
-    )
+    theta_a, theta_b = (angles.a, angles.a_prime), (angles.b, angles.b_prime)
+    values = (-math.cos(theta_a[x] - theta_b[y]) for x, y in SETTING_PAIRS)
+    return CorrelationReport(*values, source="theory")
 
 
 def correlations_from_distribution(dist: ExactDistribution) -> CorrelationReport:

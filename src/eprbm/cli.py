@@ -233,7 +233,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     print(bell.comparison_table(theory, data_report, model_report), end="")
     print(_bell_verdict(model_report.s))
     if args.out:
-        with atomic_write(args.out, newline="") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(bell.comparison_table(theory, data_report, model_report, csv=True))
         _write_manifest(
             args,

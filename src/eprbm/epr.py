@@ -244,7 +244,7 @@ def save_dataset(dataset: EprDataset, path) -> None:
     otherwise leave new rows under an old sidecar.
     """
     text = _CSV_HEADER + "".join(_CSV_LINES.take(dataset.pattern))
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(text)
     meta = {
         "seed": dataset.seed,

@@ -141,7 +141,7 @@ class TrainingTrace:
         return len(self.records)
 
     def to_csv(self, path) -> None:
-        with atomic_write(path, newline="") as fh:
+        with atomic_write(path) as fh:
             fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
             for rec in self.records:
                 fh.write(",".join(map(repr, astuple(rec))) + "\n")
@@ -271,29 +271,27 @@ def exact_gradient(
 
 
 def _epoch_diagnostics(
-    theta: np.ndarray, counts: np.ndarray, epoch: int
-) -> EpochRecord | None:
-    """Exact trace entry for one epoch, or None if theta has blown up.
+    theta: np.ndarray, counts: np.ndarray, epoch: int, records: list[EpochRecord]
+) -> EpochRecord:
+    """Exact trace entry for one epoch; train's one divergence exit.
 
-    theta holds the packed parameters (see RbmModel.theta) and counts how often each
-    visible pattern occurs in the data. Parameters can stay finite while
-    being large enough that the 2^(m+n) enumeration overflows, so the
-    overflow and log-of-zero warnings are silenced here and a non-finite
-    theta, or any non-finite or degenerate result, is reported as None for
-    the caller to turn into a divergence error.
+    theta holds the packed parameters (see RbmModel.theta), counts how often
+    each visible pattern occurs in the data, records the epochs before.
+    Parameters can stay finite while being large enough that the 2^(m+n)
+    enumeration overflows, so its warnings are silenced here. A non-finite
+    theta (RbmModel refuses it), or a non-finite or degenerate result, raises
+    TrainingDivergedError with records as the trace.
     """
-    if not np.all(np.isfinite(theta)):
-        return None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dist = enumerate_distribution(_unpack(theta))
-        avg_ll = _mean_log_likelihood(dist, counts)
         try:
+            dist = enumerate_distribution(_unpack(theta))
+            avg_ll = _mean_log_likelihood(dist, counts)
             s = bell.correlations_from_distribution(dist).s
+            if np.isfinite(avg_ll):  # chsh has refused a non-finite S
+                return EpochRecord(epoch=epoch, avg_log_likelihood=avg_ll, s=s)
         except ValueError:
-            return None
-    if not np.isfinite(avg_ll):  # chsh has refused a non-finite S
-        return None
-    return EpochRecord(epoch=epoch, avg_log_likelihood=avg_ll, s=s)
+            pass
+    raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
 
 
 def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, TrainingTrace]:
@@ -353,8 +351,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     chains = _pattern_index(init_chains(n_chains, m, chain_rng))
     data_counts = np.bincount(data_idx, minlength=n_patterns)
     # a finite draw can already be past exact diagnosis: epoch 0 diverges
-    if _epoch_diagnostics(theta, data_counts, 0) is None:
-        raise TrainingDivergedError(0, TrainingTrace(()))
+    _epoch_diagnostics(theta, data_counts, 0, [])
     # a batch larger than the data is the whole data, and fits an int64
     batch_size = min(config.batch_size, n_rows)
     n_batches = -(-n_rows // batch_size)
@@ -392,8 +389,8 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         uniforms = chain_rng.random((n_batches, n_chains, 1))
         # each chain's pattern counts lr / n_chains against the data
         chain_weights = np.full(n_chains, lr / n_chains)
-        # overflow en route to divergence is caught by the guards below, so
-        # the transient warnings carry no extra information
+        # overflow en route to divergence is caught by the diagnostics below,
+        # so the transient warnings carry no extra information
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for weights, u in zip(batch_weights, uniforms):
                 if not bound < _MAX_LOG_JOINT - 1:
@@ -405,12 +402,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)
                 bound += growth
-        record = _epoch_diagnostics(theta, data_counts, epoch)
-        if record is None:
-            # parameters that are non-finite, or finite but so extreme that
-            # the enumeration overflows: divergence in all but name
-            raise TrainingDivergedError(epoch, TrainingTrace(tuple(records)))
-        records.append(record)
+        records.append(_epoch_diagnostics(theta, data_counts, epoch, records))
 
     return _unpack(theta), TrainingTrace(tuple(records))
 

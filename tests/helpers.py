@@ -11,14 +11,15 @@ import itertools
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 from scipy.special import expit
 
 from eprbm import trainer
 from eprbm.bell import CorrelationReport
-from eprbm.epr import DetectorAngles, EprDataset, InsufficientDataError, encode_dataset
+from eprbm.epr import N_VISIBLE, DetectorAngles, EprDataset, InsufficientDataError
+from eprbm.epr import encode_dataset
 from eprbm.exact import SETTING_PAIRS, ExactDistribution, MeasurementIndependenceReport
-from eprbm.rbm import RbmModel, bit_patterns
+from eprbm.rbm import RbmModel, _log_joint, _unpack, bit_patterns
 
 
 def energy(model: RbmModel, visible, hidden) -> float:
@@ -357,7 +358,7 @@ def reference_train(
             c = c + lr * g_c
             d = d + lr * g_d
         theta = RbmModel(visible_bias=c, hidden_bias=d, weights=w).theta
-        records.append(trainer._epoch_diagnostics(theta, data_counts, epoch))
+        records.append(trainer._epoch_diagnostics(theta, data_counts, epoch, records))
     final = RbmModel(visible_bias=c, hidden_bias=d, weights=w)
     return final, trainer.TrainingTrace(tuple(records))
 
@@ -445,3 +446,99 @@ def reference_measurement_independence(
         tv_distances=tv,
         max_tv=float(tv.max()),
     )
+
+
+# What a model class can reach, by optimizing over exact laws. scipy's
+# optimizers do the search, so these stay in the tests.
+
+
+def least_dependent_local_law(correlations) -> tuple[np.ndarray, float]:
+    """The local model with the least measurement dependence that gives the
+    four correlations (in SETTING_PAIRS order), by a linear program (HiGHS).
+
+    λ runs over the 16 deterministic strategies (A(a), A(a'), B(b), B(b'))
+    in bit_patterns(4) order, bit 1 for outcome +1, so each response reads
+    its own station's setting. The program chooses P(λ | p) (64 cells,
+    each row summing to 1 and giving C_p) to minimize t subject to
+    TV_p <= t, with TV_p from the pooled law, the plain mean of the rows.
+    Returns the (4, 16) rows and t; Hall (PRL 105, 250404 (2010)) gives
+    t = (S - 2) / 8 when S > 2.
+    """
+    strategies = 2 * bit_patterns(4) - 1
+    # the outcome product x_alpha * x_beta of every strategy at each pair
+    products = np.array(
+        [strategies[:, x] * strategies[:, 2 + y] for x, y in SETTING_PAIRS]
+    )
+    n = products.size
+    # variables: the cells q (row-major), u >= |q - pooled| per cell, then t
+    spread = np.eye(n) - np.tile(np.eye(16), (4, 4)) / 4  # q - pooled
+    per_pair = np.kron(np.eye(4), np.ones(16))  # sums each row's 16 cells
+    no_u_or_t = np.zeros((4, n + 1))
+    no_t = np.zeros((n, 1))
+    a_ub = np.block([
+        [spread, -np.eye(n), no_t],
+        [-spread, -np.eye(n), no_t],
+        [np.zeros((4, n)), per_pair / 2, -np.ones((4, 1))],
+    ])
+    a_eq = np.block([[per_pair, no_u_or_t], [per_pair * products.ravel(), no_u_or_t]])
+    b_eq = np.concatenate([np.ones(4), correlations])
+    cost = np.zeros(2 * n + 1)
+    cost[-1] = 1.0
+    result = optimize.linprog(
+        cost, A_ub=a_ub, b_ub=np.zeros(2 * n + 4), A_eq=a_eq, b_eq=b_eq,
+        bounds=(0, None), method="highs",
+    )
+    if result.status != 0:
+        raise ValueError(f"linear program failed: {result.message}")
+    return result.x[:n].reshape(4, 16), float(result.fun)
+
+
+def singlet_law(angles) -> np.ndarray:
+    """The singlet's P(v) over the 16 visible patterns (v1, v2, v3, v4) =
+    (alpha, beta, x_alpha, x_beta), settings uniform and bit 1 for outcome
+    +1, from the state vector."""
+    thetas_a, thetas_b = (angles.a, angles.a_prime), (angles.b, angles.b_prime)
+    return np.array([
+        singlet_prob_oracle(thetas_a[alpha], thetas_b[beta], 2 * x3 - 1, 2 * x4 - 1) / 4
+        for alpha, beta, x3, x4 in itertools.product((0, 1), repeat=4)
+    ])
+
+
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    top = x.max(axis, keepdims=True)
+    return (top + np.log(np.exp(x - top).sum(axis, keepdims=True))).squeeze(axis)
+
+
+def exact_kl_fit(
+    target: np.ndarray, n_hidden: int, seed: int = 0, n_starts: int = 8
+) -> tuple[RbmModel, float]:
+    """The 4 x n_hidden RBM closest to the law target over the 16 visible
+    patterns, and its KL(target || P): the best of n_starts L-BFGS-B runs,
+    each from a draw of every parameter from N(0, 1) by
+    default_rng(seed). target must be positive everywhere.
+
+    The objective is exact: log P(v) by log-sum-exp over the log-joint. Its
+    gradient is trainer._moments weighted by target - P(v), the exact
+    ascent direction of train's step, with the sign turned.
+    """
+    shape = (N_VISIBLE + 1, n_hidden + 1)
+    entropy = target @ np.log(target)
+
+    def kl_and_gradient(x):
+        theta = np.append(x, 0.0).reshape(shape)  # the corner of theta is 0
+        log_pv = _log_sum_exp(_log_joint(theta), 1)
+        log_pv -= _log_sum_exp(log_pv, 0)
+        w, c, d = trainer._moments(theta, target - np.exp(log_pv))
+        ascent = np.vstack([np.column_stack([w, c]), np.append(d, 0.0)])
+        return entropy - target @ log_pv, -ascent.ravel()[:-1]
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_starts):
+        result = optimize.minimize(
+            kl_and_gradient, rng.standard_normal(shape[0] * shape[1] - 1),
+            jac=True, method="L-BFGS-B", options={"ftol": 0.0, "gtol": 1e-9},
+        )
+        if best is None or result.fun < best.fun:
+            best = result
+    return _unpack(np.append(best.x, 0.0).reshape(shape)), float(best.fun)

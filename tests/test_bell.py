@@ -128,6 +128,21 @@ class TestTheoryCorrelations:
         assert report.c_a_prime_b == pytest.approx(0.0, abs=1e-12)
         assert report.s == pytest.approx(0.0, abs=1e-12)
 
+    def test_each_correlation_reads_its_own_pair(self):
+        # four distinct angles give four distinct values, so a swapped pair
+        # or a swapped angle would show; each value is exactly the singlet
+        # formula at the angles its name reads
+        angles = DetectorAngles(a=0.3, a_prime=-1.2, b=2.5, b_prime=0.7)
+        report = theory_correlations(angles)
+        assert report.c_ab == -math.cos(0.3 - 2.5)
+        assert report.c_ab_prime == -math.cos(0.3 - 0.7)
+        assert report.c_a_prime_b == -math.cos(-1.2 - 2.5)
+        assert report.c_a_prime_b_prime == -math.cos(-1.2 - 0.7)
+        assert report.correlations() == (
+            0.5885011172553458, -0.9210609940028851,
+            0.848100031710408, 0.32328956686350335,
+        )
+
 
 class TestModelCorrelationsExact:
     def test_reference_matches_published_values(self, reference_model):

@@ -9,18 +9,22 @@ wrapped in an ExactDistribution directly:
   outcome, or between the two outcomes, breaks factorization given λ;
 - a law over the 16 local deterministic strategies λ = (A(a), A(a'), B(b),
   B(b')), with P(λ | settings) chosen per setting pair, so that measurement
-  independence holds or fails by a known amount.
+  independence holds or fails by a known amount; the least dependent such
+  law that reproduces the singlet (a linear program) needs less than any
+  RBM can have.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eprbm.bell import correlations_from_distribution
+from eprbm.bell import correlations_from_distribution, theory_correlations
+from eprbm.epr import DetectorAngles
 from eprbm.exact import (
     SETTING_PAIRS,
     ExactDistribution,
@@ -29,7 +33,7 @@ from eprbm.exact import (
 )
 from eprbm.trainer import load_reference_model
 
-from helpers import energy
+from helpers import energy, least_dependent_local_law
 
 LOCALITY_BOUND = 1e-10
 BITS4 = list(itertools.product((0, 1), repeat=4))
@@ -146,3 +150,25 @@ class TestMeasurementIndependenceControls:
         assert report.max_tv == pytest.approx(max(expected), abs=1e-12)
         # every mixture puts weight on a strategy of its own
         assert report.max_tv > 1e-3
+
+    def test_least_dependent_singlet_law_breaks_the_rbm_floor(self):
+        # Hall's floor for a local model whose responses read the local
+        # setting is max TV = (S - 2) / 8, and the linear program attains
+        # it. An RBM's responses read λ alone, which forces TV_p >=
+        # |C_p - C̄| / 2 (test_exact's test_tv_bounds_the_spread_of_correlations),
+        # 0.530 at (a', b'): this law stays far below that
+        singlet = theory_correlations(DetectorAngles()).correlations()
+        rows, t = least_dependent_local_law(np.array(singlet))
+        assert t == pytest.approx((2 * math.sqrt(2) - 2) / 8, abs=1e-9)
+        # the optimal vertex leaves most (p, λ) cells empty, where
+        # locality_check divides 0/0; a trace of the uniform law fills them
+        dist = strategy_distribution((1 - 1e-6) * rows + 1e-6 / 16)
+        report = correlations_from_distribution(dist)
+        tv = measurement_independence_check(dist).tv_distances
+        assert report.s == pytest.approx(2 * math.sqrt(2), abs=1e-5)
+        assert abs(tv.max() - (report.s - 2) / 8) <= 1e-6
+        assert locality_check(dist) <= LOCALITY_BOUND
+        c = np.array(report.correlations())
+        rbm_floor = np.abs(c - c.mean()) / 2
+        assert rbm_floor[3] == pytest.approx(0.5303, abs=1e-4)
+        assert tv[3] < rbm_floor[3]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -816,7 +817,17 @@ class TestEpochDiagnostics:
     def counts(self, small_dataset):
         return np.bincount(small_dataset.pattern, minlength=16)
 
-    def test_data_of_zero_probability_gives_none(self, counts):
+    @staticmethod
+    def assert_diverges_at_epoch_1(theta, counts):
+        """_epoch_diagnostics raises the divergence itself, with the records
+        it was given (none) as the trace, and warns of nothing on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as info:
+                trainer._epoch_diagnostics(theta, counts, 1, [])
+        assert info.value.epoch == 1 and len(info.value.trace) == 0
+
+    def test_data_of_zero_probability_diverges(self, counts):
         # v3 = 1 always: S stays finite, but the data's v3 = 0 trials have
         # log-likelihood -inf
         model = self.pinned_bias_model(2)
@@ -824,9 +835,9 @@ class TestEpochDiagnostics:
             dist = enumerate_distribution(model)
             assert trainer._mean_log_likelihood(dist, counts) == -np.inf
         assert np.isfinite(bell.correlations_from_distribution(dist).s)
-        assert trainer._epoch_diagnostics(model.theta, counts, 1) is None
+        self.assert_diverges_at_epoch_1(model.theta, counts)
 
-    def test_settings_of_zero_probability_give_none(self, counts):
+    def test_settings_of_zero_probability_diverges(self, counts):
         # v1 = 1 always: the settings (0, 0) have no mass, so no S exists
         model = self.pinned_bias_model(0)
         with np.errstate(all="ignore"):
@@ -834,7 +845,16 @@ class TestEpochDiagnostics:
         zero_mass = r"settings \(0, 0\) have zero probability"
         with pytest.raises(ValueError, match=zero_mass):
             bell.correlations_from_distribution(dist)
-        assert trainer._epoch_diagnostics(model.theta, counts, 1) is None
+        self.assert_diverges_at_epoch_1(model.theta, counts)
+
+    def test_non_finite_theta_diverges(self, counts):
+        # RbmModel refuses the unpacked parameters, and that refusal is the
+        # divergence: there is no separate finiteness test
+        theta = load_reference_model().theta.copy()
+        theta[1, 2] = np.inf
+        with pytest.raises(ValueError, match="weights must be finite"):
+            trainer._unpack(theta)
+        self.assert_diverges_at_epoch_1(theta, counts)
 
 
 class TestBoundCertification:

@@ -276,7 +276,7 @@ def _epoch_diagnostics(
     """Exact trace entry for one epoch; train's one divergence exit.
 
     theta holds the packed parameters (see RbmModel.theta), counts how often
-    each visible pattern occurs in the data, records the epochs before.
+    each visible pattern occurs in the data, and records the earlier entries.
     Parameters can stay finite while being large enough that the 2^(m+n)
     enumeration overflows, so its warnings are silenced here. A non-finite
     theta (RbmModel refuses it), or a non-finite or degenerate result, raises

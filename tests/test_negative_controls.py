@@ -155,8 +155,8 @@ class TestMeasurementIndependenceControls:
         # Hall's floor for a local model whose responses read the local
         # setting is max TV = (S - 2) / 8, and the linear program attains
         # it. An RBM's responses read λ alone, which forces TV_p >=
-        # |C_p - C̄| / 2 (test_exact's test_tv_bounds_the_spread_of_correlations),
-        # 0.530 at (a', b'): this law stays far below that
+        # |C_p - C̄| / 2 (test_tv_bounds_the_spread_of_correlations in
+        # test_exact.py), 0.530 at (a', b'): this law stays far below that
         singlet = theory_correlations(DetectorAngles()).correlations()
         rows, t = least_dependent_local_law(np.array(singlet))
         assert t == pytest.approx((2 * math.sqrt(2) - 2) / 8, abs=1e-9)

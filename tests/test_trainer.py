@@ -849,7 +849,7 @@ class TestEpochDiagnostics:
 
     def test_non_finite_theta_diverges(self, counts):
         # RbmModel refuses the unpacked parameters, and that refusal is the
-        # divergence: there is no separate finiteness test
+        # divergence
         theta = load_reference_model().theta.copy()
         theta[1, 2] = np.inf
         with pytest.raises(ValueError, match="weights must be finite"):

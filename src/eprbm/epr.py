@@ -154,13 +154,13 @@ def generate_dataset(
 
     Args:
         angles: analyzer angles for the four settings.
-        n_trials: number of runs, at least 1.
+        n_trials: number of runs, an int >= 1.
         seed: generator seed, an int >= 0, recorded in the dataset.
     """
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if not (_is_int(n_trials) and n_trials >= 1):
+        raise ValueError(f"n_trials must be an int >= 1, got {n_trials!r}")
     rng = np.random.default_rng(seed)
     # the setting pair alpha, beta as 2 * alpha + beta, in SETTING_PAIRS order
     pattern = 2 * rng.integers(0, 2, size=n_trials)

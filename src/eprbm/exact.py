@@ -9,7 +9,6 @@ Tables are indexed by the pattern order of rbm.bit_patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +35,14 @@ _MARGIN_TERMS = _read_only(
     )
 )
 
+# The rows of locality_check's (8, 2^n) local responses that each joint row
+# multiplies, in pattern order: P(v3 | v1, λ) is row 2 v1 + v3 and
+# P(v4 | v2, λ) row 4 + 2 v2 + v4.
+_FACTOR_ROWS = _read_only(
+    np.array([[2 * v1 + v3 for v1, _, v3, _ in np.ndindex(2, 2, 2, 2)],
+              [4 + 2 * v2 + v4 for _, v2, _, v4 in np.ndindex(2, 2, 2, 2)]])
+)
+
 
 @dataclass(frozen=True, eq=False)
 class ExactDistribution:
@@ -44,6 +51,13 @@ class ExactDistribution:
     Attributes:
         joint: read-only (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)),
             a copy of the one passed in.
+
+    A joint of 16 rows (4 visible units) also holds, from construction, the
+    read-only tables the diagnostics read: _epr_view, the joint as (setting
+    pair in SETTING_PAIRS order, outcome bits v3v4, λ), and _margins, the
+    (12, 2^n) sums P(v1, v2, λ), P(v1, v3, λ) and P(v2, v4, λ), each in the
+    order (0, 0) ... (1, 1), that _MARGIN_TERMS lists. On any other joint,
+    reading either raises the layout ValueError.
     """
 
     joint: np.ndarray
@@ -55,30 +69,21 @@ class ExactDistribution:
         if rows < 1 or rows & (rows - 1):
             raise ValueError(f"joint is not a table of 2^m rows: shape {joint.shape}")
         object.__setattr__(self, "joint", joint)
+        if rows == 16:
+            object.__setattr__(self, "_epr_view", joint.reshape(len(SETTING_PAIRS), 4, -1))
+            margins = joint.take(_MARGIN_TERMS, 0).sum(axis=0)
+            object.__setattr__(self, "_margins", _read_only(margins))
 
-    @cached_property
-    def _epr_view(self) -> np.ndarray:
-        """The joint as (setting pair in SETTING_PAIRS order, outcome bits v3v4, λ)."""
-        n_visible = self.joint.shape[0].bit_length() - 1
-        if n_visible != 4:
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the EPR tables of
+        # a joint that is not 4-visible
+        if name in ("_epr_view", "_margins"):
+            n_visible = self.joint.shape[0].bit_length() - 1
             raise ValueError(
                 "EPR layout requires exactly 4 visible units "
                 f"(settings v1, v2 and outcomes v3, v4), got {n_visible}"
             )
-        return self.joint.reshape(len(SETTING_PAIRS), 4, -1)
-
-    @cached_property
-    def _margins(self) -> np.ndarray:
-        """The read-only (12, 2^n) sums of the joint that the diagnostics read.
-
-        Rows 0-3 are P(v1, v2, λ) in SETTING_PAIRS order, rows 4-7 P(v1, v3, λ)
-        and rows 8-11 P(v2, v4, λ), each in the order (0, 0), (0, 1), (1, 0),
-        (1, 1). Each row adds its four joint rows (_MARGIN_TERMS) left to
-        right, so it holds the same bits as numpy's sum over the other axes.
-        Read through _epr_view, so it refuses the same layouts.
-        """
-        terms = self._epr_view.reshape(16, -1).take(_MARGIN_TERMS, 0)
-        return _read_only(terms.sum(axis=0))
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def visible_marginal(self) -> np.ndarray:
         """P(v) over the 2^m visible patterns, lexicographic order."""
@@ -98,8 +103,10 @@ def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     """
     neg_energy = _log_joint(model.theta)
     shift = neg_energy.max()
-    log_partition = float(shift + np.log(np.exp(neg_energy - shift).sum()))
-    return ExactDistribution(np.exp(neg_energy - log_partition))
+    weights = neg_energy - shift
+    log_partition = float(shift + np.log(np.exp(weights, out=weights).sum()))
+    neg_energy -= log_partition
+    return ExactDistribution(np.exp(neg_energy, out=neg_energy))
 
 
 def locality_check(dist: ExactDistribution) -> float:
@@ -115,19 +122,18 @@ def locality_check(dist: ExactDistribution) -> float:
     floating-point error for any parameter values.
     """
     margins = dist._margins
-    # the joint with axes (v1, v2, v3, v4, lambda)
-    j = dist._epr_view.reshape(2, 2, 2, 2, -1)
-    # P(v3, v4 | v1, v2, lambda)
-    cond_joint = j / margins[:4].reshape(2, 2, 1, 1, -1)
-    # P(v3 | v1, lambda): the margin over the remote setting v2 and outcome
-    # v4, normalized over v3. Likewise P(v4 | v2, lambda). Using only the
-    # local setting makes this the full factorizability condition, remote
-    # setting independence included. Only this check forms them: at a λ of
-    # zero mass they are 0/0.
-    local = margins[4:].reshape(2, 2, 2, -1)  # (station, setting, outcome, lambda)
-    p3, p4 = local / local.sum(axis=2, keepdims=True)
-    product = p3[:, None, :, None, :] * p4[None, :, None, :, :]
-    return float(np.abs(cond_joint - product).max())
+    # P(v3, v4 | v1, v2, λ), one row per joint row
+    cond_joint = (dist._epr_view / margins[:4, None]).reshape(16, -1)
+    # P(v3 | v1, λ): the margin over the remote setting v2 and outcome v4,
+    # normalized over v3. Likewise P(v4 | v2, λ). Using only the local
+    # setting makes this the full factorizability condition, remote setting
+    # independence included. Only this check forms them: at a λ of zero mass
+    # they are 0/0.
+    local = margins[4:].reshape(4, 2, -1)  # (station and setting, outcome, λ)
+    responses = (local / (local[:, :1] + local[:, 1:])).reshape(8, -1)
+    factors = responses.take(_FACTOR_ROWS, 0)  # (P(v3 | v1, λ), P(v4 | v2, λ)) per row
+    cond_joint -= factors[0] * factors[1]
+    return float(np.abs(cond_joint, out=cond_joint).max())
 
 
 @dataclass(frozen=True, eq=False)

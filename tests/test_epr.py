@@ -149,6 +149,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="n_trials"):
             generate_dataset(DetectorAngles(), 0, seed=1)
 
+    @pytest.mark.parametrize("n_trials", [True, 10.0, "10"])
+    def test_refuses_all_but_int_trial_counts(self, n_trials):
+        # the seed's rule: numpy raised its own TypeError ("expected a
+        # sequence of integers", or str < int) that named no argument
+        with pytest.raises(ValueError, match=r"n_trials must be an int >= 1, got "):
+            generate_dataset(DetectorAngles(), n_trials, seed=1)
+
     def test_outcomes_follow_per_trial_agreement_law(self):
         # per trial: x_beta equals x_alpha when the fourth block's uniform
         # falls below the singlet's P(same outcome) at that trial's angles

@@ -389,20 +389,39 @@ class TestMeasurementIndependence:
 
 class TestMarginTable:
     def test_built_once_read_only_same_bits(self):
-        dist = enumerate_distribution(load_reference_model())
-        residual = locality_check(dist)
-        report = measurement_independence_check(dist)
-        margins = dist._margins
-        assert dist._margins is margins
+        dist = ExactDistribution(enumerate_distribution(load_reference_model()).joint)
+        # in the instance before any diagnostic has read it
+        margins = vars(dist)["_margins"]
         with pytest.raises(ValueError, match="read-only"):
             margins[0, 0] = 1.0
-        assert repr(locality_check(dist)) == repr(residual)
-        _assert_bit_identical(measurement_independence_check(dist), report)
         # the rows are numpy's sums over the other axes, bit for bit
         j = dist.joint.reshape(2, 2, 2, 2, -1)
         for start, axes in ((0, (2, 3)), (4, (1, 3)), (8, (0, 2))):
             want = j.sum(axis=axes).reshape(4, -1)
-            assert np.array_equal(margins[start : start + 4], want)
+            assert margins[start : start + 4].tobytes() == want.tobytes()
+        residual = locality_check(dist)
+        report = measurement_independence_check(dist)
+        assert dist._margins is margins
+        assert repr(locality_check(dist)) == repr(residual)
+        _assert_bit_identical(measurement_independence_check(dist), report)
+
+    @pytest.mark.parametrize("rows", [8, 32])
+    def test_other_layouts_construct_and_refuse_every_diagnostic(self, rows):
+        dist = ExactDistribution(np.full((rows, 4), 1.0 / (4 * rows)))
+        assert np.array_equal(dist.visible_marginal(), np.full(rows, 1.0 / rows))
+        assert getattr(dist, "no_such_attribute", None) is None
+        message = (
+            "EPR layout requires exactly 4 visible units (settings v1, v2 and "
+            f"outcomes v3, v4), got {rows.bit_length() - 1}"
+        )
+        for diagnostic in (
+            correlations_from_distribution,
+            locality_check,
+            measurement_independence_check,
+        ):
+            with pytest.raises(ValueError) as raised:
+                diagnostic(dist)
+            assert str(raised.value) == message
 
 
 class TestHiddenState:

@@ -43,9 +43,8 @@ def test_singlet_law_gives_the_theory_correlations():
         np.testing.assert_allclose(c, expected, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("angles", ANGLE_SETS, ids=["standard", "S2.34", "S1.40"])
-def test_four_hidden_units_fit_the_singlet_law(angles):
-    model, kl = exact_kl_fit(singlet_law(angles), n_hidden=4)
+def _assert_fits_and_diagnoses(angles, n_hidden):
+    model, kl = exact_kl_fit(singlet_law(angles), n_hidden=n_hidden)
     assert kl < 1e-10
     dist = enumerate_distribution(model)
     s = correlations_from_distribution(dist).s
@@ -54,6 +53,25 @@ def test_four_hidden_units_fit_the_singlet_law(angles):
     # where S < 2 and a measurement-independent local model would do
     assert locality_check(dist) <= LOCALITY_RESIDUAL_BOUND
     assert measurement_independence_check(dist).max_tv > MI_TV_BOUND
+
+
+@pytest.mark.parametrize("angles", ANGLE_SETS, ids=["standard", "S2.34", "S1.40"])
+def test_four_hidden_units_fit_the_singlet_law(angles):
+    _assert_fits_and_diagnoses(angles, n_hidden=4)
+
+
+def test_eight_hidden_units_fit_the_singlet_law():
+    # twice the width of train's machine fits the standard angles as well,
+    # with the same verdicts
+    _assert_fits_and_diagnoses(DetectorAngles(), n_hidden=8)
+
+
+def test_three_hidden_units_exceed_the_local_bound_without_fitting():
+    # at the standard angles this fit reaches KL 0.0192 and S = 2.685:
+    # past S = 2, short of 2 sqrt 2, and far from the law
+    model, kl = exact_kl_fit(singlet_law(DetectorAngles()), n_hidden=3)
+    assert kl > 1e-3
+    assert correlations_from_distribution(enumerate_distribution(model)).s > 2.0
 
 
 @pytest.mark.parametrize("n_hidden", [1, 2])

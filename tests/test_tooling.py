@@ -1,11 +1,13 @@
 """The test runner's own settings, as pyproject.toml gives them, the
 declared dependencies, the package's import order and import graph, its
-read-only module tables and the equality of its array-holding dataclasses."""
+read-only module tables, the equality of its array-holding dataclasses
+and ExactDistribution's tables, built at construction."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import importlib
 import os
 import re
@@ -192,3 +194,17 @@ def test_array_dataclasses_compare_by_value():
         ),
         (True, True),
     )
+
+
+def test_exact_distribution_has_no_cached_property():
+    # on Python 3.11 the first read of a functools.cached_property takes an
+    # RLock, about 1.2 us, once per distribution and attribute, a cost every
+    # exact diagnosis paid: ExactDistribution builds its tables at construction
+    exact = importlib.import_module("eprbm.exact")
+    cached = [
+        name
+        for klass in exact.ExactDistribution.__mro__
+        for name, value in vars(klass).items()
+        if isinstance(value, functools.cached_property)
+    ]
+    assert cached == []

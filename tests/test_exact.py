@@ -389,7 +389,7 @@ class TestMeasurementIndependence:
 
 class TestMarginTable:
     def test_built_once_read_only_same_bits(self):
-        dist = ExactDistribution(enumerate_distribution(load_reference_model()).joint)
+        dist = enumerate_distribution(load_reference_model())
         # in the instance before any diagnostic has read it
         margins = vars(dist)["_margins"]
         with pytest.raises(ValueError, match="read-only"):

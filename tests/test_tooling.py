@@ -198,8 +198,8 @@ def test_array_dataclasses_compare_by_value():
 
 def test_exact_distribution_has_no_cached_property():
     # on Python 3.11 the first read of a functools.cached_property takes an
-    # RLock, about 1.2 us, once per distribution and attribute, a cost every
-    # exact diagnosis paid: ExactDistribution builds its tables at construction
+    # RLock, about 1.2 us, and every exact diagnosis reads the tables of a
+    # new distribution: ExactDistribution builds them at construction
     exact = importlib.import_module("eprbm.exact")
     cached = [
         name

@@ -119,9 +119,15 @@ class EprDataset:
         if raw.ndim != 1:
             raise ValueError(f"pattern must be a 1-d column, got {raw.shape}")
         # check integrality before the cast truncates fractions away;
-        # integer and bool columns hold no fractions
-        if raw.dtype.kind not in "biu" and not np.all(raw == np.floor(raw)):
-            raise ValueError("pattern entries must be integers")
+        # integer and bool columns hold no fractions, and np.floor raises
+        # TypeError on a string, a complex number or None
+        if raw.dtype.kind not in "biu":
+            try:
+                integral = np.all(raw == np.floor(raw))
+            except TypeError:
+                integral = False
+            if not integral:
+                raise ValueError("pattern entries must be integers")
         if raw.size and not (raw.min() >= 0 and raw.max() < N_PATTERNS):
             raise ValueError(f"pattern entries must lie in 0..{N_PATTERNS - 1}")
         # astype copies, so the caller's array stays writable and unshared
@@ -152,6 +158,14 @@ def generate_dataset(
     (alpha block, beta block, x_alpha block, agreement block), so a seed
     pins the dataset bit for bit.
 
+    The three fair-bit blocks are those of three rng.integers(0, 2, size=n)
+    calls, taken from one random_raw block of ceil(3n / 2) words. For a
+    range of 2, integers uses Lemire's multiply-shift, which never rejects
+    a draw, so each value is bit 31 of one 32-bit draw; the generator hands
+    out the low half of each 64-bit word first and keeps the high half for
+    the next 32-bit draw. random() reads whole words, so the uniforms are
+    the same words on either route.
+
     Args:
         angles: analyzer angles for the four settings.
         n_trials: number of runs, an int >= 1.
@@ -162,15 +176,22 @@ def generate_dataset(
     if not (_is_int(n_trials) and n_trials >= 1):
         raise ValueError(f"n_trials must be an int >= 1, got {n_trials!r}")
     rng = np.random.default_rng(seed)
-    # the setting pair alpha, beta as 2 * alpha + beta, in SETTING_PAIRS order
-    pattern = 2 * rng.integers(0, 2, size=n_trials)
-    pattern += rng.integers(0, 2, size=n_trials)
-    x_alpha_up = rng.integers(0, 2, size=n_trials)
+    raw = rng.bit_generator.random_raw(-(-3 * n_trials // 2))
+    bits = np.empty(2 * raw.size, dtype=np.uint8)
+    # bit 31 of each 32-bit half, low half first on any byte order
+    np.right_shift(
+        raw.astype("<u8", copy=False).view("<u4"), 31, out=bits, casting="unsafe"
+    )
+    del raw  # 12 bytes a trial, freed before the uniforms and the int64 column
+    alpha, beta, x_alpha_up = bits[: 3 * n_trials].reshape(3, n_trials)
     agree_u = rng.random(n_trials)
 
     # P(x_beta == x_alpha) = (1 + C) / 2 per setting pair
     p_same = (1.0 + np.array(theory_correlations(angles).correlations())) / 2.0
-    same = agree_u < p_same.take(pattern)
+    # the setting pair alpha, beta as 2 * alpha + beta, in SETTING_PAIRS order
+    pattern = 2 * alpha
+    pattern += beta
+    same = agree_u < p_same[pattern]
     pattern <<= 2
     pattern += 2 * x_alpha_up
     # x_beta is +1 when it agrees with an x_alpha of +1 or differs from a -1

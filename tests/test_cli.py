@@ -212,6 +212,19 @@ class TestSimulate:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("trials", [2**62, 2**63 - 1])
+    def test_trial_count_beyond_raw_block_is_data_error(self, tmp_path, capsys, trials):
+        # the fair bits come from one block of 1.5 words a trial, so numpy's
+        # size limits come at smaller counts than one int64 block's
+        rc = run("simulate", "--trials", trials, "--seed", 0,
+                 "--out", tmp_path / "x.csv")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(f" (--trials {trials} is too large)\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unparseable_angle_names_the_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run("simulate", "--trials", 10, "--seed", 0,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,19 @@ class TestGenerateDataset:
         for c, e in zip(report.correlations(), (-0.7071, -0.7071, -0.7071, 0.7071)):
             assert c == pytest.approx(e, abs=0.004)
 
+    def test_peak_memory_per_trial(self):
+        # the three fair-bit blocks come from one raw block of 12 bytes a
+        # trial and the pattern is built in uint8, so the only int64 column
+        # is the dataset's own; three int64 blocks took 33 bytes a trial
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            generate_dataset(DetectorAngles(), n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * n
+
     def test_custom_angles(self):
         # equal angles everywhere: perfect anticorrelation in every pair
         angles = DetectorAngles(a=0.3, a_prime=0.3, b=0.3, b_prime=0.3)
@@ -336,7 +350,9 @@ class TestPatternForm:
     """Each trial is one visible-pattern index; the four columns, the CSV and
     the correlations must be those of the four-column formulation."""
 
-    @pytest.mark.parametrize("n_trials", [1, 7, 100_000])
+    # 3n fair bits fill 1.5n raw words: both parities of 3n, so the last
+    # word's high half is used or left over
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 7, 100_000, 100_001])
     @pytest.mark.parametrize("angles", ORACLE_ANGLES)
     def test_matches_four_column_oracle(self, tmp_path, angles, n_trials):
         path = tmp_path / "trials.csv"
@@ -358,6 +374,21 @@ class TestPatternForm:
                 got = empirical_correlations(dataset)
                 assert got.correlations() == want.correlations()
                 assert got.s == want.s
+
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.integers(min_value=1, max_value=3000),
+        st.sampled_from(ORACLE_ANGLES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_patterns_match_four_column_oracle(self, seed, n_trials, angles):
+        # the oracle draws its fair bits by three integers(0, 2) calls, so a
+        # numpy that drew them another way would fail here
+        alpha, beta, x_alpha, x_beta = four_column_trials(angles, n_trials, seed)
+        want = 8 * alpha + 4 * beta + 2 * (x_alpha == 1) + (x_beta == 1)
+        got = generate_dataset(angles, n_trials, seed).pattern
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
     @given(
         st.lists(
@@ -403,6 +434,23 @@ class TestPatternForm:
         for bad in ([16], [-1], [3, 99]):
             with pytest.raises(ValueError, match="0..15"):
                 EprDataset(bad, seed=None, angles=angles)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (["1"], "must be integers"),
+            ([None], "must be integers"),
+            ([1 + 0j], "must be integers"),
+            ([1.5], "must be integers"),
+            ([math.nan], "must be integers"),
+            ([2**70], r"must lie in 0\.\.15"),
+        ],
+    )
+    def test_constructor_refuses_entries_that_are_no_index(self, entries, message):
+        # a string, None or a complex number gave numpy's TypeError from
+        # np.floor, which named neither the column nor its rule
+        with pytest.raises(ValueError, match=f"^pattern entries {message}$"):
+            EprDataset(entries, seed=None, angles=DetectorAngles())
 
     def test_equality(self):
         angles = DetectorAngles()

@@ -305,9 +305,10 @@ def load_dataset(path) -> EprDataset:
     lines = io.BytesIO(data)
     if lines.readline() != _CSV_HEADER.encode("ascii"):
         raise ValueError(f"{path}: line 1 must be the header {_CSV_HEADER!r}")
-    # -1 marks a line that is not one of the 16
+    # -1 marks a line that is not one of the 16; int8 holds every value, and
+    # EprDataset's int64 copy is the only int64 column
     pattern = np.fromiter(
-        map(_PATTERN_OF_LINE.get, lines, itertools.repeat(-1)), dtype=np.int64
+        map(_PATTERN_OF_LINE.get, lines, itertools.repeat(-1)), dtype=np.int8
     )
     bad = np.flatnonzero(pattern < 0)
     if bad.size:

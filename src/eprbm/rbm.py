@@ -6,8 +6,10 @@ so the joint law is P(v, h) = exp(-E(v, h)) / Z with
     E(v, h) = -(sum_i c_i v_i + sum_j d_j h_j + sum_ij w_ij v_i h_j).
 
 Every layer reads the machine as the packed matrix RbmModel.theta =
-[[W, c], [d, 0]] over the patterns of bit_patterns, numbered with unit 1 as
-the most significant bit (lexicographic in (v1, v2, ..., vm)).
+[[W, c], [d, 0]], which the constructor builds as the model's one parameter
+buffer and of which W, c and d are read-only views, over the patterns of
+bit_patterns, numbered with unit 1 as the most significant bit
+(lexicographic in (v1, v2, ..., vm)).
 
 The bipartite wiring makes both conditionals factorize,
 P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +39,8 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 def _equal_fields(self, other) -> bool:
     """Value equality of two dataclasses of one type that hold arrays: every
-    field equal, arrays by np.array_equal. Cached views are no fields and
-    take no part; a class whose __eq__ this is has no hash."""
+    field equal, arrays by np.array_equal. Tables built at construction are
+    no fields and take no part; a class whose __eq__ this is has no hash."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
@@ -48,12 +50,10 @@ def _equal_fields(self, other) -> bool:
 
 
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64)
+    arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr!r}")
-    return _read_only(arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +64,11 @@ class RbmModel:
         visible_bias: shape (m,), bias c_i of each visible unit.
         hidden_bias: shape (n,), bias d_j of each hidden unit.
         weights: shape (m, n), coupling w_ij between visible i and hidden j.
+        theta: the read-only (m+1, n+1) augmented matrix [[W, c], [d, 0]],
+            built at construction from a copy of the three arguments as the
+            model's one parameter buffer; the three fields are read-only
+            views of its blocks, so writing to an argument later moves
+            nothing.
     """
 
     visible_bias: np.ndarray
@@ -79,9 +84,21 @@ class RbmModel:
                 f"weights shape {w.shape} does not match "
                 f"({c.size} visible, {d.size} hidden)"
             )
-        object.__setattr__(self, "visible_bias", c)
-        object.__setattr__(self, "hidden_bias", d)
-        object.__setattr__(self, "weights", w)
+        theta = np.empty((c.size + 1, d.size + 1))
+        theta[:-1, :-1], theta[:-1, -1] = w, c
+        theta[-1, :-1], theta[-1, -1] = d, 0.0
+        # one check for all three fields; only a refusal looks for the first
+        # field to name
+        if not np.isfinite(theta).all():
+            for name, arr in (("visible_bias", c), ("hidden_bias", d), ("weights", w)):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{name} must be finite, got {arr!r}")
+        _read_only(theta)
+        # views taken after setflags, so they are read-only too
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "visible_bias", theta[:-1, -1])
+        object.__setattr__(self, "hidden_bias", theta[-1, :-1])
+        object.__setattr__(self, "weights", theta[:-1, :-1])
 
     __eq__ = _equal_fields
 
@@ -92,15 +109,6 @@ class RbmModel:
     @property
     def n_hidden(self) -> int:
         return self.hidden_bias.size
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        """The read-only (m+1, n+1) augmented parameter matrix
-        theta = [[W, c], [d, 0]], built on first access."""
-        theta = np.empty((self.n_visible + 1, self.n_hidden + 1))
-        theta[:-1, :-1], theta[:-1, -1] = self.weights, self.visible_bias
-        theta[-1, :-1], theta[-1, -1] = self.hidden_bias, 0.0
-        return _read_only(theta)
 
 
 def _unpack(theta: np.ndarray) -> RbmModel:

@@ -546,6 +546,23 @@ class TestDatasetIO:
         assert loaded.seed == 16
         assert loaded.angles == dataset.angles
 
+    def test_load_peak_memory_per_trial(self, tmp_path):
+        # the file's bytes, about 9 a trial, and one int8 pattern column
+        # before the dataset's int64 copy; an int64 column there took 25
+        # bytes a trial
+        n = 1_000_000
+        dataset = generate_dataset(DetectorAngles(), n, 0)
+        path = tmp_path / "trials.csv"
+        save_dataset(dataset, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == dataset
+        assert peak <= 20 * n
+
     def test_csv_format(self, tmp_path):
         dataset = four_column_dataset(
             alpha=[0, 1],

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 from eprbm.exact import enumerate_distribution
-from eprbm.rbm import RbmModel, advance_chains, bit_patterns
+from eprbm.rbm import RbmModel, _unpack, advance_chains, bit_patterns
 from eprbm.trainer import (
     average_log_likelihood,
     data_expectation,
@@ -64,13 +64,93 @@ class TestRbmModel:
         with pytest.raises(ValueError):
             model.weights[0, 0] = 1.0
 
+    @given(
+        n=st.integers(1, 8),
+        field=st.sampled_from(["visible_bias", "hidden_bias", "weights"]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_one_non_finite_entry_naming_its_field(
+        self, n, field, value, seed, data
+    ):
+        # one check runs over the whole packed buffer, and a refusal names
+        # the field that holds the entry
+        params = {
+            name: getattr(random_model(np.random.default_rng(seed), n=n), name).copy()
+            for name in ("visible_bias", "hidden_bias", "weights")
+        }
+        target = params[field]
+        index = data.draw(st.integers(0, target.size - 1))
+        target.flat[index] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            RbmModel(**params)
+
+    @given(
+        n=st.integers(1, 8),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=44, max_size=44),
+        magnitude=st.sampled_from([1e308, np.finfo(np.float64).max, 5e-324]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_finite_extremes_construct(self, n, signs, magnitude):
+        # finite entries at the ends of the double range are finite
+        values = np.array(signs) * magnitude
+        c, d = values[:4], values[4 : 4 + n]
+        w = values[12 : 12 + 4 * n].reshape(4, n)
+        model = RbmModel(c, d, w)
+        want = np.block([[w, c[:, None]], [d[None, :], np.zeros((1, 1))]])
+        np.testing.assert_array_equal(model.theta, want)
+
+    def test_shape_is_checked_before_finiteness(self):
+        # every argument is converted and its shape checked before the one
+        # finite check over the packed buffer, so a non-finite field of the
+        # wrong shape reports its shape
+        nan_bias = np.array([np.nan, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="weights must be 2-dimensional"):
+            RbmModel(nan_bias, np.zeros(4), np.zeros(16))
+        with pytest.raises(ValueError, match="weights shape"):
+            RbmModel(nan_bias, np.zeros(4), np.full((3, 4), np.inf))
+
+    def test_fields_are_read_only_views_of_theta(self):
+        model = random_model(np.random.default_rng(3), n=5)
+        assert not model.theta.flags.writeable
+        for name in ("visible_bias", "hidden_bias", "weights"):
+            field = getattr(model, name)
+            assert not field.flags.writeable, name
+            assert np.shares_memory(field, model.theta), name
+            with pytest.raises(ValueError, match="read-only"):
+                field[...] = 0.0
+
+    def test_writing_the_arguments_later_moves_nothing(self):
+        # theta holds a copy, so the caller's arrays stay writable and unshared
+        c, d, w = np.ones(4), np.full(3, 2.0), np.full((4, 3), 3.0)
+        model = RbmModel(c, d, w)
+        theta = model.theta.copy()
+        for arg in (c, d, w):
+            assert arg.flags.writeable and not np.shares_memory(arg, model.theta)
+            arg[...] = -7.0
+        np.testing.assert_array_equal(model.theta, theta)
+        assert model == RbmModel(np.ones(4), np.full(3, 2.0), np.full((4, 3), 3.0))
+
+    def test_unpack_copies_a_working_theta(self):
+        # train steps its own writable theta in place and unpacks it per
+        # epoch; every model it unpacked keeps the parameters it had
+        working = random_model(np.random.default_rng(4)).theta.copy()
+        model = _unpack(working)
+        before = model.theta.copy()
+        assert not np.shares_memory(model.theta, working)
+        working += np.full(working.shape, 0.5)
+        working[0, 0] = np.nan
+        np.testing.assert_array_equal(model.theta, before)
+
     def test_sizes(self, reference_model):
         assert reference_model.n_visible == 4
         assert reference_model.n_hidden == 4
 
     def test_equal_by_value_and_unhashable(self):
-        # two loads are distinct equal models; theta cached on one side only
-        # takes no part
+        # two loads are distinct equal models; theta, which each builds at
+        # construction, is no field and takes no part
         model, other = load_reference_model(), load_reference_model()
         assert model.theta is model.theta
         assert model == other and not model != other

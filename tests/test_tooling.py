@@ -1,7 +1,8 @@
 """The test runner's own settings, as pyproject.toml gives them, the
 declared dependencies, the package's import order and import graph, its
-read-only module tables, the equality of its array-holding dataclasses
-and ExactDistribution's tables, built at construction."""
+read-only module tables, the equality of its array-holding dataclasses,
+and that no class caches a property: RbmModel and ExactDistribution build
+their tables at construction."""
 
 from __future__ import annotations
 
@@ -196,15 +197,18 @@ def test_array_dataclasses_compare_by_value():
     )
 
 
-def test_exact_distribution_has_no_cached_property():
+def test_no_class_has_a_cached_property():
     # on Python 3.11 the first read of a functools.cached_property takes an
-    # RLock, about 1.2 us, and every exact diagnosis reads the tables of a
-    # new distribution: ExactDistribution builds them at construction
-    exact = importlib.import_module("eprbm.exact")
+    # RLock, about 1.2 us, and every exact diagnosis builds a new model and
+    # reads the tables of a new distribution: RbmModel and ExactDistribution
+    # build them at construction
     cached = [
-        name
-        for klass in exact.ExactDistribution.__mro__
-        for name, value in vars(klass).items()
-        if isinstance(value, functools.cached_property)
+        f"{module}.{name}.{attr}"
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"eprbm.{module}")).items()
+        if isinstance(value, type) and value.__module__ == f"eprbm.{module}"
+        for klass in value.__mro__
+        for attr, member in vars(klass).items()
+        if isinstance(member, functools.cached_property)
     ]
     assert cached == []

@@ -6,10 +6,9 @@ so the joint law is P(v, h) = exp(-E(v, h)) / Z with
     E(v, h) = -(sum_i c_i v_i + sum_j d_j h_j + sum_ij w_ij v_i h_j).
 
 Every layer reads the machine as the packed matrix RbmModel.theta =
-[[W, c], [d, 0]], which the constructor builds as the model's one parameter
-buffer and of which W, c and d are read-only views, over the patterns of
-bit_patterns, numbered with unit 1 as the most significant bit
-(lexicographic in (v1, v2, ..., vm)).
+[[W, c], [d, 0]] (built at construction; the fields W, c and d view it)
+over the patterns of bit_patterns, numbered with unit 1 as the most
+significant bit (lexicographic in (v1, v2, ..., vm)).
 
 The bipartite wiring makes both conditionals factorize,
 P(h_j = 1 | v) = sigmoid(d_j + sum_i v_i w_ij) and likewise for v given h.
@@ -64,11 +63,9 @@ class RbmModel:
         visible_bias: shape (m,), bias c_i of each visible unit.
         hidden_bias: shape (n,), bias d_j of each hidden unit.
         weights: shape (m, n), coupling w_ij between visible i and hidden j.
-        theta: the read-only (m+1, n+1) augmented matrix [[W, c], [d, 0]],
-            built at construction from a copy of the three arguments as the
-            model's one parameter buffer; the three fields are read-only
-            views of its blocks, so writing to an argument later moves
-            nothing.
+        theta: read-only (m+1, n+1) [[W, c], [d, 0]], the model's one
+            parameter buffer, filled at construction from a copy of the
+            arguments; the three fields are read-only views of its blocks.
     """
 
     visible_bias: np.ndarray

@@ -199,9 +199,9 @@ def test_array_dataclasses_compare_by_value():
 
 def test_no_class_has_a_cached_property():
     # on Python 3.11 the first read of a functools.cached_property takes an
-    # RLock, about 1.2 us, and every exact diagnosis builds a new model and
-    # reads the tables of a new distribution: RbmModel and ExactDistribution
-    # build them at construction
+    # RLock, about 1.2 us, and every model's theta and every distribution's
+    # tables are read at least once: RbmModel and ExactDistribution build
+    # them at construction
     cached = [
         f"{module}.{name}.{attr}"
         for module in MODULES

@@ -23,12 +23,8 @@ import numpy as np
 
 from .atomic import atomic_write, write_json
 from .bell import OUTCOME_SIGNS, CorrelationReport, theory_correlations
-from .exact import SETTING_PAIR_LABELS, SETTING_PAIRS
-from .rbm import _equal_fields, _read_only, bit_patterns
-
-# Visible units per encoded trial: alpha, beta, x_alpha, x_beta (encode_dataset).
-N_VISIBLE = 4
-N_PATTERNS = 2**N_VISIBLE
+from .exact import N_PATTERNS, N_VISIBLE, SETTING_PAIR_LABELS, SETTING_PAIRS
+from .rbm import _equal_fields, _read_only, _reduce_fields, bit_patterns
 
 
 def _fields(payload: dict, names: tuple[str, ...], what: str) -> list:
@@ -111,6 +107,7 @@ class EprDataset:
     seed: int | None
     angles: DetectorAngles
     __eq__ = _equal_fields
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):

@@ -1,4 +1,4 @@
-"""Exact inference for small RBMs by full enumeration of all 2^(m+n) states.
+"""Exact inference on the EPR layout by full enumeration of all 2^(4+n) states.
 
 This is the oracle everything else is checked against: the joint and visible
 marginal distributions, and the two hidden-variable diagnostics (locality
@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbm import RbmModel, _equal_fields, _log_joint, _read_only
+from .rbm import RbmModel, _equal_fields, _log_joint, _read_only, _reduce_fields
+
+# The one visible layout, settings v1, v2 and outcomes v3, v4 (epr.encode_dataset).
+N_VISIBLE = 4
+N_PATTERNS = 2**N_VISIBLE
+_LAYOUT_ERROR = (
+    "EPR layout requires exactly 4 visible units "
+    "(settings v1, v2 and outcomes v3, v4), got {}"
+)
 
 # Setting pairs (v1, v2) in the order of every per-pair report, correlation
 # and label, and their names: (a, b), (a, b'), (a', b), (a', b').
@@ -29,7 +37,7 @@ SETTING_PAIR_LABELS = {
 _MARGIN_TERMS = _read_only(
     np.hstack(
         [
-            np.arange(16).reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4).T
+            np.arange(N_PATTERNS).reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4).T
             for axes in ((0, 1, 2, 3), (0, 2, 1, 3), (1, 3, 0, 2))
         ]
     )
@@ -49,58 +57,48 @@ class ExactDistribution:
     """An exact joint law P(v, λ) over all visible and hidden configurations.
 
     Attributes:
-        joint: read-only (2^m, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)),
-            a copy of the one passed in.
+        joint: read-only (16, 2^n) table, entry [i, j] = P(v = bits(i), h = bits(j)),
+            a copy of the one passed in; any other shape raises _LAYOUT_ERROR.
 
-    A joint of 16 rows (4 visible units) also holds, from construction, the
-    read-only tables the diagnostics read: _epr_view, the joint as (setting
-    pair in SETTING_PAIRS order, outcome bits v3v4, λ), and _margins, the
-    (12, 2^n) sums P(v1, v2, λ), P(v1, v3, λ) and P(v2, v4, λ), each in the
-    order (0, 0) ... (1, 1), that _MARGIN_TERMS lists. On any other joint,
-    reading either raises the layout ValueError.
+    It also holds, from construction, the read-only tables the diagnostics
+    read: _epr_view, the joint as (setting pair in SETTING_PAIRS order,
+    outcome bits v3v4, λ), and _margins, the (12, 2^n) sums P(v1, v2, λ),
+    P(v1, v3, λ) and P(v2, v4, λ), each in the order (0, 0) ... (1, 1), that
+    _MARGIN_TERMS lists.
     """
 
     joint: np.ndarray
     __eq__ = _equal_fields
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         joint = _read_only(np.array(self.joint, dtype=np.float64))
-        rows = joint.shape[0] if joint.ndim == 2 else 0
-        if rows < 1 or rows & (rows - 1):
-            raise ValueError(f"joint is not a table of 2^m rows: shape {joint.shape}")
+        if joint.ndim != 2 or joint.shape[0] != N_PATTERNS:
+            raise ValueError(_LAYOUT_ERROR.format(f"a joint of shape {joint.shape}"))
         object.__setattr__(self, "joint", joint)
-        if rows == 16:
-            object.__setattr__(self, "_epr_view", joint.reshape(len(SETTING_PAIRS), 4, -1))
-            margins = joint.take(_MARGIN_TERMS, 0).sum(axis=0)
-            object.__setattr__(self, "_margins", _read_only(margins))
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the EPR tables of
-        # a joint that is not 4-visible
-        if name in ("_epr_view", "_margins"):
-            n_visible = self.joint.shape[0].bit_length() - 1
-            raise ValueError(
-                "EPR layout requires exactly 4 visible units "
-                f"(settings v1, v2 and outcomes v3, v4), got {n_visible}"
-            )
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "_epr_view", joint.reshape(len(SETTING_PAIRS), 4, -1))
+        margins = joint.take(_MARGIN_TERMS, 0).sum(axis=0)
+        object.__setattr__(self, "_margins", _read_only(margins))
 
     def visible_marginal(self) -> np.ndarray:
-        """P(v) over the 2^m visible patterns, lexicographic order."""
+        """P(v) over the N_PATTERNS visible patterns, lexicographic order."""
         return self.joint.sum(axis=1)
 
 
 def enumerate_distribution(model: RbmModel) -> ExactDistribution:
     """Compute the exact Boltzmann distribution by enumerating every state.
 
-    The negative energies are the (2^m, 2^n) log-joint table of the packed
-    parameters and log Z is taken with a max-shifted log-sum-exp, so models
-    whose energies span hundreds of units stay finite.
+    The negative energies are the (N_PATTERNS, 2^n) log-joint table of the
+    packed parameters and log Z is taken with a max-shifted log-sum-exp, so
+    models whose energies span hundreds of units stay finite.
 
     Raises:
-        ValueError: if m + n exceeds rbm.MAX_EXACT_UNITS, too large for exact
-            inference.
+        ValueError: _LAYOUT_ERROR, before any table is built, if the model is
+            not 4-visible; if 4 + n exceeds rbm.MAX_EXACT_UNITS, too large for
+            exact inference.
     """
+    if model.n_visible != N_VISIBLE:
+        raise ValueError(_LAYOUT_ERROR.format(model.n_visible))
     neg_energy = _log_joint(model.theta)
     shift = neg_energy.max()
     weights = neg_energy - shift
@@ -123,7 +121,7 @@ def locality_check(dist: ExactDistribution) -> float:
     """
     margins = dist._margins
     # P(v3, v4 | v1, v2, λ), one row per joint row
-    cond_joint = (dist._epr_view / margins[:4, None]).reshape(16, -1)
+    cond_joint = (dist._epr_view / margins[:4, None]).reshape(N_PATTERNS, -1)
     # P(v3 | v1, λ): the margin over the remote setting v2 and outcome v4,
     # normalized over v3. Likewise P(v4 | v2, λ). Using only the local
     # setting makes this the full factorizability condition, remote setting

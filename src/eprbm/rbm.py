@@ -48,6 +48,11 @@ def _equal_fields(self, other) -> bool:
     )
 
 
+def _reduce_fields(self):
+    """__reduce__ that has copy and pickle rebuild a dataclass by its constructor."""
+    return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _as_param_array(name: str, value, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != ndim:
@@ -98,6 +103,7 @@ class RbmModel:
         object.__setattr__(self, "weights", theta[:-1, :-1])
 
     __eq__ = _equal_fields
+    __reduce__ = _reduce_fields
 
     @property
     def n_visible(self) -> int:

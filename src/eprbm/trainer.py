@@ -26,9 +26,9 @@ import numpy as np
 
 from . import bell
 from .atomic import atomic_write, write_json
-from .epr import N_VISIBLE, EprDataset, _read_json_object
+from .epr import EprDataset, _read_json_object
 from .epr import _fields, _is_finite, _is_int, _is_number
-from .exact import ExactDistribution, enumerate_distribution
+from .exact import N_PATTERNS, N_VISIBLE, ExactDistribution, enumerate_distribution
 from .rbm import (
     _MAX_LOG_JOINT,
     RbmModel,
@@ -215,6 +215,7 @@ def model_expectation_exact(
 
     The visible patterns are weighted by the exact P(v) and the hidden units
     summed out analytically, which equals summing over the joint table.
+    Raises the layout ValueError if the model is not 4-visible.
     """
     return _moments(model.theta, enumerate_distribution(model).visible_marginal())
 
@@ -245,7 +246,8 @@ def _mean_log_likelihood(dist: ExactDistribution, counts: np.ndarray) -> float:
 
 
 def average_log_likelihood(model: RbmModel, data) -> float:
-    """Mean over data rows of log P(v) under the exact distribution."""
+    """Mean over data rows of log P(v) under the exact distribution; raises
+    the layout ValueError if the model is not 4-visible."""
     counts = _pattern_counts(model, data)
     return _mean_log_likelihood(enumerate_distribution(model), counts)
 
@@ -264,6 +266,9 @@ def exact_gradient(
     Returns:
         (grad_w, grad_c, grad_d): data moments minus exact model moments for
         the weights, visible biases, and hidden biases.
+
+    Raises:
+        ValueError: the layout error, if the model is not 4-visible.
     """
     counts = _pattern_counts(model, data)
     weights = counts / counts.sum() - enumerate_distribution(model).visible_marginal()
@@ -341,7 +346,6 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     n_chains, k = config.n_persistent_chains, config.gibbs_steps_per_update
     v_aug, h_aug_t = _pattern_tables(m, N_HIDDEN)
     v_aug_t, h_aug = v_aug.T, h_aug_t.T
-    n_patterns = v_aug.shape[0]
     try:
         advance, h_given_v = _pcd_kernel(theta.shape, k, n_chains)
     except ValueError as err:
@@ -349,7 +353,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         # ValueError rather than a MemoryError
         raise MemoryError(str(err)) from None
     chains = _pattern_index(init_chains(n_chains, m, chain_rng))
-    data_counts = np.bincount(data_idx, minlength=n_patterns)
+    data_counts = np.bincount(data_idx, minlength=N_PATTERNS)
     # a finite draw can already be past exact diagnosis: epoch 0 diverges
     _epoch_diagnostics(theta, data_counts, 0, [])
     # a batch larger than the data is the whole data, and fits an int64
@@ -357,7 +361,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
     n_batches = -(-n_rows // batch_size)
     # row r of a shuffled epoch lands in minibatch r // batch_size; the
     # last minibatch takes what is left
-    batch_starts = np.arange(0, n_batches * n_patterns, n_patterns)
+    batch_starts = np.arange(0, n_batches * N_PATTERNS, N_PATTERNS)
     batch_offsets = np.repeat(batch_starts, batch_size)[:n_rows]
     batch_sizes = np.full((n_batches, 1), batch_size)
     batch_sizes[-1] = n_rows - (n_batches - 1) * batch_size
@@ -384,8 +388,8 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
         # one update is theta += v_aug.T @ diag(row - lr * model weights)
         # @ P(h | v) @ h_aug
         batch_weights = np.bincount(
-            cells, minlength=n_batches * n_patterns
-        ).reshape(n_batches, n_patterns) * (lr / batch_sizes)
+            cells, minlength=n_batches * N_PATTERNS
+        ).reshape(n_batches, N_PATTERNS) * (lr / batch_sizes)
         uniforms = chain_rng.random((n_batches, n_chains, 1))
         # each chain's pattern counts lr / n_chains against the data
         chain_weights = np.full(n_chains, lr / n_chains)
@@ -397,7 +401,7 @@ def train(dataset: EprDataset, config: TrainerConfig) -> tuple[RbmModel, Trainin
                     bound, admitted = _bound_test(theta)
                 chains = advance(theta, chains, u, admitted)
                 # the row is this epoch's own, so it is overwritten in place
-                weights -= np.bincount(chains, chain_weights, n_patterns)
+                weights -= np.bincount(chains, chain_weights, N_PATTERNS)
                 # the corner of theta collects the rounding of sum(weights),
                 # a constant offset of the log-joint that cancels everywhere
                 theta += (v_aug_t * weights).dot(h_given_v).dot(h_aug)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestModelCorrelationsExact:
         for _ in range(10):
             report = model_correlations_exact(random_model(rng))
             assert 0.0 <= report.s <= 4.0
+
+    def test_other_width_refused_before_enumeration(self):
+        # a 16-visible model's 2^20 joint states took 32.5 MiB of tables
+        # before the layout error; the width alone now refuses it
+        model = zero_model(m=16, n=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="EPR layout requires exactly 4 visible"):
+                model_correlations_exact(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestModelCorrelationsSampled:

@@ -741,9 +741,9 @@ class TestDiagnose:
         save_model(
             model_path,
             RbmModel(
-                visible_bias=np.zeros(13),
-                hidden_bias=np.zeros(12),
-                weights=np.zeros((13, 12)),
+                visible_bias=np.zeros(4),
+                hidden_bias=np.zeros(21),
+                weights=np.zeros((4, 21)),
             ),
         )
         assert run("diagnose", "--model", model_path) == EXIT_DATA

@@ -28,6 +28,7 @@ from eprbm.epr import (
 from eprbm.rbm import bit_patterns
 
 from helpers import (
+    COPIES,
     csv_text,
     four_column_dataset,
     four_column_trials,
@@ -533,6 +534,13 @@ class TestDatasetValidation:
     def test_indexing(self):
         dataset = generate_dataset(DetectorAngles(), 10, seed=15)
         assert len(dataset) == 10
+
+    @pytest.mark.parametrize("duplicate", COPIES)
+    def test_copies_keep_the_pattern_read_only(self, duplicate):
+        dataset = generate_dataset(DetectorAngles(), 10, seed=15)
+        twin = duplicate(dataset)
+        assert twin == dataset and twin.seed == 15
+        assert twin.pattern.dtype == np.int64 and not twin.pattern.flags.writeable
 
 
 class TestDatasetIO:

@@ -20,6 +20,7 @@ from eprbm.rbm import MAX_EXACT_UNITS, RbmModel, _pattern_tables, _unpack, bit_p
 from eprbm.trainer import load_reference_model
 
 from helpers import (
+    COPIES,
     brute_force_joint,
     energy,
     four_matmul_distribution,
@@ -74,14 +75,14 @@ class TestEnumerate:
         np.testing.assert_allclose(dist.joint, 1.0 / 256.0, atol=1e-15)
 
     def test_one_by_one_hand_enumeration(self):
-        # states (v,h): weights e^0, e^0, e^0, e^{log 3} so Z = 6
-        model = RbmModel(
-            visible_bias=[0.0], hidden_bias=[0.0], weights=[[math.log(3.0)]]
-        )
+        # one coupling, v1 to the one hidden unit: the 8 states with
+        # v1 = h = 1 weigh e^{log 3} and the other 24 weigh e^0, so Z = 48
+        weights = np.zeros((4, 1))
+        weights[0, 0] = math.log(3.0)
+        model = RbmModel(visible_bias=np.zeros(4), hidden_bias=[0.0], weights=weights)
         dist = enumerate_distribution(model)
-        np.testing.assert_allclose(
-            dist.joint, [[1 / 6, 1 / 6], [1 / 6, 3 / 6]], atol=1e-12
-        )
+        want = np.repeat([[1 / 48, 1 / 48], [1 / 48, 3 / 48]], 8, axis=0)
+        np.testing.assert_allclose(dist.joint, want, atol=1e-12)
 
     def test_equal_by_value_and_unhashable(self):
         # a distribution is its joint: views cached on one side only take
@@ -115,20 +116,49 @@ class TestEnumerate:
         assert measurement_independence_check(dist) == report
         assert correlations_from_distribution(dist) == correlations
 
-    def test_joint_that_is_no_table_refused(self):
-        # a flat law would read as one hidden state, and 17 rows are no
-        # visible layout at all
-        with pytest.raises(ValueError, match=r"table.*shape \(16,\)"):
-            ExactDistribution(np.full(16, 1 / 16))
-        with pytest.raises(ValueError, match=r"table.*shape \(16, 4, 1\)"):
-            ExactDistribution(np.full((16, 4, 1), 1 / 64))
+    @pytest.mark.parametrize(
+        "subject, got",
+        [
+            *(
+                pytest.param(
+                    np.full((rows, 4), 1 / 64),
+                    f"a joint of shape ({rows}, 4)",
+                    id=f"joint-{rows}-rows",
+                )
+                for rows in (0, 1, 2, 8, 15, 17, 32)
+            ),
+            pytest.param(np.full(16, 1 / 16), "a joint of shape (16,)", id="joint-ndim-1"),
+            pytest.param(
+                np.full((16, 4, 1), 1 / 64), "a joint of shape (16, 4, 1)", id="joint-ndim-3"
+            ),
+            *(
+                pytest.param(zero_model(m=m, n=n), str(m), id=f"model-{m}-visible")
+                for m, n in ((1, 4), (2, 2), (3, 4), (5, 4), (13, 12))
+            ),
+        ],
+    )
+    def test_other_layouts_refused(self, subject, got):
+        # a joint needs 16 rows and a model 4 visible units; a model is
+        # refused by its width before any table is built, so 13 + 12 units
+        # get the layout error, not the size error
+        refuse = enumerate_distribution if isinstance(subject, RbmModel) else ExactDistribution
+        with pytest.raises(ValueError) as raised:
+            refuse(subject)
+        assert str(raised.value) == (
+            "EPR layout requires exactly 4 visible units (settings v1, v2 and "
+            f"outcomes v3, v4), got {got}"
+        )
 
-    def test_row_count_not_a_power_of_two_refused(self):
-        for rows in (0, 3, 17):
-            with pytest.raises(ValueError, match=rf"2\^m rows.*shape \({rows}, 4\)"):
-                ExactDistribution(np.full((rows, 4), 1 / 68))
-        for rows in (1, 2, 16):
-            assert ExactDistribution(np.zeros((rows, 4))).joint.shape == (rows, 4)
+    @pytest.mark.parametrize("duplicate", COPIES)
+    def test_copies_rebuild_the_shared_tables(self, duplicate):
+        # a copy is built by the constructor, so its tables view its own
+        # read-only joint, and no write can leave the margins stale
+        dist = enumerate_distribution(load_reference_model())
+        twin = duplicate(dist)
+        assert twin == dist
+        assert not twin.joint.flags.writeable and not twin._margins.flags.writeable
+        assert np.shares_memory(twin._epr_view, twin.joint)
+        assert twin._margins.tobytes() == dist._margins.tobytes()
 
     def test_reference_normalization_and_positivity(self, reference_dist):
         assert reference_dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
@@ -147,7 +177,7 @@ class TestEnumerate:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)
-        model = random_model(rng, m=3, n=2)
+        model = random_model(rng, m=4, n=2)
         dist = enumerate_distribution(model)
         joint, log_z = brute_force_joint(model)
         np.testing.assert_allclose(dist.joint, joint, atol=1e-12)
@@ -165,7 +195,7 @@ class TestEnumerate:
         assert dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_size_guard(self):
-        big = zero_model(m=13, n=12)
+        big = zero_model(m=4, n=21)
         assert big.n_visible + big.n_hidden > MAX_EXACT_UNITS
         with pytest.raises(ValueError, match="too large for exact inference"):
             enumerate_distribution(big)
@@ -194,7 +224,7 @@ class TestEnumerate:
 
     def test_hidden_relabeling_permutes_joint(self):
         rng = np.random.default_rng(23)
-        model = random_model(rng, m=3, n=4)
+        model = random_model(rng, m=4, n=4)
         perm = rng.permutation(4)
         permuted = RbmModel(
             visible_bias=model.visible_bias,
@@ -294,13 +324,6 @@ class TestConditionalOutcomes:
                 table = reference_conditional_outcomes(dist, pair)
                 assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_layout_guard(self):
-        dist = enumerate_distribution(zero_model(m=3, n=4))
-        with pytest.raises(ValueError, match="4 visible units"):
-            reference_conditional_outcomes(dist, (0, 0))
-        with pytest.raises(ValueError, match="4 visible units"):
-            correlations_from_distribution(dist)
-
     def test_invalid_settings(self, reference_dist):
         with pytest.raises(ValueError, match="binary"):
             reference_conditional_outcomes(reference_dist, (0, 2))
@@ -319,11 +342,6 @@ class TestLocalityCheck:
         for _ in range(20):
             dist = enumerate_distribution(random_model(rng))
             assert locality_check(dist) <= 1e-10
-
-    def test_layout_guard(self):
-        dist = enumerate_distribution(zero_model(m=2, n=2))
-        with pytest.raises(ValueError, match="4 visible units"):
-            locality_check(dist)
 
 
 class TestMeasurementIndependence:
@@ -404,24 +422,6 @@ class TestMarginTable:
         assert dist._margins is margins
         assert repr(locality_check(dist)) == repr(residual)
         _assert_bit_identical(measurement_independence_check(dist), report)
-
-    @pytest.mark.parametrize("rows", [8, 32])
-    def test_other_layouts_construct_and_refuse_every_diagnostic(self, rows):
-        dist = ExactDistribution(np.full((rows, 4), 1.0 / (4 * rows)))
-        assert np.array_equal(dist.visible_marginal(), np.full(rows, 1.0 / rows))
-        assert getattr(dist, "no_such_attribute", None) is None
-        message = (
-            "EPR layout requires exactly 4 visible units (settings v1, v2 and "
-            f"outcomes v3, v4), got {rows.bit_length() - 1}"
-        )
-        for diagnostic in (
-            correlations_from_distribution,
-            locality_check,
-            measurement_independence_check,
-        ):
-            with pytest.raises(ValueError) as raised:
-                diagnostic(dist)
-            assert str(raised.value) == message
 
 
 class TestHiddenState:

@@ -15,6 +15,7 @@ from eprbm.trainer import (
 )
 
 from helpers import (
+    COPIES,
     chisquare_bucketed,
     energy,
     gibbs_sweeps,
@@ -160,6 +161,20 @@ class TestRbmModel:
         assert model != "model"
         with pytest.raises(TypeError, match="unhashable"):
             hash(other)
+
+    @pytest.mark.parametrize("duplicate", COPIES)
+    def test_copies_rebuild_the_read_only_views(self, duplicate):
+        # a copy is built by the constructor, so its fields view its own
+        # read-only theta, and no write can leave them stale against it
+        model = random_model(np.random.default_rng(6), n=3)
+        twin = duplicate(model)
+        assert twin == model
+        np.testing.assert_array_equal(twin.theta, model.theta)
+        assert not twin.theta.flags.writeable
+        for name in ("visible_bias", "hidden_bias", "weights"):
+            field = getattr(twin, name)
+            assert not field.flags.writeable, name
+            assert np.shares_memory(field, twin.theta), name
 
 
 class TestConfiguration:
@@ -316,10 +331,10 @@ class TestActivationProbs:
         # P(h | v) from the enumerated joint must factor into the per-unit
         # sigmoids: the bipartite wiring promises conditional independence.
         rng = np.random.default_rng(3)
-        model = random_model(rng, m=3, n=3)
+        model = random_model(rng, m=4, n=3)
         dist = enumerate_distribution(model)
         h_pat = bit_patterns(3)
-        for vi, v in enumerate(bit_patterns(3)):
+        for vi, v in enumerate(bit_patterns(4)):
             cond = dist.joint[vi] / dist.joint[vi].sum()
             p = p_hidden(model, v)
             product = np.prod(

@@ -169,23 +169,28 @@ def test_module_arrays_read_only():
     assert {"bell.OUTCOME_SIGNS", "epr._CSV_LINES", "exact._MARGIN_TERMS"} <= checked
 
 
+def _array_dataclasses() -> dict[str, type]:
+    """Every dataclass defined in eprbm with an ndarray field, by module.name."""
+    return {
+        f"{module}.{name}": value
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"eprbm.{module}")).items()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == f"eprbm.{module}"
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
+    }
+
+
 def test_array_dataclasses_compare_by_value():
     # a generated __eq__ over ndarray fields raises "The truth value of an
     # array ... is ambiguous": every dataclass holding an array binds the one
     # array-aware equality, and so has no hash
     equal_fields = getattr(importlib.import_module("eprbm.rbm"), "_equal_fields", None)
-    found = {}
-    for module in MODULES:
-        for name, value in vars(importlib.import_module(f"eprbm.{module}")).items():
-            if (
-                isinstance(value, type)
-                and dataclasses.is_dataclass(value)
-                and value.__module__ == f"eprbm.{module}"
-                and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
-            ):
-                found[f"{module}.{name}"] = (
-                    value.__eq__ is equal_fields, value.__hash__ is None
-                )
+    found = {
+        name: (value.__eq__ is equal_fields, value.__hash__ is None)
+        for name, value in _array_dataclasses().items()
+    }
     assert found == dict.fromkeys(
         (
             "rbm.RbmModel",
@@ -194,6 +199,22 @@ def test_array_dataclasses_compare_by_value():
             "epr.EprDataset",
         ),
         (True, True),
+    )
+
+
+def test_array_dataclasses_copy_through_the_constructor():
+    # copy.deepcopy and pickle restore an instance's __dict__ field by field,
+    # so the read-only arrays and shared views that a __post_init__ builds
+    # would come back writable and unshared: every array dataclass with a
+    # __post_init__ binds the one reduction, which calls the constructor
+    reduce_fields = getattr(importlib.import_module("eprbm.rbm"), "_reduce_fields", None)
+    found = {
+        name: value.__reduce__ is reduce_fields
+        for name, value in _array_dataclasses().items()
+        if hasattr(value, "__post_init__")
+    }
+    assert found == dict.fromkeys(
+        ("rbm.RbmModel", "exact.ExactDistribution", "epr.EprDataset"), True
     )
 
 

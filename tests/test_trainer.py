@@ -203,7 +203,7 @@ class TestModelExpectationExact:
         np.testing.assert_allclose(v_mean[1:], 0.5, atol=1e-12)
 
     def test_matches_brute_force(self):
-        model = random_model(np.random.default_rng(5), m=3, n=2)
+        model = random_model(np.random.default_rng(5), m=4, n=2)
         vh, v_mean, h_mean = model_expectation_exact(model)
         bf_vh, bf_v, bf_h = brute_force_moments(model)
         np.testing.assert_allclose(vh, bf_vh, atol=1e-10)
@@ -548,8 +548,8 @@ class TestExactGradient:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        model = random_model(rng, m=3, n=2, scale=0.8)
-        data = (rng.random((40, 3)) < 0.5).astype(float)
+        model = random_model(rng, m=4, n=2, scale=0.8)
+        data = (rng.random((40, 4)) < 0.5).astype(float)
         grad_w, grad_c, grad_d = exact_gradient(model, data)
         h = 1e-5
 
@@ -559,14 +559,14 @@ class TestExactGradient:
             )
 
         w0, c0, d0 = model.weights, model.visible_bias, model.hidden_bias
-        for i in range(3):
+        for i in range(4):
             for j in range(2):
                 wp, wm = w0.copy(), w0.copy()
                 wp[i, j] += h
                 wm[i, j] -= h
                 fd = (ll(wp, c0, d0) - ll(wm, c0, d0)) / (2 * h)
                 assert abs(fd - grad_w[i, j]) <= 1e-5 * abs(grad_w[i, j]) + 1e-8
-        for i in range(3):
+        for i in range(4):
             cp, cm = c0.copy(), c0.copy()
             cp[i] += h
             cm[i] -= h
